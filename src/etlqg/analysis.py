@@ -1,10 +1,12 @@
 """Closed-form analysis of the transmission process.
 
 Everything here is a deterministic function of the steady-state filter and
-the scheduler parameters: the covariance of cumulative filter corrections,
-the probability of consecutive non-transmissions, the timeout-counter Markov
-chain with its stationary distribution, the long-run communication rate, and
-the comparison-error covariance conditioned on the counter value.
+the scheduler parameters. The held error stays zero-mean Gaussian under the
+hold weight exp(-lam |e|^2), so one conditioning recursion gives both the
+timeout-counter chain (with its stationary distribution and long-run rate)
+and the held-error covariance per counter value. The stacked cumulative
+correction covariance and its joint hold probabilities are an independent
+route to the same chain.
 """
 
 from __future__ import annotations
@@ -123,37 +125,40 @@ def nontrigger_probability(cov: CumulativeErrorCov, lam: float) -> float:
     return float(np.exp(-0.5 * _logdet_shifted(cov.matrix, lam)))
 
 
-def _ladder_logdets(ss: SteadyStateFilter, A: np.ndarray,
-                    params: SchedulerParams) -> np.ndarray:
-    """ld[i] = log det(I + 2*lam*Sigma(i-1)) for i = 1..timeout, ld[0] = 0.
+def _conditioning_pass(ss: SteadyStateFilter, A: np.ndarray,
+                       params: SchedulerParams):
+    """(ld_0..ld_{T-1}, sigma_0..sigma_T) of the held error after k holds.
 
-    The stacked covariances are nested leading principal submatrices of the
-    largest one, so a single assembly serves the whole ladder.
+    sigma_0 = 0, N_k = A sigma_k A^T + Pi_eta, ld_k = log det(I + 2 lam N_k)
+    (so 1 - p_k0 = exp(-ld_k/2)) and sigma_{k+1} = (I + 2 lam N_k)^{-1} N_k.
+    The solve form avoids the O(1/lam) cancellation of the equivalent
+    subtraction form (1/2lam)I - (1/4lam^2)(N + (1/2lam)I)^{-1} at large lam.
     """
-    T = params.timeout
-    n = np.asarray(A).shape[0]
-    top = cumulative_cov(ss, A, T - 1).matrix
-    ld = np.zeros(T + 1)
-    for i in range(1, T + 1):
-        d = i * n
-        ld[i] = _logdet_shifted(top[:d, :d], params.lam)
-    return ld
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    lam = params.lam
+    eye = np.eye(n)
+    ld = np.empty(params.timeout)
+    sigmas = [np.zeros((n, n))]
+    for k in range(params.timeout):
+        inner = symmetrize(A @ sigmas[-1] @ A.T + ss.Pi_eta)
+        ld[k] = _logdet_shifted(inner, lam)
+        cf = cho_factor(eye + 2.0 * lam * inner, lower=True)
+        sigmas.append(symmetrize(cho_solve(cf, inner)))
+    return ld, sigmas
 
 
 def transition_matrix(ss: SteadyStateFilter, A: np.ndarray,
                       params: SchedulerParams) -> MarkovAnalysis:
     """Build the timeout-counter chain for one (lam, timeout).
 
-    Transition probabilities come from log-determinant differences of the
-    nested stacked covariances: p_i0 = 1 - exp(-(ld[i+1]-ld[i])/2). Raw
-    determinants of the stacked matrices overflow double precision for
-    unstable dynamics, and the differences are nonnegative by the nesting, so
-    the probabilities land in [0, 1) without clamping.
+    p_i0 = -expm1(-ld_i/2) from the conditioning pass, one n x n step per
+    age; accurate from lam = 1e-6 to 1e6 and tested up to timeout 1000.
     """
     T = params.timeout
-    ld = _ladder_logdets(ss, A, params)
+    ld, _ = _conditioning_pass(ss, A, params)
     p_i0 = np.empty(T + 1)
-    p_i0[:T] = -np.expm1(-0.5 * np.diff(ld))
+    p_i0[:T] = -np.expm1(-0.5 * ld)
     p_i0[T] = 1.0
     if np.any(p_i0 < -_PROB_SLACK) or np.any(p_i0 > 1 + _PROB_SLACK):
         raise NumericalError(
@@ -217,21 +222,10 @@ def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray,
                           params: SchedulerParams) -> ConditionalErrorCov:
     """Held-error covariance conditioned on each counter value.
 
-    Recursion in the solve form sigma(i) = (I + 2*lam*N)^{-1} N with
-    N = A sigma(i-1) A^T + Pi_eta, which is algebraically identical to the
-    subtraction form (1/2lam)I - (1/4lam^2)(N + (1/2lam)I)^{-1} but does not
-    cancel two O(1/lam) terms at large lam. sigma(0) is exactly zero.
+    sigma(0) is exactly zero; sigma(1..T) come from the conditioning pass.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    lam = params.lam
-    eye = np.eye(n)
-    sigmas = [np.zeros((n, n))]
-    for _ in range(params.timeout):
-        inner = symmetrize(A @ sigmas[-1] @ A.T + ss.Pi_eta)
-        cf = cho_factor(eye + 2.0 * lam * inner, lower=True)
-        sigmas.append(symmetrize(cho_solve(cf, inner)))
-    return ConditionalErrorCov(sigmas=tuple(sigmas), lam=lam)
+    _, sigmas = _conditioning_pass(ss, A, params)
+    return ConditionalErrorCov(sigmas=tuple(sigmas), lam=params.lam)
 
 
 def analysis_record(ma: MarkovAnalysis, cec: ConditionalErrorCov) -> dict:

@@ -7,7 +7,7 @@ Subcommands:
 
 Artifacts (under the output directory, written atomically):
   tradeoff.csv          one row per lambda: analytic and empirical rate/cost
-  analysis_<lam>.json   per-lambda chain analysis and cost breakdown
+  analysis_<lam>.json   per-lambda chain analysis and cost breakdown (repr(lam))
   manifest.json         full config echo (re-ingestable as a config) + tool info
   plot.gp               optional gnuplot script (emit_plot_data / --plot-script)
   trace_*.csv           optional per-run step traces (simulation.record_trace)
@@ -156,12 +156,12 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
         if "json" in cfg.formats:
             record = analysis_record(point.markov, point.cond_cov)
             record["cost"] = dataclasses.asdict(point.breakdown)
-            _write_atomic(out_dir / f"analysis_{point.lam:g}.json",
+            _write_atomic(out_dir / f"analysis_{point.lam!r}.json",
                           json.dumps(record, indent=2) + "\n")
         if traces is not None:
             n, m, _ = model.dims
             for r, trace in enumerate(traces):
-                name = f"trace_lam{point.lam:g}_run{r:04d}.csv"
+                name = f"trace_lam{point.lam!r}_run{r:04d}.csv"
                 _write_atomic(out_dir / name, _trace_csv(trace, n, m))
 
         line = f"lambda={point.lam:g} rate={point.rate:.6f} cost={point.cost:.6f}"

@@ -15,11 +15,8 @@ import numpy as np
 from .analysis import (ConditionalErrorCov, MarkovAnalysis, conditional_error_cov,
                        transition_matrix)
 from .errors import ConvergenceError, ModelError
-from .estimation import SteadyStateFilter, kf_steady_state
+from .estimation import ARE_MAX_ITER, ARE_TOL, SteadyStateFilter, kf_steady_state
 from .model import SchedulerParams, SystemModel, symmetrize
-
-ARE_TOL = 1e-12
-ARE_MAX_ITER = 10**6
 
 
 @dataclass(frozen=True)

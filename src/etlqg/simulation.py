@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import transition_matrix, conditional_error_cov
-from .control import ControlSynthesis, control_steady_state, infinite_horizon_cost
+from .control import ControlSynthesis, control_steady_state, cost_tradeoff_curve
 from .errors import DefinitenessError, DivergenceError, ModelError
 from .estimation import SteadyStateFilter, kf_steady_state
 from .model import PSD_EIG_FLOOR, SchedulerParams, SystemModel, psd_sqrt
@@ -265,16 +264,15 @@ def run_experiment(cfg: SimConfig,
         filt = kf_steady_state(model)
     if ctrl is None:
         ctrl = control_steady_state(model)
-    ma = transition_matrix(filt, model.A, cfg.params)
-    cec = conditional_error_cov(filt, model.A, cfg.params)
-    breakdown = infinite_horizon_cost(ctrl, filt, ma, cec, model)
+    point = cost_tradeoff_curve(model, [cfg.params.lam], cfg.params.timeout,
+                                ss=filt, cs=ctrl)[0]
 
     rates, costs, _ = run_closed_loop(cfg, filt, ctrl)
     emp_rate, rate_se = aggregate_runs(rates)
     emp_cost, cost_se = aggregate_runs(costs)
     return ExperimentResult(
         lam=cfg.params.lam, timeout=cfg.params.timeout,
-        analytic_rate=ma.rate, analytic_cost=breakdown.total,
+        analytic_rate=point.rate, analytic_cost=point.cost,
         empirical_rate=emp_rate, rate_stderr=rate_se,
         empirical_cost=emp_cost, cost_stderr=cost_se,
         runs=cfg.runs, horizon=cfg.horizon, seed=cfg.seed, burn_in=cfg.burn_in)

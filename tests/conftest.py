@@ -42,6 +42,9 @@ BENCH_M_INF = np.array([[5.151962080065081, 9.536650332871002],
 BENCH_J_LIMIT = 53.27938421207352
 # analytic cost at lambda = 1, T = 50 (six-figure regression pin)
 BENCH_J_LAM1 = 55.334285
+# p_i0[98] on the benchmark model at lambda = 1, T = 100: the 50-digit mpmath
+# conditioning recursion of bench/reference.py, rounded to 20 digits
+BENCH_P98_LAM1_T100 = 0.72167771665774926488
 
 BENCH_TIMEOUT = 50
 

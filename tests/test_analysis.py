@@ -28,6 +28,7 @@ from etlqg import (
 from etlqg.model import psd_sqrt
 
 from conftest import (
+    BENCH_P98_LAM1_T100,
     GOLDEN_P00,
     GOLDEN_P10,
     GOLDEN_RATE_T2,
@@ -219,6 +220,30 @@ class TestTransitionMatrix:
             )
             rates.append(ma.rate)
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
+
+
+class TestLongTimeouts:
+    """Timeouts far past the growth scale of the unstable benchmark plant."""
+
+    @pytest.mark.parametrize("timeout", [150, 500, 1000])
+    @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+    def test_chain_valid_and_tail_converged(self, bench_model, bench_filter,
+                                            lam, timeout):
+        params = SchedulerParams(lam=lam, timeout=timeout)
+        ma = transition_matrix(bench_filter, bench_model.A, params)
+        cec = conditional_error_cov(bench_filter, bench_model.A, params)
+        assert np.all((ma.p_i0 >= 0.0) & (ma.p_i0 <= 1.0))
+        assert 0.0 < ma.rate <= 1.0
+        # sigma(i) converges, so the per-age probabilities level off
+        assert abs(ma.p_i0[timeout - 1] - ma.p_i0[timeout - 2]) <= 1e-12
+        assert len(cec.sigmas) == timeout + 1
+        assert np.all(np.isfinite(np.stack(cec.sigmas)))
+
+    def test_tail_probability_matches_reference(self, bench_model, bench_filter):
+        ma = transition_matrix(
+            bench_filter, bench_model.A, SchedulerParams(lam=1.0, timeout=100)
+        )
+        assert ma.p_i0[98] == pytest.approx(BENCH_P98_LAM1_T100, abs=1e-12)
 
 
 class TestStationaryDistribution:

@@ -66,7 +66,7 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 0
         assert (out / "tradeoff.csv").is_file()
         assert (out / "analysis_0.5.json").is_file()
-        assert (out / "analysis_2.json").is_file()
+        assert (out / "analysis_2.0.json").is_file()
         assert (out / "manifest.json").is_file()
         stdout = capsys.readouterr().out
         assert "lambda=0.5" in stdout
@@ -136,7 +136,7 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 0
         (row,) = read_rows(out)
         assert abs(float(row[4]) - 53.23) <= 0.05
-        assert (out / "analysis_1e+06.json").is_file()
+        assert (out / "analysis_1000000.0.json").is_file()
 
     def test_nested_out_dir_created(self, tmp_path):
         out = tmp_path / "a" / "b" / "c"
@@ -188,6 +188,22 @@ class TestRunCommand:
         assert list(out.glob("analysis_*.json")) == []
         assert (out / "manifest.json").is_file()  # manifest always written
 
+    def test_close_grid_points_write_distinct_artifacts(self, tmp_path):
+        # the points differ only in the eighth significant digit; each still
+        # gets its own analysis record and trace files
+        out = tmp_path / "out"
+        doc = base_config(out, scheduler={"timeout": 6,
+                                          "lambda_grid": [1.0000001, 1.0000002]})
+        doc["simulation"] = {"runs": 2, "horizon": 30, "seed": 5, "burn_in": 5,
+                             "record_trace": True}
+        assert main(["run", str(write_config(tmp_path, doc))]) == 0
+        records = sorted(out.glob("analysis_*.json"))
+        assert [p.name for p in records] == ["analysis_1.0000001.json",
+                                             "analysis_1.0000002.json"]
+        lams = [json.loads(p.read_text())["lambda"] for p in records]
+        assert lams == [1.0000001, 1.0000002]
+        assert len(list(out.glob("trace_*.csv"))) == 4
+
 
 class TestTraceOutput:
     def test_trace_files_match_engine_output(self, tmp_path):
@@ -199,9 +215,9 @@ class TestTraceOutput:
         assert main(["run", str(cfg_path)]) == 0
 
         names = sorted(p.name for p in out.glob("trace_*.csv"))
-        assert names == ["trace_lam1_run0000.csv", "trace_lam1_run0001.csv"]
+        assert names == ["trace_lam1.0_run0000.csv", "trace_lam1.0_run0001.csv"]
 
-        lines = (out / "trace_lam1_run0000.csv").read_text().splitlines()
+        lines = (out / "trace_lam1.0_run0000.csv").read_text().splitlines()
         assert lines[0] == "k,sigma,tau,x1,x2,u1,e1,e2"
         assert len(lines) == 31
 

@@ -19,9 +19,9 @@ from .estimation import (FilterState, SteadyStateFilter, eta_covariance,
 from .scheduling import (SchedulerState, advance_tau, initial_scheduler_state,
                          trigger_decision)
 from .analysis import (ConditionalErrorCov, CumulativeErrorCov, MarkovAnalysis,
-                       analysis_record, communication_rate, conditional_error_cov,
-                       cumulative_cov, nontrigger_probability,
-                       stationary_distribution, transition_matrix)
+                       analysis_record, conditional_error_cov, cumulative_cov,
+                       nontrigger_probability, stationary_distribution,
+                       transition_matrix)
 from .control import (ControlSynthesis, CostBreakdown, TradeoffPoint,
                       control_action, control_steady_state, cost_tradeoff_curve,
                       finite_horizon_cost, infinite_horizon_cost,
@@ -45,7 +45,7 @@ __all__ = [
     "SchedulerState", "advance_tau", "initial_scheduler_state",
     "trigger_decision",
     "ConditionalErrorCov", "CumulativeErrorCov", "MarkovAnalysis",
-    "analysis_record", "communication_rate", "conditional_error_cov",
+    "analysis_record", "conditional_error_cov",
     "cumulative_cov", "nontrigger_probability", "stationary_distribution",
     "transition_matrix",
     "ControlSynthesis", "CostBreakdown", "TradeoffPoint", "control_action",

@@ -2,16 +2,17 @@
 
 Everything here is a deterministic function of the steady-state filter and
 the scheduler parameters. The held error stays zero-mean Gaussian under the
-hold weight exp(-lam |e|^2), so one conditioning recursion gives both the
-timeout-counter chain (with its stationary distribution and long-run rate)
-and the held-error covariance per counter value. The stacked cumulative
-correction covariance and its joint hold probabilities are an independent
-route to the same chain.
+hold weight exp(-lam |e|^2), so one conditioning pass
+(`conditional_error_cov`) gives both the per-age transmit probabilities and
+the held-error covariance per counter value; `transition_matrix` turns that
+result into the timeout-counter chain with its stationary distribution and
+long-run rate. The stacked cumulative correction covariance and its joint
+hold probabilities are an independent route to the same chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -55,28 +56,35 @@ class CumulativeErrorCov:
 
 
 @dataclass(frozen=True)
-class MarkovAnalysis:
-    """Timeout-counter chain at one (lam, timeout) setting.
+class ConditionalErrorCov:
+    """Result of the conditioning pass at one (lam, timeout).
 
-    p_i0: probability of transmitting next step given counter value i
-    (p_i0[timeout] = 1). P_lambda: full transition matrix. pi: stationary
-    distribution. rate: long-run transmission rate (equals pi[0]).
+    sigmas[i]: covariance of the held comparison error given counter == i
+    (sigmas[0] = 0). p_i0[i]: probability of transmitting next step given
+    counter value i (p_i0[timeout] = 1).
+    """
+
+    sigmas: tuple[np.ndarray, ...]
+    p_i0: np.ndarray
+    lam: float
+
+
+@dataclass(frozen=True)
+class MarkovAnalysis:
+    """Timeout-counter chain at one (lam, timeout).
+
+    p_i0 and sigmas: as in ConditionalErrorCov. P_lambda: full transition
+    matrix. pi: stationary distribution. rate: long-run transmission rate
+    (pi[0]).
     """
 
     p_i0: np.ndarray
     P_lambda: np.ndarray
-    pi: np.ndarray | None
-    rate: float | None
-    lam: float
-    timeout: int
-
-
-@dataclass(frozen=True)
-class ConditionalErrorCov:
-    """sigmas[i] = covariance of the held comparison error given counter == i."""
-
+    pi: np.ndarray
+    rate: float
     sigmas: tuple[np.ndarray, ...]
     lam: float
+    timeout: int
 
 
 def _a_powers(A: np.ndarray, upto: int) -> list[np.ndarray]:
@@ -125,38 +133,29 @@ def nontrigger_probability(cov: CumulativeErrorCov, lam: float) -> float:
     return float(np.exp(-0.5 * _logdet_shifted(cov.matrix, lam)))
 
 
-def _conditioning_pass(ss: SteadyStateFilter, A: np.ndarray,
-                       params: SchedulerParams):
-    """(ld_0..ld_{T-1}, sigma_0..sigma_T) of the held error after k holds.
+def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray,
+                          params: SchedulerParams) -> ConditionalErrorCov:
+    """The conditioning pass: held-error covariances and transmit probabilities.
 
-    sigma_0 = 0, N_k = A sigma_k A^T + Pi_eta, ld_k = log det(I + 2 lam N_k)
-    (so 1 - p_k0 = exp(-ld_k/2)) and sigma_{k+1} = (I + 2 lam N_k)^{-1} N_k.
-    The solve form avoids the O(1/lam) cancellation of the equivalent
-    subtraction form (1/2lam)I - (1/4lam^2)(N + (1/2lam)I)^{-1} at large lam.
+    sigma_0 = 0, N_k = A sigma_k A^T + Pi_eta, ld_k = log det(I + 2 lam N_k),
+    p_k0 = -expm1(-ld_k/2) and sigma_{k+1} = (I + 2 lam N_k)^{-1} N_k for
+    k = 0..T-1, one n x n step per age; accurate from lam = 1e-6 to 1e6 and
+    tested up to timeout 1000. The solve form avoids the O(1/lam)
+    cancellation of the equivalent subtraction form
+    (1/2lam)I - (1/4lam^2)(N + (1/2lam)I)^{-1} at large lam.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     lam = params.lam
+    T = params.timeout
     eye = np.eye(n)
-    ld = np.empty(params.timeout)
+    ld = np.empty(T)
     sigmas = [np.zeros((n, n))]
-    for k in range(params.timeout):
+    for k in range(T):
         inner = symmetrize(A @ sigmas[-1] @ A.T + ss.Pi_eta)
         ld[k] = _logdet_shifted(inner, lam)
         cf = cho_factor(eye + 2.0 * lam * inner, lower=True)
         sigmas.append(symmetrize(cho_solve(cf, inner)))
-    return ld, sigmas
-
-
-def transition_matrix(ss: SteadyStateFilter, A: np.ndarray,
-                      params: SchedulerParams) -> MarkovAnalysis:
-    """Build the timeout-counter chain for one (lam, timeout).
-
-    p_i0 = -expm1(-ld_i/2) from the conditioning pass, one n x n step per
-    age; accurate from lam = 1e-6 to 1e6 and tested up to timeout 1000.
-    """
-    T = params.timeout
-    ld, _ = _conditioning_pass(ss, A, params)
     p_i0 = np.empty(T + 1)
     p_i0[:T] = -np.expm1(-0.5 * ld)
     p_i0[T] = 1.0
@@ -164,17 +163,20 @@ def transition_matrix(ss: SteadyStateFilter, A: np.ndarray,
         raise NumericalError(
             f"transition probabilities escaped [0,1]: min {p_i0.min()}, max {p_i0.max()}"
         )
+    return ConditionalErrorCov(sigmas=tuple(sigmas), p_i0=p_i0, lam=lam)
 
+
+def transition_matrix(cec: ConditionalErrorCov) -> MarkovAnalysis:
+    """Build the timeout-counter chain from the conditioning pass result."""
+    p_i0 = cec.p_i0
+    T = len(p_i0) - 1
     P = np.zeros((T + 1, T + 1))
     P[:, 0] = p_i0
     for i in range(T):
         P[i, i + 1] = 1.0 - p_i0[i]
-
-    partial = MarkovAnalysis(p_i0=p_i0, P_lambda=P, pi=None, rate=None,
-                             lam=params.lam, timeout=T)
-    pi = stationary_distribution(partial)
-    rate = communication_rate(partial)
-    return replace(partial, pi=pi, rate=rate)
+    pi = stationary_distribution(p_i0, P)
+    return MarkovAnalysis(p_i0=p_i0, P_lambda=P, pi=pi, rate=float(pi[0]),
+                          sigmas=cec.sigmas, lam=cec.lam, timeout=T)
 
 
 def _survivor_weights(p_i0: np.ndarray) -> np.ndarray:
@@ -186,7 +188,7 @@ def _survivor_weights(p_i0: np.ndarray) -> np.ndarray:
     return out
 
 
-def stationary_distribution(ma: MarkovAnalysis) -> np.ndarray:
+def stationary_distribution(p_i0: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Stationary distribution of the counter chain.
 
     Primary path is the closed-form survivor product; a direct linear solve
@@ -194,12 +196,12 @@ def stationary_distribution(ma: MarkovAnalysis) -> np.ndarray:
     disagreement beyond tolerance is an internal error (it would mean the
     transition matrix and the product formula came from different chains).
     """
-    weights = _survivor_weights(ma.p_i0)
+    weights = _survivor_weights(p_i0)
     total = weights.sum()
     pi = weights / total
 
     k = len(pi)
-    system = ma.P_lambda.T - np.eye(k)
+    system = P.T - np.eye(k)
     system[-1, :] = 1.0
     rhs = np.zeros(k)
     rhs[-1] = 1.0
@@ -212,29 +214,13 @@ def stationary_distribution(ma: MarkovAnalysis) -> np.ndarray:
     return pi
 
 
-def communication_rate(ma: MarkovAnalysis) -> float:
-    """Long-run fraction of transmitting steps, 1 / (1 + sum of survivors)."""
-    weights = _survivor_weights(ma.p_i0)
-    return float(1.0 / weights.sum())
-
-
-def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray,
-                          params: SchedulerParams) -> ConditionalErrorCov:
-    """Held-error covariance conditioned on each counter value.
-
-    sigma(0) is exactly zero; sigma(1..T) come from the conditioning pass.
-    """
-    _, sigmas = _conditioning_pass(ss, A, params)
-    return ConditionalErrorCov(sigmas=tuple(sigmas), lam=params.lam)
-
-
-def analysis_record(ma: MarkovAnalysis, cec: ConditionalErrorCov) -> dict:
+def analysis_record(ma: MarkovAnalysis) -> dict:
     """JSON-ready summary of one analysis point."""
     return {
         "lambda": ma.lam,
         "timeout": ma.timeout,
         "rate": ma.rate,
         "p_i0": ma.p_i0.tolist(),
-        "pi": None if ma.pi is None else ma.pi.tolist(),
-        "sigma_e_trace": [float(np.trace(s)) for s in cec.sigmas],
+        "pi": ma.pi.tolist(),
+        "sigma_e_trace": [float(np.trace(s)) for s in ma.sigmas],
     }

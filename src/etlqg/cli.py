@@ -96,6 +96,8 @@ unset multiplot
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     updates = {}
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError(f"simulation.seed: must be >= 0, got {args.seed}")
         updates["seed"] = args.seed
     if getattr(args, "runs", None) is not None:
         if args.runs < 0:
@@ -154,7 +156,7 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
                      point.cost, emp_cost, cost_se))
 
         if "json" in cfg.formats:
-            record = analysis_record(point.markov, point.cond_cov)
+            record = analysis_record(point.markov)
             record["cost"] = dataclasses.asdict(point.breakdown)
             _write_atomic(out_dir / f"analysis_{point.lam!r}.json",
                           json.dumps(record, indent=2) + "\n")

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (ConditionalErrorCov, MarkovAnalysis, conditional_error_cov,
-                       transition_matrix)
-from .errors import ConvergenceError, ModelError
-from .estimation import ARE_MAX_ITER, ARE_TOL, SteadyStateFilter, kf_steady_state
+from .analysis import MarkovAnalysis, conditional_error_cov, transition_matrix
+from .errors import ModelError
+from .estimation import (ARE_MAX_ITER, ARE_TOL, SteadyStateFilter, fixed_point,
+                         kalman_gain, kf_steady_state)
 from .model import SchedulerParams, SystemModel, symmetrize
 
 
@@ -58,7 +58,6 @@ class TradeoffPoint:
     cost: float
     breakdown: CostBreakdown
     markov: MarkovAnalysis
-    cond_cov: ConditionalErrorCov
 
 
 def _gain_step(S_next: np.ndarray, model: SystemModel):
@@ -89,17 +88,8 @@ def riccati_backward(model: SystemModel, N: int) -> ControlSynthesis:
 def control_steady_state(model: SystemModel, tol: float = ARE_TOL,
                          max_iterations: int = ARE_MAX_ITER) -> ControlSynthesis:
     """Fixed point of the backward recursion, iterated from S = Q."""
-    S = model.Q.copy()
-    delta = np.inf
-    for it in range(1, max_iterations + 1):
-        _, S_next, _ = _gain_step(S, model)
-        delta = float(np.max(np.abs(S_next - S)))
-        S = S_next
-        if delta < tol:
-            break
-    else:
-        raise ConvergenceError("steady-state control iteration", delta, max_iterations)
-
+    S, it = fixed_point(lambda S: _gain_step(S, model)[1], model.Q.copy(),
+                        "steady-state control iteration", tol, max_iterations)
     L, S_check, G = _gain_step(S, model)
     residual = float(np.max(np.abs(S_check - S)))
     M = symmetrize(L.T @ G @ L)
@@ -112,34 +102,23 @@ def control_action(L: np.ndarray, xhat_c: np.ndarray) -> np.ndarray:
     return -(np.asarray(L, dtype=float) @ np.asarray(xhat_c, dtype=float).reshape(-1))
 
 
-def _trigger_cost(M: np.ndarray, weights: np.ndarray,
-                  cec: ConditionalErrorCov) -> float:
-    # weights[i] multiplies Tr(M sigma(i)); index 0 carries a zero matrix
-    sig = np.stack(cec.sigmas)
-    return float(np.einsum("i,ijk,kj->", weights, sig, M))
-
-
 def infinite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
-                          ma: MarkovAnalysis, cec: ConditionalErrorCov,
-                          model: SystemModel) -> CostBreakdown:
+                          ma: MarkovAnalysis, model: SystemModel) -> CostBreakdown:
     """Closed-form long-run average cost under the event-triggered loop."""
     if cs.S_inf is None or cs.M_inf is None:
         raise ModelError("infinite_horizon_cost needs a steady-state synthesis")
-    if ma.pi is None:
-        raise ModelError("MarkovAnalysis must carry its stationary distribution")
-    if len(cec.sigmas) != ma.timeout + 1 or cec.lam != ma.lam:
-        raise ModelError("analysis inputs come from different scheduler settings")
     base = float(np.trace(cs.S_inf @ model.W))
     filter_term = float(np.trace(ss.F_inf @ cs.M_inf))
-    trigger_term = _trigger_cost(cs.M_inf, ma.pi, cec)
+    # pi[i] multiplies Tr(M sigma(i)); index 0 carries a zero matrix
+    trigger_term = float(np.einsum("i,ijk,kj->", ma.pi, np.stack(ma.sigmas),
+                                   cs.M_inf))
     return CostBreakdown(base=base, filter_term=filter_term,
                          trigger_term=trigger_term,
                          total=base + filter_term + trigger_term)
 
 
 def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
-                        ma: MarkovAnalysis, cec: ConditionalErrorCov,
-                        model: SystemModel, N: int,
+                        ma: MarkovAnalysis, model: SystemModel, N: int,
                         use_steady_filter_cov: bool = True) -> float:
     """Exact expected cost over horizon N.
 
@@ -155,8 +134,6 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
     if len(cs.S_seq) != N + 1:
         raise ModelError(
             f"S_seq covers horizon {len(cs.S_seq) - 1}, requested N={N}")
-    if ma.pi is None or len(cec.sigmas) != ma.timeout + 1:
-        raise ModelError("analysis inputs incomplete or mismatched")
 
     xbar = model.x0_mean
     total = float(xbar @ cs.S_seq[0] @ xbar) + float(np.trace(cs.S_seq[0] @ model.X0))
@@ -164,7 +141,7 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
     if not use_steady_filter_cov:
         filt_covs = _transient_filter_covs(model, N)
 
-    sig = np.stack(cec.sigmas)
+    sig = np.stack(ma.sigmas)
     T = ma.timeout
     dist = np.zeros(T + 1)
     dist[0] = ma.p_i0[0]
@@ -189,8 +166,7 @@ def _transient_filter_covs(model: SystemModel, N: int) -> list[np.ndarray]:
     P_pred = model.X0.copy()
     out = []
     for _ in range(N):
-        S = model.C @ P_pred @ model.C.T + model.V
-        K = np.linalg.solve(S, model.C @ P_pred).T
+        K = kalman_gain(P_pred, model)
         P_filt = symmetrize((eye - K @ model.C) @ P_pred)
         out.append(P_filt)
         P_pred = symmetrize(model.A @ P_filt @ model.A.T + model.W)
@@ -215,9 +191,8 @@ def cost_tradeoff_curve(model: SystemModel, lambdas, timeout: int,
     points = []
     for lam in lams:
         params = SchedulerParams(lam=lam, timeout=timeout)
-        ma = transition_matrix(ss, model.A, params)
-        cec = conditional_error_cov(ss, model.A, params)
-        breakdown = infinite_horizon_cost(cs, ss, ma, cec, model)
+        ma = transition_matrix(conditional_error_cov(ss, model.A, params))
+        breakdown = infinite_horizon_cost(cs, ss, ma, model)
         points.append(TradeoffPoint(lam=lam, rate=ma.rate, cost=breakdown.total,
-                                    breakdown=breakdown, markov=ma, cond_cov=cec))
+                                    breakdown=breakdown, markov=ma))
     return points

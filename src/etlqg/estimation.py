@@ -73,21 +73,41 @@ def kf_predict(state: FilterState, model: SystemModel,
                        P_pred=P, P_filt=state.P_filt, gain=state.gain)
 
 
-def _innovation_factor(P_pred: np.ndarray, model: SystemModel):
+def kalman_gain(P_pred: np.ndarray, model: SystemModel) -> np.ndarray:
+    """K = P C^T S^{-1}, S = C P C^T + V, through a Cholesky solve.
+
+    Raises NumericalError when S is not safely positive definite.
+    """
     S = symmetrize(model.C @ P_pred @ model.C.T + model.V)
     ev = np.linalg.eigvalsh(S)
     if ev[0] <= 0 or ev[-1] / ev[0] > INNOVATION_COND_LIMIT:
         raise NumericalError(
             f"innovation covariance ill-conditioned (cond ~ {ev[-1] / max(ev[0], 1e-300):.3e})"
         )
-    return cho_factor(S, lower=True)
+    return cho_solve(cho_factor(S, lower=True), model.C @ P_pred).T
+
+
+def fixed_point(step, start: np.ndarray, label: str, tol: float = ARE_TOL,
+                max_iterations: int = ARE_MAX_ITER):
+    """Iterate X <- step(X) from start until |X_next - X|_inf < tol.
+
+    Returns (X, iterations); raises ConvergenceError(label, ...) at the cap.
+    """
+    X = start
+    delta = np.inf
+    for it in range(1, max_iterations + 1):
+        X_next = step(X)
+        delta = float(np.max(np.abs(X_next - X)))
+        X = X_next
+        if delta < tol:
+            return X, it
+    raise ConvergenceError(label, delta, max_iterations)
 
 
 def kf_update(state: FilterState, model: SystemModel, y: np.ndarray) -> FilterState:
     """Measurement update: blend prediction and observation."""
     y = np.asarray(y, dtype=float).reshape(-1)
-    cf = _innovation_factor(state.P_pred, model)
-    gain = cho_solve(cf, model.C @ state.P_pred).T
+    gain = kalman_gain(state.P_pred, model)
     innovation = y - model.C @ state.x_pred
     x = state.x_pred + gain @ innovation
     n = model.A.shape[0]
@@ -104,23 +124,15 @@ def kf_steady_state(model: SystemModel, tol: float = ARE_TOL,
     updated covariance F_inf and the correction covariance Pi_eta along with
     iteration diagnostics. Raises ConvergenceError when the cap is hit.
     """
-    n = model.A.shape[0]
-    eye = np.eye(n)
-    P = model.X0.copy()
-    delta = np.inf
-    for it in range(1, max_iterations + 1):
-        cf = _innovation_factor(P, model)
-        K = cho_solve(cf, model.C @ P).T
-        P_next = symmetrize(model.A @ ((eye - K @ model.C) @ P) @ model.A.T + model.W)
-        delta = float(np.max(np.abs(P_next - P)))
-        P = P_next
-        if delta < tol:
-            break
-    else:
-        raise ConvergenceError("steady-state filter iteration", delta, max_iterations)
+    eye = np.eye(model.A.shape[0])
 
-    cf = _innovation_factor(P, model)
-    K = cho_solve(cf, model.C @ P).T
+    def step(P):
+        K = kalman_gain(P, model)
+        return symmetrize(model.A @ ((eye - K @ model.C) @ P) @ model.A.T + model.W)
+
+    P, it = fixed_point(step, model.X0.copy(), "steady-state filter iteration",
+                        tol, max_iterations)
+    K = kalman_gain(P, model)
     F = symmetrize((eye - K @ model.C) @ P)
     Pi = symmetrize(K @ model.C @ P)
     # Riccati residual at the fixed point, for the convergence contract

@@ -32,28 +32,18 @@ DEFAULT_BURN_IN = 200
 DIVERGENCE_LIMIT = 1e12
 _CHUNK_STEPS = 4096
 
-# covariance factors are deterministic in the covariance bytes, so caching
-# them never changes sampled values, only skips repeated eigendecompositions
-_factor_cache: dict[bytes, np.ndarray] = {}
-
 
 def _cov_factor(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
-    key = cov.tobytes()
-    factor = _factor_cache.get(key)
-    if factor is None:
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ModelError(f"covariance must be square, got shape {cov.shape}")
-        if float(np.min(np.linalg.eigvalsh((cov + cov.T) / 2.0))) < PSD_EIG_FLOOR:
-            raise DefinitenessError(
-                "sampling covariance is indefinite; cannot factor")
-        factor = psd_sqrt(cov)
-        _factor_cache[key] = factor
-    return factor
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ModelError(f"covariance must be square, got shape {cov.shape}")
+    if float(np.min(np.linalg.eigvalsh((cov + cov.T) / 2.0))) < PSD_EIG_FLOOR:
+        raise DefinitenessError("sampling covariance is indefinite; cannot factor")
+    return psd_sqrt(cov)
 
 
 def gaussian_draw(rng: np.random.Generator, mean, cov) -> np.ndarray:
-    """One sample of N(mean, cov); the PSD factor is cached per covariance."""
+    """One sample of N(mean, cov) through the PSD square root of cov."""
     mean = np.asarray(mean, dtype=float).reshape(-1)
     factor = _cov_factor(cov)
     if factor.shape[0] != mean.shape[0]:
@@ -154,11 +144,12 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
 
     w_factor = _cov_factor(model.W)
     v_factor = _cov_factor(model.V)
+    x0_factor = _cov_factor(model.X0)
     streams = _spawn_run_streams(cfg.seed, runs)
 
     x = np.empty((runs, n))
     for r, (_, _, init_gen, _) in enumerate(streams):
-        x[r] = gaussian_draw(init_gen, model.x0_mean, model.X0)
+        x[r] = model.x0_mean + x0_factor @ init_gen.standard_normal(n)
     xt_pred = x - model.x0_mean          # sensor prediction error, prior mean
     e_filt = np.zeros((runs, n))         # estimate gap after step -1
     tau = np.zeros(runs, dtype=np.int64)

@@ -63,10 +63,10 @@ def test_criterion_2_rate_limits():
     t0 = time.perf_counter()
     model = make_limit_model()
     filt = kf_steady_state(model)
-    low = transition_matrix(filt, model.A,
-                            SchedulerParams(lam=1e-6, timeout=50))
-    high = transition_matrix(filt, model.A,
-                             SchedulerParams(lam=1e6, timeout=50))
+    low = transition_matrix(conditional_error_cov(
+        filt, model.A, SchedulerParams(lam=1e-6, timeout=50)))
+    high = transition_matrix(conditional_error_cov(
+        filt, model.A, SchedulerParams(lam=1e6, timeout=50)))
     elapsed = time.perf_counter() - t0
     rel_dev = abs(low.rate * 51.0 - 1.0)
     ok = rel_dev <= 1e-6 and high.rate >= 0.999 and elapsed < 5.0
@@ -107,9 +107,8 @@ def test_criterion_4_tradeoff_window():
 
     def point(lam):
         params = SchedulerParams(lam=lam, timeout=BENCH_TIMEOUT)
-        ma = transition_matrix(filt, model.A, params)
-        cec = conditional_error_cov(filt, model.A, params)
-        return ma.rate, infinite_horizon_cost(ctrl, filt, ma, cec, model).total
+        ma = transition_matrix(conditional_error_cov(filt, model.A, params))
+        return ma.rate, infinite_horizon_cost(ctrl, filt, ma, model).total
 
     rate_1, cost_1 = point(1.0)
     rate_hi, cost_hi = point(1e6)
@@ -228,7 +227,8 @@ def test_criterion_8_structural_identities():
 
         T = int(rng.integers(1, 11))
         lam = float(10.0 ** rng.uniform(-2, 2))
-        ma = transition_matrix(filt, m.A, SchedulerParams(lam=lam, timeout=T))
+        ma = transition_matrix(conditional_error_cov(
+            filt, m.A, SchedulerParams(lam=lam, timeout=T)))
         worst_pi = max(worst_pi, float(np.abs(ma.pi @ ma.P_lambda - ma.pi).max()))
         worst_rate = max(worst_rate, abs(ma.rate - ma.pi[0]))
         survivors = np.cumprod(1.0 - ma.p_i0[:T])

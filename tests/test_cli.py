@@ -330,6 +330,14 @@ class TestConfigErrors:
         assert main(["run", str(cfg), "--runs", "-1"]) == 1
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("runs", ["0", "2"])
+    def test_negative_seed_flag(self, tmp_path, capsys, runs):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_config(out))
+        assert main(["run", str(cfg), "--seed", "-1", "--runs", runs]) == 1
+        assert "simulation.seed: must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolverFailureExit:
     def test_nonconvergence_exits_3(self, tmp_path, capsys, monkeypatch):

@@ -44,9 +44,7 @@ from conftest import (
 
 def _analysis_inputs(model, lam, timeout, filt):
     params = SchedulerParams(lam=lam, timeout=timeout)
-    ma = transition_matrix(filt, model.A, params)
-    cec = conditional_error_cov(filt, model.A, params)
-    return ma, cec
+    return transition_matrix(conditional_error_cov(filt, model.A, params))
 
 
 def _quiet_model():
@@ -189,8 +187,8 @@ class TestInfiniteHorizonCost:
     def test_extreme_sensitivity_approaches_always_send_limit(
         self, bench_model, bench_filter, bench_control
     ):
-        ma, cec = _analysis_inputs(bench_model, 1e6, BENCH_TIMEOUT, bench_filter)
-        bd = infinite_horizon_cost(bench_control, bench_filter, ma, cec, bench_model)
+        ma = _analysis_inputs(bench_model, 1e6, BENCH_TIMEOUT, bench_filter)
+        bd = infinite_horizon_cost(bench_control, bench_filter, ma, bench_model)
         assert bd.trigger_term < 1e-4 * bd.total
         assert bd.total == pytest.approx(BENCH_J_LIMIT, rel=1e-9)
         assert 53.18 <= bd.total <= 53.28
@@ -198,21 +196,21 @@ class TestInfiniteHorizonCost:
     def test_bench_unit_sensitivity_frozen_value(
         self, bench_model, bench_filter, bench_control
     ):
-        ma, cec = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
-        bd = infinite_horizon_cost(bench_control, bench_filter, ma, cec, bench_model)
+        ma = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
+        bd = infinite_horizon_cost(bench_control, bench_filter, ma, bench_model)
         assert bd.total == pytest.approx(BENCH_J_LAM1, rel=1e-6)
 
     def test_noise_free_plant_costs_nothing(self):
         model = _quiet_model()
         filt = kf_steady_state(model)
         ctrl = control_steady_state(model)
-        ma, cec = _analysis_inputs(model, 1.0, 5, filt)
-        bd = infinite_horizon_cost(ctrl, filt, ma, cec, model)
+        ma = _analysis_inputs(model, 1.0, 5, filt)
+        bd = infinite_horizon_cost(ctrl, filt, ma, model)
         assert bd.total < 1e-9
 
     def test_breakdown_sums_exactly(self, bench_model, bench_filter, bench_control):
-        ma, cec = _analysis_inputs(bench_model, 0.3, BENCH_TIMEOUT, bench_filter)
-        bd = infinite_horizon_cost(bench_control, bench_filter, ma, cec, bench_model)
+        ma = _analysis_inputs(bench_model, 0.3, BENCH_TIMEOUT, bench_filter)
+        bd = infinite_horizon_cost(bench_control, bench_filter, ma, bench_model)
         assert bd.total == bd.base + bd.filter_term + bd.trigger_term
         assert bd.base > 0.0
         assert bd.filter_term > 0.0
@@ -223,47 +221,20 @@ class TestInfiniteHorizonCost:
     ):
         terms = []
         for lam in (0.1, 1.0, 10.0):
-            ma, cec = _analysis_inputs(bench_model, lam, BENCH_TIMEOUT, bench_filter)
+            ma = _analysis_inputs(bench_model, lam, BENCH_TIMEOUT, bench_filter)
             bd = infinite_horizon_cost(
-                bench_control, bench_filter, ma, cec, bench_model
+                bench_control, bench_filter, ma, bench_model
             )
             terms.append(bd.trigger_term)
         assert terms[0] > terms[1] > terms[2] > 0.0
 
-    def test_mismatched_analysis_inputs_rejected(
-        self, bench_model, bench_filter, bench_control
-    ):
-        ma, _ = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
-        _, cec_other = _analysis_inputs(bench_model, 2.0, BENCH_TIMEOUT, bench_filter)
-        with pytest.raises(ModelError):
-            infinite_horizon_cost(
-                bench_control, bench_filter, ma, cec_other, bench_model
-            )
-        _, cec_short = _analysis_inputs(bench_model, 1.0, 10, bench_filter)
-        with pytest.raises(ModelError):
-            infinite_horizon_cost(
-                bench_control, bench_filter, ma, cec_short, bench_model
-            )
-
     def test_requires_steady_state_synthesis(
         self, bench_model, bench_filter
     ):
-        ma, cec = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
+        ma = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
         finite_only = riccati_backward(bench_model, 5)
         with pytest.raises(ModelError):
-            infinite_horizon_cost(finite_only, bench_filter, ma, cec, bench_model)
-
-    def test_requires_stationary_distribution(
-        self, bench_model, bench_filter, bench_control
-    ):
-        import dataclasses
-
-        ma, cec = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
-        stripped = dataclasses.replace(ma, pi=None, rate=None)
-        with pytest.raises(ModelError):
-            infinite_horizon_cost(
-                bench_control, bench_filter, stripped, cec, bench_model
-            )
+            infinite_horizon_cost(finite_only, bench_filter, ma, bench_model)
 
 
 class TestFiniteHorizonCost:
@@ -271,14 +242,14 @@ class TestFiniteHorizonCost:
         model = _quiet_model()
         filt = kf_steady_state(model)
         cs = riccati_backward(model, 1)
-        ma, cec = _analysis_inputs(model, 1.0, 3, filt)
-        J = finite_horizon_cost(cs, filt, ma, cec, model, 1)
+        ma = _analysis_inputs(model, 1.0, 3, filt)
+        J = finite_horizon_cost(cs, filt, ma, model, 1)
         assert abs(J) < 1e-12
 
     def test_golden_two_step_frozen_value(self, golden_model, golden_filter):
         cs = riccati_backward(golden_model, 2)
-        ma, cec = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
-        J = finite_horizon_cost(cs, golden_filter, ma, cec, golden_model, 2)
+        ma = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
+        J = finite_horizon_cost(cs, golden_filter, ma, golden_model, 2)
         assert J == pytest.approx(GOLDEN_J2, rel=1e-12)
 
     def test_golden_two_step_transient_filter_hand_check(
@@ -292,9 +263,9 @@ class TestFiniteHorizonCost:
         (0, 0.5, 0.6).
         """
         cs = riccati_backward(golden_model, 2)
-        ma, cec = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
+        ma = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
         J = finite_horizon_cost(
-            cs, golden_filter, ma, cec, golden_model, 2, use_steady_filter_cov=False
+            cs, golden_filter, ma, golden_model, 2, use_steady_filter_cov=False
         )
         p00 = 1.0 - 1.0 / math.sqrt(2.0)
         tau0 = (p00, 1.0 / math.sqrt(2.0), 0.0)
@@ -310,17 +281,17 @@ class TestFiniteHorizonCost:
 
     def test_horizon_mismatch_rejected(self, golden_model, golden_filter):
         cs = riccati_backward(golden_model, 3)
-        ma, cec = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
+        ma = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
         with pytest.raises(ModelError):
-            finite_horizon_cost(cs, golden_filter, ma, cec, golden_model, 5)
+            finite_horizon_cost(cs, golden_filter, ma, golden_model, 5)
 
     def test_requires_finite_horizon_synthesis(
         self, golden_model, golden_filter, golden_control
     ):
-        ma, cec = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
+        ma = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
         with pytest.raises(ModelError):
             finite_horizon_cost(
-                golden_control, golden_filter, ma, cec, golden_model, 2
+                golden_control, golden_filter, ma, golden_model, 2
             )
 
     def test_time_average_approaches_stationary_cost(
@@ -329,9 +300,9 @@ class TestFiniteHorizonCost:
         # Cesaro limit: J_N / N must settle on the long-run average
         N = 5000
         cs = riccati_backward(bench_model, N)
-        ma, cec = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
-        J_N = finite_horizon_cost(cs, bench_filter, ma, cec, bench_model, N)
-        bd = infinite_horizon_cost(bench_control, bench_filter, ma, cec, bench_model)
+        ma = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
+        J_N = finite_horizon_cost(cs, bench_filter, ma, bench_model, N)
+        bd = infinite_horizon_cost(bench_control, bench_filter, ma, bench_model)
         assert abs(J_N / N - bd.total) / bd.total < 0.01
 
 
@@ -361,8 +332,7 @@ class TestCostTradeoffCurve:
         assert pt.cost == pt.breakdown.total
         assert pt.rate == pt.markov.rate
         assert pt.markov.lam == 0.7
-        assert pt.cond_cov.lam == 0.7
-        assert len(pt.cond_cov.sigmas) == BENCH_TIMEOUT + 1
+        assert len(pt.markov.sigmas) == BENCH_TIMEOUT + 1
 
     def test_precomputed_solves_give_identical_results(
         self, bench_model, bench_filter, bench_control
@@ -390,12 +360,12 @@ def test_golden_infinite_horizon_cost_closed_form():
     model = make_golden_model()
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
-    ma, cec = _analysis_inputs(model, 0.5, 2, filt)
-    bd = infinite_horizon_cost(ctrl, filt, ma, cec, model)
+    ma = _analysis_inputs(model, 0.5, 2, filt)
+    bd = infinite_horizon_cost(ctrl, filt, ma, model)
     direct = (
         ctrl.S_inf[0, 0]
         + filt.F_inf[0, 0] * ctrl.M_inf[0, 0]
-        + ctrl.M_inf[0, 0] * (ma.pi[1] * cec.sigmas[1][0, 0]
-                              + ma.pi[2] * cec.sigmas[2][0, 0])
+        + ctrl.M_inf[0, 0] * (ma.pi[1] * ma.sigmas[1][0, 0]
+                              + ma.pi[2] * ma.sigmas[2][0, 0])
     )
     assert bd.total == pytest.approx(direct, rel=1e-12)

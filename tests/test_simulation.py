@@ -61,14 +61,6 @@ class TestGaussianDraw:
             total += gaussian_draw(rng, mean, bench_model.W)
         np.testing.assert_allclose(total / n_samples, mean, atol=0.02)
 
-    def test_factor_cache_hit(self):
-        rng = np.random.default_rng(1)
-        cov = np.array([[2.5, 0.3], [0.3, 1.7]])  # not used by other tests
-        before = len(sim._factor_cache)
-        for _ in range(5):
-            gaussian_draw(rng, np.zeros(2), cov)
-        assert len(sim._factor_cache) == before + 1
-
     def test_indefinite_covariance_rejected(self):
         rng = np.random.default_rng(2)
         with pytest.raises(DefinitenessError):
@@ -293,8 +285,9 @@ class TestAgainstAnalysis:
         taus = np.concatenate([tr.tau[cfg.burn_in:] for tr in traces])
         counts = np.bincount(taus, minlength=BENCH_TIMEOUT + 1)
         occupancy = counts / taus.size
-        ma = transition_matrix(bench_filter, bench_model.A,
-                               SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT))
+        params = SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT)
+        ma = transition_matrix(conditional_error_cov(bench_filter, bench_model.A,
+                                                     params))
         visible = ma.pi > 1e-3
         se = np.sqrt(ma.pi * (1.0 - ma.pi) / taus.size)
         # dependent samples; allow a generous multiple of the iid stderr
@@ -313,12 +306,12 @@ class TestAgainstAnalysis:
         cfg = _cfg(bench_model, lam=1.0, runs=8, horizon=25_000, seed=31,
                    record_trace=True)
         _, _, traces = run_closed_loop(cfg, bench_filter, bench_control)
-        ma = transition_matrix(bench_filter, bench_model.A, params)
-        cec = conditional_error_cov(bench_filter, bench_model.A, params)
-        bd = infinite_horizon_cost(bench_control, bench_filter, ma, cec,
+        ma = transition_matrix(conditional_error_cov(
+            bench_filter, bench_model.A, params))
+        bd = infinite_horizon_cost(bench_control, bench_filter, ma,
                                    bench_model)
         table = np.array([float(np.trace(bench_control.M_inf @ s))
-                          for s in cec.sigmas])
+                          for s in ma.sigmas])
         taus = np.concatenate([tr.tau[cfg.burn_in:] for tr in traces])
         empirical = table[taus].mean()
         assert empirical == pytest.approx(bd.trigger_term, rel=0.02)
@@ -410,9 +403,9 @@ class TestExperimentResult:
         params = SchedulerParams(lam=0.4, timeout=BENCH_TIMEOUT)
         cfg = _cfg(bench_model, lam=0.4, runs=2, horizon=300)
         res = run_experiment(cfg, bench_filter, bench_control)
-        ma = transition_matrix(bench_filter, bench_model.A, params)
-        cec = conditional_error_cov(bench_filter, bench_model.A, params)
-        bd = infinite_horizon_cost(bench_control, bench_filter, ma, cec,
+        ma = transition_matrix(conditional_error_cov(
+            bench_filter, bench_model.A, params))
+        bd = infinite_horizon_cost(bench_control, bench_filter, ma,
                                    bench_model)
         assert res.analytic_rate == ma.rate
         assert res.analytic_cost == bd.total

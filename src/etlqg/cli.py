@@ -26,6 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ExperimentConfig, config_to_dict, default_config_path, load_config
 from .control import control_steady_state, cost_tradeoff_curve
@@ -34,10 +36,14 @@ from .errors import (ConfigError, ConvergenceError, DivergenceError, EtlqgError,
 from .estimation import kf_steady_state
 from .analysis import analysis_record
 from .model import SchedulerParams, validate_model
-from .simulation import SimConfig, aggregate_runs, run_closed_loop
+# run_closed_loop is not called here, but bench/traced_cli.py wraps it
+# under this module's name
+from .simulation import (SimConfig, aggregate_runs, lambda_groups,  # noqa: F401
+                         run_closed_loop, run_closed_loop_grid)
 
 TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
                    "analytic_cost,empirical_cost,cost_stderr")
+_TRACE_BLOCK_ROWS = 2048
 
 
 def _fmt(value) -> str:
@@ -65,14 +71,19 @@ def _write_atomic(path: Path, text: str):
 def _trace_csv(trace, n: int, m: int) -> str:
     cols = (["k", "sigma", "tau"] + [f"x{i + 1}" for i in range(n)]
             + [f"u{i + 1}" for i in range(m)] + [f"e{i + 1}" for i in range(n)])
-    lines = [",".join(cols)]
-    for k in range(trace.sigma.shape[0]):
-        cells = [str(k), str(int(trace.sigma[k])), str(int(trace.tau[k]))]
-        cells += [_fmt(v) for v in trace.x[k]]
-        cells += [_fmt(v) for v in trace.u[k]]
-        cells += [_fmt(v) for v in trace.e_filt[k]]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    steps = np.arange(trace.sigma.shape[0])
+    row = "%d,%d,%d" + ",%.17g" * (2 * n + m) + "\n"
+    parts = [",".join(cols) + "\n"]
+    # One '%' per block of rows; '%.17g' % v gives the bytes of _fmt(v).
+    # k, sigma and tau are integers below 2**53, so the float table holds
+    # them exactly. Blocks bound the Python floats alive at once.
+    for start in range(0, steps.size, _TRACE_BLOCK_ROWS):
+        rows = slice(start, start + _TRACE_BLOCK_ROWS)
+        table = np.column_stack([steps[rows], trace.sigma[rows], trace.tau[rows],
+                                 trace.x[rows], trace.u[rows],
+                                 trace.e_filt[rows]])
+        parts.append((row * len(table)) % tuple(table.ravel().tolist()))
+    return "".join(parts)
 
 
 def _plot_script() -> str:
@@ -138,18 +149,11 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
     points = cost_tradeoff_curve(model, cfg.lambda_grid, cfg.timeout,
                                  ss=filt, cs=ctrl)
 
-    simulate = with_simulation and cfg.runs > 0
     rows = []
-    for point in points:
+
+    def emit(point, rates=None, costs=None, traces=None):
         emp_rate = rate_se = emp_cost = cost_se = None
-        traces = None
-        if simulate:
-            sim_cfg = SimConfig(model=model,
-                                params=SchedulerParams(point.lam, cfg.timeout),
-                                horizon=cfg.horizon, runs=cfg.runs,
-                                seed=cfg.seed, record_trace=cfg.record_trace,
-                                burn_in=cfg.burn_in)
-            rates, costs, traces = run_closed_loop(sim_cfg, filt, ctrl)
+        if rates is not None:
             emp_rate, rate_se = aggregate_runs(rates)
             emp_cost, cost_se = aggregate_runs(costs)
         rows.append((point.lam, point.rate, emp_rate, rate_se,
@@ -170,6 +174,25 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
         if emp_rate is not None:
             line += f" emp_rate={emp_rate:.6f} emp_cost={emp_cost:.6f}"
         print(line)
+
+    if with_simulation and cfg.runs > 0:
+        # one lockstep simulation per group of lambdas, in grid order
+        sim_cfg = SimConfig(model=model,
+                            params=SchedulerParams(points[0].lam, cfg.timeout),
+                            horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
+                            record_trace=cfg.record_trace, burn_in=cfg.burn_in)
+        start = 0
+        for group in lambda_groups(sim_cfg, [pt.lam for pt in points]):
+            rates, costs, traces = run_closed_loop_grid(sim_cfg, filt, ctrl,
+                                                        group)
+            for g in range(len(group)):
+                emit(points[start + g], rates[g], costs[g],
+                     None if traces is None else traces[g])
+            start += len(group)
+            del traces  # free this group's traces before the next is allocated
+    else:
+        for point in points:
+            emit(point)
 
     if "csv" in cfg.formats:
         csv_lines = [TRADEOFF_HEADER]

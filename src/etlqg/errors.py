@@ -49,12 +49,14 @@ class NumericalError(EtlqgError):
 class DivergenceError(EtlqgError):
     """Simulated state exceeded the divergence guard."""
 
-    def __init__(self, step: int, run: int, value: float):
+    def __init__(self, step: int, run: int, value: float, lam: float):
         self.step = step
-        self.run = run
+        self.run = run        # run index within the lambda
         self.value = value
+        self.lam = lam
         super().__init__(
-            f"state diverged at step {step} (run {run}): |x| = {value:.3e}"
+            f"state diverged at step {step} (lambda {lam!r}, run {run}): "
+            f"|x| = {value:.3e}"
         )
 
 

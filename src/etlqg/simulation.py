@@ -9,11 +9,18 @@ still simulated exactly (x' = Ax + Bu + w) for cost evaluation, and the
 estimates handed back in traces are reconstructed as x minus the tracked
 errors.
 
+A lambda grid runs in lockstep through one step loop: the state carries a
+leading lambda axis, shape (group, runs, n), and lambda enters only through
+the hold probability exp(-lambda * |e|^2).
+
 RNG layout: the master seed spawns one child sequence per run; each run
 spawns four generators in a fixed order (process noise, measurement noise,
-initial state, trigger uniforms). Draws are pregenerated in fixed-size step
-chunks per stream, which leaves every stream's order identical to stepwise
-consumption.
+initial state, trigger uniforms). Each run's four streams are shared by
+every lambda of a group: their draws are made once, for the runs, and
+broadcast over the lambda axis, so a run at a given lambda sees the same
+numbers in any group and a group equals separate single-lambda runs
+bitwise. Draws are pregenerated in fixed-size step chunks per stream, which
+leaves every stream's order identical to stepwise consumption.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from .model import PSD_EIG_FLOOR, SchedulerParams, SystemModel, psd_sqrt
 DEFAULT_BURN_IN = 200
 DIVERGENCE_LIMIT = 1e12
 _CHUNK_STEPS = 4096
+# Trace bytes one run_closed_loop_grid call may hold (see lambda_groups).
+TRACE_BUDGET_BYTES = 64 * 2**20
 
 
 def _cov_factor(cov: np.ndarray) -> np.ndarray:
@@ -122,13 +131,45 @@ def _spawn_run_streams(seed: int, runs: int):
     return quads
 
 
+def lambda_groups(cfg: SimConfig, lams) -> list[list[float]]:
+    """Split a lambda grid into consecutive groups for run_closed_loop_grid.
+
+    Without traces the group is the whole grid. With cfg.record_trace a group
+    holds as many lambdas as fit their traces into TRACE_BUDGET_BYTES, and at
+    least one.
+    """
+    lams = [float(lam) for lam in lams]
+    size = len(lams)
+    if cfg.record_trace:
+        n, m, p = cfg.model.dims
+        per_lam = cfg.runs * cfg.horizon * 8 * (4 * n + p + m + 2)
+        size = TRACE_BUDGET_BYTES // per_lam
+    size = max(1, size)
+    return [lams[i:i + size] for i in range(0, len(lams), size)]
+
+
 def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
                     ctrl: ControlSynthesis):
-    """Simulate cfg.runs independent closed loops in lockstep.
+    """Simulate cfg.runs independent closed loops at cfg.params.lam.
 
     Returns (rates, costs, traces): per-run empirical transmission rate and
     running-average stage cost over the post-burn-in window, and a tuple of
     SimulationTrace (or None unless cfg.record_trace).
+    """
+    rates, costs, traces = run_closed_loop_grid(cfg, filt, ctrl,
+                                                [cfg.params.lam])
+    return rates[0], costs[0], None if traces is None else traces[0]
+
+
+def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
+                         ctrl: ControlSynthesis, lams):
+    """Simulate cfg.runs closed loops at each lambda of lams, in lockstep.
+
+    lams replaces cfg.params.lam; every other setting comes from cfg. Each
+    run's random streams are shared by all lambdas (common random numbers),
+    so row g equals run_closed_loop at lams[g] bitwise. Returns (rates,
+    costs, traces): (len(lams), runs) arrays and, with cfg.record_trace, one
+    tuple of SimulationTrace per lambda (else None).
     """
     if ctrl.L_inf is None:
         raise ModelError("run_closed_loop needs a steady-state feedback gain")
@@ -138,34 +179,36 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
     Q, R = model.Q, model.R
     K = filt.K_inf
     L = ctrl.L_inf
-    lam = cfg.params.lam
     timeout = cfg.params.timeout
-    runs, horizon = cfg.runs, cfg.horizon
+    lams = [SchedulerParams(lam, timeout).lam for lam in lams]
+    lam = np.array(lams)[:, None]
+    group, runs, horizon = len(lams), cfg.runs, cfg.horizon
 
     w_factor = _cov_factor(model.W)
     v_factor = _cov_factor(model.V)
     x0_factor = _cov_factor(model.X0)
     streams = _spawn_run_streams(cfg.seed, runs)
 
-    x = np.empty((runs, n))
+    x0 = np.empty((runs, n))
     for r, (_, _, init_gen, _) in enumerate(streams):
-        x[r] = model.x0_mean + x0_factor @ init_gen.standard_normal(n)
+        x0[r] = model.x0_mean + x0_factor @ init_gen.standard_normal(n)
+    x = np.repeat(x0[None], group, axis=0)
     xt_pred = x - model.x0_mean          # sensor prediction error, prior mean
-    e_filt = np.zeros((runs, n))         # estimate gap after step -1
-    tau = np.zeros(runs, dtype=np.int64)
+    e_filt = np.zeros((group, runs, n))  # estimate gap after step -1
+    tau = np.zeros((group, runs), dtype=np.int64)
 
-    sigma_count = np.zeros(runs, dtype=np.int64)
-    cost_sum = np.zeros(runs)
+    sigma_count = np.zeros((group, runs), dtype=np.int64)
+    cost_sum = np.zeros((group, runs))
 
     if cfg.record_trace:
-        tr_x = np.empty((runs, horizon, n))
-        tr_y = np.empty((runs, horizon, p))
-        tr_xs = np.empty((runs, horizon, n))
-        tr_xc = np.empty((runs, horizon, n))
-        tr_u = np.empty((runs, horizon, m))
-        tr_sig = np.empty((runs, horizon), dtype=np.int64)
-        tr_tau = np.empty((runs, horizon), dtype=np.int64)
-        tr_e = np.empty((runs, horizon, n))
+        tr_x = np.empty((group, runs, horizon, n))
+        tr_y = np.empty((group, runs, horizon, p))
+        tr_xs = np.empty((group, runs, horizon, n))
+        tr_xc = np.empty((group, runs, horizon, n))
+        tr_u = np.empty((group, runs, horizon, m))
+        tr_sig = np.empty((group, runs, horizon), dtype=np.int64)
+        tr_tau = np.empty((group, runs, horizon), dtype=np.int64)
+        tr_e = np.empty((group, runs, horizon, n))
 
     guard = cfg.divergence_limit
     errctx = (np.errstate(over="ignore", invalid="ignore")
@@ -185,39 +228,41 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
             w_block = w_z @ w_factor.T
             v_block = v_z @ v_factor.T
 
+            # (runs, .) draws broadcast over the (group, runs, .) state
             for j in range(span):
                 v = v_block[:, j]
                 w = w_block[:, j]
                 eta = (xt_pred @ C.T + v) @ K.T
                 e_gap = e_filt @ A.T + eta
                 xt_filt = xt_pred - eta
-                hold = np.exp(-lam * np.einsum("ri,ri->r", e_gap, e_gap))
+                hold = np.exp(-lam * np.einsum("...i,...i->...", e_gap, e_gap))
                 sigma = (zeta[:, j] > hold) | (tau == timeout)
                 tau = np.where(sigma, 0, tau + 1)
-                e_filt = np.where(sigma[:, None], 0.0, e_gap)
+                e_filt = np.where(sigma[..., None], 0.0, e_gap)
                 xhat_c = x - xt_filt - e_filt
                 u = -(xhat_c @ L.T)
                 if k >= cfg.burn_in:
                     sigma_count += sigma
-                    cost_sum += (np.einsum("ri,ij,rj->r", x, Q, x)
-                                 + np.einsum("ri,ij,rj->r", u, R, u))
+                    cost_sum += (np.einsum("...i,ij,...j->...", x, Q, x)
+                                 + np.einsum("...i,ij,...j->...", u, R, u))
                 if cfg.record_trace:
-                    tr_x[:, k] = x
-                    tr_y[:, k] = x @ C.T + v
-                    tr_xs[:, k] = x - xt_filt
-                    tr_xc[:, k] = xhat_c
-                    tr_u[:, k] = u
-                    tr_sig[:, k] = sigma
-                    tr_tau[:, k] = tau
-                    tr_e[:, k] = e_filt
+                    tr_x[:, :, k] = x
+                    tr_y[:, :, k] = x @ C.T + v
+                    tr_xs[:, :, k] = x - xt_filt
+                    tr_xc[:, :, k] = xhat_c
+                    tr_u[:, :, k] = u
+                    tr_sig[:, :, k] = sigma
+                    tr_tau[:, :, k] = tau
+                    tr_e[:, :, k] = e_filt
                 x = x @ A.T + u @ B.T + w
                 xt_pred = xt_filt @ A.T + w
                 if guard is not None:
                     peak = np.abs(x)
                     worst = float(peak.max())
                     if worst > guard:
-                        run_idx = int(np.unravel_index(peak.argmax(), peak.shape)[0])
-                        raise DivergenceError(step=k + 1, run=run_idx, value=worst)
+                        g, r, _ = np.unravel_index(peak.argmax(), peak.shape)
+                        raise DivergenceError(step=k + 1, run=int(r),
+                                              value=worst, lam=lams[g])
                 k += 1
 
     window = horizon - cfg.burn_in
@@ -226,9 +271,12 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
     traces = None
     if cfg.record_trace:
         traces = tuple(
-            SimulationTrace(x=tr_x[r], y=tr_y[r], xhat_s=tr_xs[r], xhat_c=tr_xc[r],
-                            u=tr_u[r], sigma=tr_sig[r], tau=tr_tau[r], e_filt=tr_e[r])
-            for r in range(runs))
+            tuple(SimulationTrace(x=tr_x[g, r], y=tr_y[g, r], xhat_s=tr_xs[g, r],
+                                  xhat_c=tr_xc[g, r], u=tr_u[g, r],
+                                  sigma=tr_sig[g, r], tau=tr_tau[g, r],
+                                  e_filt=tr_e[g, r])
+                  for r in range(runs))
+            for g in range(group))
     return rates, costs, traces
 
 

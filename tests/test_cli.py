@@ -14,12 +14,15 @@ from etlqg import (
     ConvergenceError,
     SchedulerParams,
     SimConfig,
+    SimulationTrace,
+    SystemModel,
     control_steady_state,
+    default_config_path,
     kf_steady_state,
     load_config,
     run_closed_loop,
 )
-from etlqg.cli import TRADEOFF_HEADER, main
+from etlqg.cli import TRADEOFF_HEADER, _trace_csv, main
 from etlqg.config import config_to_dict
 
 
@@ -240,6 +243,79 @@ class TestTraceOutput:
             assert float(cells[5]) == traces[0].u[k, 0]
             assert float(cells[6]) == traces[0].e_filt[k, 0]
             assert float(cells[7]) == traces[0].e_filt[k, 1]
+
+
+def reference_trace_csv(trace, n, m):
+    """Per-cell trace writer: the reference for the CLI's block writer."""
+    def fmt(value):
+        return f"{float(value):.17g}"
+
+    cols = (["k", "sigma", "tau"] + [f"x{i + 1}" for i in range(n)]
+            + [f"u{i + 1}" for i in range(m)] + [f"e{i + 1}" for i in range(n)])
+    lines = [",".join(cols)]
+    for k in range(trace.sigma.shape[0]):
+        cells = [str(k), str(int(trace.sigma[k])), str(int(trace.tau[k]))]
+        cells += [fmt(v) for v in trace.x[k]]
+        cells += [fmt(v) for v in trace.u[k]]
+        cells += [fmt(v) for v in trace.e_filt[k]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got, want):
+    # line by line: a failing whole-text compare makes pytest diff megabytes
+    got_lines = got.splitlines(keepends=True)
+    want_lines = want.splitlines(keepends=True)
+    for k, (a, b) in enumerate(zip(got_lines, want_lines)):
+        assert a == b, f"line {k}"
+    assert len(got_lines) == len(want_lines)
+
+
+def simulated_trace(model, horizon):
+    cfg = SimConfig(model=model, params=SchedulerParams(lam=1.0, timeout=6),
+                    horizon=horizon, runs=1, seed=5, burn_in=0,
+                    record_trace=True)
+    _, _, traces = run_closed_loop(cfg, kf_steady_state(model),
+                                   control_steady_state(model))
+    return traces[0]
+
+
+class TestTraceWriter:
+    def test_bundled_model_trace(self):
+        model = load_config(default_config_path()).model
+        # longer than one block of rows, with a partial last block
+        trace = simulated_trace(model, 4500)
+        assert_same_text(_trace_csv(trace, 2, 1), reference_trace_csv(trace, 2, 1))
+
+    def test_special_values(self):
+        # nan and inf reach a trace when the divergence guard is off
+        specials = np.array([-0.0, 1e-300, 1e300, 0.1, np.nan, np.inf, -np.inf])
+        horizon = 9
+        cells = np.resize(specials, horizon * 5).reshape(horizon, 5)
+        trace = SimulationTrace(
+            x=cells[:, :2], y=cells[:, :1], xhat_s=cells[:, :2],
+            xhat_c=cells[:, :2], u=cells[:, 2:3], e_filt=cells[:, 3:],
+            sigma=np.arange(horizon, dtype=np.int64) % 2,
+            tau=np.arange(horizon, dtype=np.int64))
+        text = _trace_csv(trace, 2, 1)
+        assert_same_text(text, reference_trace_csv(trace, 2, 1))
+        assert "-0," in text and "nan" in text and "-inf" in text
+
+    def test_column_order_three_states_two_inputs(self):
+        model = SystemModel(
+            A=np.array([[1.1, 0.2, 0.0], [0.0, 0.9, 0.3], [0.1, 0.0, 0.8]]),
+            B=np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+            C=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+            W=np.eye(3), V=np.eye(2), Q=np.eye(3), Qf=np.eye(3), R=np.eye(2),
+            x0_mean=np.zeros(3), X0=np.eye(3))
+        trace = simulated_trace(model, 40)
+        text = _trace_csv(trace, 3, 2)
+        assert_same_text(text, reference_trace_csv(trace, 3, 2))
+        lines = text.splitlines()
+        assert lines[0] == "k,sigma,tau,x1,x2,x3,u1,u2,e1,e2,e3"
+        cells = [float(c) for c in lines[7].split(",")]
+        np.testing.assert_array_equal(
+            cells[3:], np.concatenate([trace.x[6], trace.u[6], trace.e_filt[6]]))
 
 
 class TestAnalyzeOnly:

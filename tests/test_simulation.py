@@ -5,6 +5,8 @@ traces against the defining recursions or compare seeded empirical
 statistics with the closed-form analysis layer.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from etlqg import (
     ModelError,
     SchedulerParams,
     SimConfig,
+    SimulationTrace,
     aggregate_runs,
     conditional_error_cov,
     gaussian_draw,
@@ -352,6 +355,40 @@ class TestDivergenceGuard:
         with pytest.raises(ModelError):
             run_closed_loop(cfg, bench_filter, finite_only)
 
+    @pytest.mark.parametrize("open_loop,guard,lams",
+                             [(True, 1e6, [0.5, 4.0]), (False, 15.0, [4.0, 0.01])])
+    def test_grid_reports_first_crossing_and_its_lambda(
+            self, bench_model, bench_filter, bench_control, open_loop, guard,
+            lams):
+        # open loop: every lambda row carries the same state, so the tie goes
+        # to the first grid point; closed loop under a low guard: lambda 0.01
+        # crosses at step 17 and lambda 4.0 only at step 455
+        ctrl = self._open_loop(bench_model) if open_loop else bench_control
+        cfg = SimConfig(model=bench_model,
+                        params=SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT),
+                        horizon=2000, runs=3, seed=11, burn_in=0,
+                        divergence_limit=guard)
+        singles = []
+        for lam in lams:
+            one = dataclasses.replace(
+                cfg, params=SchedulerParams(lam=lam, timeout=BENCH_TIMEOUT))
+            with pytest.raises(DivergenceError) as exc:
+                run_closed_loop(one, bench_filter, ctrl)
+            assert exc.value.lam == lam
+            singles.append(exc.value)
+        with pytest.raises(DivergenceError) as exc:
+            sim.run_closed_loop_grid(cfg, bench_filter, ctrl, lams)
+        err = exc.value
+        want = min(singles, key=lambda e: (e.step, -e.value))
+        assert (err.step, err.lam, err.run, err.value) == (
+            want.step, want.lam, want.run, want.value)
+        assert f"lambda {want.lam!r}, run {want.run}" in str(err)
+        if open_loop:
+            assert err.lam == lams[0]
+            assert singles[0].step == singles[1].step
+        else:
+            assert (err.step, err.lam) == (17, 0.01)
+
 
 class TestScheduleControlSeparation:
     def test_schedule_is_bitwise_independent_of_feedback(self, bench_model,
@@ -409,3 +446,48 @@ class TestExperimentResult:
                                    bench_model)
         assert res.analytic_rate == ma.rate
         assert res.analytic_cost == bd.total
+
+
+GRID = [0.1, 1.0, 10.0]
+
+
+class TestLambdaGrid:
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("budget,sizes", [(1, [1, 1, 1]), (2**40, [3])])
+    def test_grid_equals_single_lambda_runs(self, bench_model, bench_filter,
+                                            bench_control, monkeypatch, runs,
+                                            budget, sizes):
+        monkeypatch.setattr(sim, "TRACE_BUDGET_BYTES", budget)
+        cfg = _cfg(bench_model, runs=runs, horizon=300, burn_in=20,
+                   record_trace=True)
+        groups = sim.lambda_groups(cfg, GRID)
+        assert [len(g) for g in groups] == sizes
+        rates, costs, traces = [], [], []
+        for group in groups:
+            r, c, t = sim.run_closed_loop_grid(cfg, bench_filter, bench_control,
+                                               group)
+            rates.extend(r)
+            costs.extend(c)
+            traces.extend(t)
+        for g, lam in enumerate(GRID):
+            one = dataclasses.replace(
+                cfg, params=SchedulerParams(lam=lam, timeout=BENCH_TIMEOUT))
+            r, c, t = run_closed_loop(one, bench_filter, bench_control)
+            np.testing.assert_array_equal(rates[g], r)
+            np.testing.assert_array_equal(costs[g], c)
+            assert len(traces[g]) == len(t) == runs
+            for got, want in zip(traces[g], t):
+                for field in dataclasses.fields(SimulationTrace):
+                    np.testing.assert_array_equal(getattr(got, field.name),
+                                                  getattr(want, field.name))
+
+    def test_groups_follow_the_trace_budget(self, bench_model):
+        lams = [0.01 * 10**k for k in range(13)]
+        plain = _cfg(bench_model, runs=1000, horizon=2000)
+        assert sim.lambda_groups(plain, lams) == [lams]
+        # 13 words per run-step with n=2, m=p=1: 208 MB per lambda here
+        bundled = dataclasses.replace(plain, record_trace=True)
+        assert sim.lambda_groups(bundled, lams) == [[lam] for lam in lams]
+        # and 16.6 MB per lambda here, so four fit in 64 MiB
+        narrow = _cfg(bench_model, runs=8, horizon=20000, record_trace=True)
+        assert [len(g) for g in sim.lambda_groups(narrow, lams)] == [4, 4, 4, 1]

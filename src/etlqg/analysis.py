@@ -2,11 +2,11 @@
 
 Everything here is a deterministic function of the steady-state filter and
 the scheduler parameters. The held error stays zero-mean Gaussian under the
-hold weight exp(-lam |e|^2), so one conditioning pass
-(`conditional_error_cov`) gives both the per-age transmit probabilities and
-the held-error covariance per counter value; `transition_matrix` turns that
-result into the timeout-counter chain with its stationary distribution and
-long-run rate. The stacked cumulative correction covariance and its joint
+hold weight exp(-lam |e|^2), so one conditioning pass over a lambda grid
+(`conditional_error_cov`) gives each lambda's per-age transmit probabilities
+and held-error covariance per counter value; `transition_matrix` turns one
+such result into the timeout-counter chain with its stationary distribution
+and long-run rate. The stacked cumulative correction covariance and its joint
 hold probabilities are an independent route to the same chain.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError
 from .estimation import SteadyStateFilter
@@ -60,11 +59,11 @@ class ConditionalErrorCov:
     """Result of the conditioning pass at one (lam, timeout).
 
     sigmas[i]: covariance of the held comparison error given counter == i
-    (sigmas[0] = 0). p_i0[i]: probability of transmitting next step given
-    counter value i (p_i0[timeout] = 1).
+    (sigmas[0] = 0), shape (timeout+1, n, n). p_i0[i]: probability of
+    transmitting next step given counter value i (p_i0[timeout] = 1).
     """
 
-    sigmas: tuple[np.ndarray, ...]
+    sigmas: np.ndarray
     p_i0: np.ndarray
     lam: float
 
@@ -82,7 +81,7 @@ class MarkovAnalysis:
     P_lambda: np.ndarray
     pi: np.ndarray
     rate: float
-    sigmas: tuple[np.ndarray, ...]
+    sigmas: np.ndarray
     lam: float
     timeout: int
 
@@ -116,14 +115,14 @@ def cumulative_cov(ss: SteadyStateFilter, A: np.ndarray, i: int) -> CumulativeEr
     return CumulativeErrorCov(matrix=full, order=i, dim=dim)
 
 
-def _logdet_shifted(matrix: np.ndarray, lam: float) -> float:
-    """log det(I + 2*lam*M) for PSD M, stable across extreme lam.
+def _logdet_shifted(matrix: np.ndarray, lam) -> np.ndarray:
+    """log det(I + 2*lam*M) for PSD M (..., n, n) and lam (...), stably.
 
     Eigenvalues are taken at the scale of M itself (tiny negatives from
     roundoff clamped to zero), so neither end of the lam range cancels.
     """
     eigs = np.clip(np.linalg.eigvalsh(symmetrize(matrix)), 0.0, None)
-    return float(np.sum(np.log1p(2.0 * lam * eigs)))
+    return np.sum(np.log1p(2.0 * np.asarray(lam)[..., None] * eigs), axis=-1)
 
 
 def nontrigger_probability(cov: CumulativeErrorCov, lam: float) -> float:
@@ -133,37 +132,36 @@ def nontrigger_probability(cov: CumulativeErrorCov, lam: float) -> float:
     return float(np.exp(-0.5 * _logdet_shifted(cov.matrix, lam)))
 
 
-def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray,
-                          params: SchedulerParams) -> ConditionalErrorCov:
-    """The conditioning pass: held-error covariances and transmit probabilities.
+def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
+                          timeout: int) -> list[ConditionalErrorCov]:
+    """The conditioning pass over a lambda grid, one result per lambda.
 
     sigma_0 = 0, N_k = A sigma_k A^T + Pi_eta, ld_k = log det(I + 2 lam N_k),
     p_k0 = -expm1(-ld_k/2) and sigma_{k+1} = (I + 2 lam N_k)^{-1} N_k for
-    k = 0..T-1, one n x n step per age; accurate from lam = 1e-6 to 1e6 and
-    tested up to timeout 1000. The solve form avoids the O(1/lam)
-    cancellation of the equivalent subtraction form
-    (1/2lam)I - (1/4lam^2)(N + (1/2lam)I)^{-1} at large lam.
+    k = 0..T-1: per age one eigvalsh and one LU solve, batched over the grid,
+    so a lambda gets the same bits alone as in any grid. Accurate from
+    lam = 1e-6 to 1e6, tested up to timeout 1000, and free of the O(1/lam)
+    cancellation of the subtraction form (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1.
     """
+    lams = [SchedulerParams(lam, timeout).lam for lam in lams]
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    lam = params.lam
-    T = params.timeout
+    lam = np.array(lams)
     eye = np.eye(n)
-    ld = np.empty(T)
-    sigmas = [np.zeros((n, n))]
-    for k in range(T):
-        inner = symmetrize(A @ sigmas[-1] @ A.T + ss.Pi_eta)
-        ld[k] = _logdet_shifted(inner, lam)
-        cf = cho_factor(eye + 2.0 * lam * inner, lower=True)
-        sigmas.append(symmetrize(cho_solve(cf, inner)))
-    p_i0 = np.empty(T + 1)
-    p_i0[:T] = -np.expm1(-0.5 * ld)
-    p_i0[T] = 1.0
+    ld = np.empty((len(lams), timeout))
+    sigmas = np.zeros((len(lams), timeout + 1, n, n))
+    for k in range(timeout):
+        inner = symmetrize(A @ sigmas[:, k] @ A.T + ss.Pi_eta)
+        ld[:, k] = _logdet_shifted(inner, lam)
+        sigmas[:, k + 1] = symmetrize(
+            np.linalg.solve(eye + 2.0 * lam[:, None, None] * inner, inner))
+    p_i0 = np.ones((len(lams), timeout + 1))
+    p_i0[:, :timeout] = -np.expm1(-0.5 * ld)
     if np.any(p_i0 < -_PROB_SLACK) or np.any(p_i0 > 1 + _PROB_SLACK):
         raise NumericalError(
             f"transition probabilities escaped [0,1]: min {p_i0.min()}, max {p_i0.max()}"
         )
-    return ConditionalErrorCov(sigmas=tuple(sigmas), p_i0=p_i0, lam=lam)
+    return [ConditionalErrorCov(*point) for point in zip(sigmas, p_i0, lams)]
 
 
 def transition_matrix(cec: ConditionalErrorCov) -> MarkovAnalysis:
@@ -191,8 +189,8 @@ def _survivor_weights(p_i0: np.ndarray) -> np.ndarray:
 def stationary_distribution(p_i0: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Stationary distribution of the counter chain.
 
-    Primary path is the closed-form survivor product; a direct linear solve
-    of the balance equations is computed as an independent cross-check and
+    Primary path is the closed-form survivor product; an LU solve of the
+    balance equations is an independent cross-check, and a singular system or
     disagreement beyond tolerance is an internal error (it would mean the
     transition matrix and the product formula came from different chains).
     """
@@ -205,7 +203,11 @@ def stationary_distribution(p_i0: np.ndarray, P: np.ndarray) -> np.ndarray:
     system[-1, :] = 1.0
     rhs = np.zeros(k)
     rhs[-1] = 1.0
-    pi_solve, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    try:
+        pi_solve = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"stationary distribution cross-check failed: {exc}") from exc
     gap = float(np.max(np.abs(pi - pi_solve)))
     if gap > STATIONARY_CROSSCHECK_TOL:
         raise NumericalError(

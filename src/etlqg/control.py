@@ -16,7 +16,7 @@ from .analysis import MarkovAnalysis, conditional_error_cov, transition_matrix
 from .errors import ModelError
 from .estimation import (ARE_MAX_ITER, ARE_TOL, SteadyStateFilter, fixed_point,
                          kalman_gain, kf_steady_state)
-from .model import SchedulerParams, SystemModel, symmetrize
+from .model import SystemModel, symmetrize
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ def infinite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
     base = float(np.trace(cs.S_inf @ model.W))
     filter_term = float(np.trace(ss.F_inf @ cs.M_inf))
     # pi[i] multiplies Tr(M sigma(i)); index 0 carries a zero matrix
-    trigger_term = float(np.einsum("i,ijk,kj->", ma.pi, np.stack(ma.sigmas),
-                                   cs.M_inf))
+    trigger_term = float(np.einsum("i,ijk,kj->", ma.pi, ma.sigmas, cs.M_inf))
     return CostBreakdown(base=base, filter_term=filter_term,
                          trigger_term=trigger_term,
                          total=base + filter_term + trigger_term)
@@ -141,7 +140,6 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
     if not use_steady_filter_cov:
         filt_covs = _transient_filter_covs(model, N)
 
-    sig = np.stack(ma.sigmas)
     T = ma.timeout
     dist = np.zeros(T + 1)
     dist[0] = ma.p_i0[0]
@@ -154,7 +152,7 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
         P_filt = ss.F_inf if use_steady_filter_cov else filt_covs[k]
         total += float(np.trace(S_next @ model.W))
         total += float(np.trace(P_filt @ M))
-        total += float(np.einsum("i,ijk,kj->", dist, sig, M))
+        total += float(np.einsum("i,ijk,kj->", dist, ma.sigmas, M))
         dist = dist @ ma.P_lambda
     return total
 
@@ -176,9 +174,9 @@ def _transient_filter_covs(model: SystemModel, N: int) -> list[np.ndarray]:
 def cost_tradeoff_curve(model: SystemModel, lambdas, timeout: int,
                         ss: SteadyStateFilter | None = None,
                         cs: ControlSynthesis | None = None) -> list[TradeoffPoint]:
-    """Full analytic pipeline per lambda, sorted ascending.
+    """Full analytic pipeline over a lambda grid, sorted ascending.
 
-    The model-level solves (filter and control fixed points) are shared
+    The filter and control fixed points and the conditioning pass are shared
     across the grid; each lambda gets its own chain analysis and cost.
     """
     lams = sorted(float(l) for l in lambdas)
@@ -189,10 +187,9 @@ def cost_tradeoff_curve(model: SystemModel, lambdas, timeout: int,
     if cs is None:
         cs = control_steady_state(model)
     points = []
-    for lam in lams:
-        params = SchedulerParams(lam=lam, timeout=timeout)
-        ma = transition_matrix(conditional_error_cov(ss, model.A, params))
+    for cec in conditional_error_cov(ss, model.A, lams, timeout):
+        ma = transition_matrix(cec)
         breakdown = infinite_horizon_cost(cs, ss, ma, model)
-        points.append(TradeoffPoint(lam=lam, rate=ma.rate, cost=breakdown.total,
+        points.append(TradeoffPoint(lam=cec.lam, rate=ma.rate, cost=breakdown.total,
                                     breakdown=breakdown, markov=ma))
     return points

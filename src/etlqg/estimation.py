@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, NumericalError
 from .model import SystemModel, symmetrize
@@ -74,7 +73,7 @@ def kf_predict(state: FilterState, model: SystemModel,
 
 
 def kalman_gain(P_pred: np.ndarray, model: SystemModel) -> np.ndarray:
-    """K = P C^T S^{-1}, S = C P C^T + V, through a Cholesky solve.
+    """K = P C^T S^{-1}, S = C P C^T + V, through an LU solve of S K^T = C P.
 
     Raises NumericalError when S is not safely positive definite.
     """
@@ -84,7 +83,7 @@ def kalman_gain(P_pred: np.ndarray, model: SystemModel) -> np.ndarray:
         raise NumericalError(
             f"innovation covariance ill-conditioned (cond ~ {ev[-1] / max(ev[0], 1e-300):.3e})"
         )
-    return cho_solve(cho_factor(S, lower=True), model.C @ P_pred).T
+    return np.linalg.solve(S, model.C @ P_pred).T
 
 
 def fixed_point(step, start: np.ndarray, label: str, tol: float = ARE_TOL,

@@ -23,7 +23,7 @@ MAX_DIM = 64
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2
+    return (M + np.swapaxes(M, -1, -2)) / 2
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from .model import PSD_EIG_FLOOR, SchedulerParams, SystemModel, psd_sqrt
 
 DEFAULT_BURN_IN = 200
 DIVERGENCE_LIMIT = 1e12
-_CHUNK_STEPS = 4096
+_CHUNK_STEPS = 256
 # Trace bytes one run_closed_loop_grid call may hold (see lambda_groups).
 TRACE_BUDGET_BYTES = 64 * 2**20
 

@@ -63,10 +63,8 @@ def test_criterion_2_rate_limits():
     t0 = time.perf_counter()
     model = make_limit_model()
     filt = kf_steady_state(model)
-    low = transition_matrix(conditional_error_cov(
-        filt, model.A, SchedulerParams(lam=1e-6, timeout=50)))
-    high = transition_matrix(conditional_error_cov(
-        filt, model.A, SchedulerParams(lam=1e6, timeout=50)))
+    low, high = (transition_matrix(cec) for cec in
+                 conditional_error_cov(filt, model.A, [1e-6, 1e6], 50))
     elapsed = time.perf_counter() - t0
     rel_dev = abs(low.rate * 51.0 - 1.0)
     ok = rel_dev <= 1e-6 and high.rate >= 0.999 and elapsed < 5.0
@@ -106,8 +104,8 @@ def test_criterion_4_tradeoff_window():
     ctrl = control_steady_state(model)
 
     def point(lam):
-        params = SchedulerParams(lam=lam, timeout=BENCH_TIMEOUT)
-        ma = transition_matrix(conditional_error_cov(filt, model.A, params))
+        ma = transition_matrix(conditional_error_cov(filt, model.A, [lam],
+                                                     BENCH_TIMEOUT)[0])
         return ma.rate, infinite_horizon_cost(ctrl, filt, ma, model).total
 
     rate_1, cost_1 = point(1.0)
@@ -158,7 +156,8 @@ def test_criterion_6_conditional_error_covariances():
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
     params = SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT)
-    sigmas = conditional_error_cov(filt, model.A, params).sigmas
+    sigmas = conditional_error_cov(filt, model.A, [params.lam],
+                                   params.timeout)[0].sigmas
     assert np.all(sigmas[0] == 0.0)
 
     # 5 batches x 200 runs x 10000 post-burn steps = 1e7 samples, bounded memory
@@ -227,8 +226,7 @@ def test_criterion_8_structural_identities():
 
         T = int(rng.integers(1, 11))
         lam = float(10.0 ** rng.uniform(-2, 2))
-        ma = transition_matrix(conditional_error_cov(
-            filt, m.A, SchedulerParams(lam=lam, timeout=T)))
+        ma = transition_matrix(conditional_error_cov(filt, m.A, [lam], T)[0])
         worst_pi = max(worst_pi, float(np.abs(ma.pi @ ma.P_lambda - ma.pi).max()))
         worst_rate = max(worst_rate, abs(ma.rate - ma.pi[0]))
         survivors = np.cumprod(1.0 - ma.p_i0[:T])

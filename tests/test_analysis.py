@@ -11,10 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from etlqg import (
+    ModelError,
     NumericalError,
-    SchedulerParams,
     analysis_record,
     conditional_error_cov,
     cumulative_cov,
@@ -155,7 +156,7 @@ class TestNontriggerProbability:
 class TestTransitionMatrix:
     def test_golden_timeout_two(self, golden_model, golden_filter):
         ma = transition_matrix(conditional_error_cov(
-            golden_filter, golden_model.A, SchedulerParams(lam=0.5, timeout=2)))
+            golden_filter, golden_model.A, [0.5], 2)[0])
         assert ma.p_i0[0] == pytest.approx(GOLDEN_P00, abs=1e-12)
         assert ma.p_i0[1] == pytest.approx(GOLDEN_P10, abs=1e-12)
         assert ma.p_i0[2] == 1.0
@@ -172,7 +173,7 @@ class TestTransitionMatrix:
     def test_probabilities_within_unit_interval(self, bench_model, bench_filter):
         for lam in (0.01, 1.0, 100.0, 1e6):
             ma = transition_matrix(conditional_error_cov(
-                bench_filter, bench_model.A, SchedulerParams(lam=lam, timeout=50)))
+                bench_filter, bench_model.A, [lam], 50)[0])
             assert np.all(ma.p_i0 >= 0.0)
             assert np.all(ma.p_i0 <= 1.0)
             assert ma.p_i0[-1] == 1.0
@@ -180,40 +181,35 @@ class TestTransitionMatrix:
     def test_hold_probabilities_monotone_in_sensitivity(
         self, bench_model, bench_filter
     ):
-        params_lo = SchedulerParams(lam=0.5, timeout=20)
-        params_hi = SchedulerParams(lam=2.0, timeout=20)
-        lo = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, params_lo))
-        hi = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, params_hi))
+        lo, hi = (transition_matrix(cec) for cec in
+                  conditional_error_cov(bench_filter, bench_model.A, [0.5, 2.0], 20))
         assert np.all(hi.p_i0 >= lo.p_i0 - 1e-15)
 
     def test_vanishing_sensitivity_recovers_pure_timeout(
         self, golden_model, golden_filter
     ):
         ma = transition_matrix(conditional_error_cov(
-            golden_filter, golden_model.A, SchedulerParams(lam=1e-300, timeout=3)))
+            golden_filter, golden_model.A, [1e-300], 3)[0])
         assert np.all(ma.p_i0[:3] <= 1e-12)
         # every fourth step transmits
         assert ma.rate == pytest.approx(0.25, abs=1e-12)
 
     def test_small_sensitivity_close_to_timeout_rate(self, golden_model, golden_filter):
         ma = transition_matrix(conditional_error_cov(
-            golden_filter, golden_model.A, SchedulerParams(lam=1e-6, timeout=3)))
+            golden_filter, golden_model.A, [1e-6], 3)[0])
         assert ma.rate == pytest.approx(0.25, abs=1e-5)
 
     def test_bench_extreme_sensitivity_rate(self, bench_model, bench_filter):
         # frozen regression value; the closed-form path must survive lam=1e6
         ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, SchedulerParams(lam=1e6, timeout=50)))
+            bench_filter, bench_model.A, [1e6], 50)[0])
         assert ma.rate == pytest.approx(0.9996576, abs=1e-6)
 
     def test_rate_monotone_in_sensitivity(self, bench_model, bench_filter):
         rates = []
         for lam in np.logspace(-2, 2, 13):
-            params = SchedulerParams(lam=float(lam), timeout=50)
             ma = transition_matrix(conditional_error_cov(
-                bench_filter, bench_model.A, params))
+                bench_filter, bench_model.A, [float(lam)], 50)[0])
             rates.append(ma.rate)
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
@@ -225,9 +221,8 @@ class TestLongTimeouts:
     @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
     def test_chain_valid_and_tail_converged(self, bench_model, bench_filter,
                                             lam, timeout):
-        params = SchedulerParams(lam=lam, timeout=timeout)
         ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, params))
+            bench_filter, bench_model.A, [lam], timeout)[0])
         assert np.all((ma.p_i0 >= 0.0) & (ma.p_i0 <= 1.0))
         assert 0.0 < ma.rate <= 1.0
         # sigma(i) converges, so the per-age probabilities level off
@@ -237,24 +232,24 @@ class TestLongTimeouts:
 
     def test_tail_probability_matches_reference(self, bench_model, bench_filter):
         ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, SchedulerParams(lam=1.0, timeout=100)))
+            bench_filter, bench_model.A, [1.0], 100)[0])
         assert ma.p_i0[98] == pytest.approx(BENCH_P98_LAM1_T100, abs=1e-12)
 
 
 class TestStationaryDistribution:
     def test_golden_rate_frozen_value(self, golden_model, golden_filter):
         ma = transition_matrix(conditional_error_cov(
-            golden_filter, golden_model.A, SchedulerParams(lam=0.5, timeout=2)))
+            golden_filter, golden_model.A, [0.5], 2)[0])
         assert ma.rate == pytest.approx(GOLDEN_RATE_T2, abs=1e-12)
 
     def test_rate_equals_reset_mass_bitwise(self, bench_model, bench_filter):
         ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, SchedulerParams(lam=1.0, timeout=50)))
+            bench_filter, bench_model.A, [1.0], 50)[0])
         assert ma.rate == ma.pi[0]
 
     def test_stationarity_and_normalization(self, bench_model, bench_filter):
         ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, SchedulerParams(lam=1.0, timeout=50)))
+            bench_filter, bench_model.A, [1.0], 50)[0])
         pi = ma.pi
         assert np.abs(pi @ ma.P_lambda - pi).max() <= 1e-10
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -293,6 +288,13 @@ class TestStationaryDistribution:
         with pytest.raises(NumericalError):
             stationary_distribution(p, P)
 
+    def test_singular_balance_system_detected(self):
+        # two closed classes: the balance equations have no unique solution
+        p = np.array([1.0, 0.0, 1.0])
+        P = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(NumericalError, match="cross-check"):
+            stationary_distribution(p, P)
+
 
 class TestTelescoping:
     def test_survivals_match_joint_hold_probabilities(self, bench_model, bench_filter):
@@ -303,9 +305,8 @@ class TestTelescoping:
         probabilities, and the single Gaussian integral over the stacked
         error vector of order n-1.
         """
-        params = SchedulerParams(lam=1.0, timeout=50)
         ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, params))
+            bench_filter, bench_model.A, [1.0], 50)[0])
         survivors = np.cumprod(1.0 - ma.p_i0[:50])
         for n in (1, 2, 5, 17, 33, 50):
             cov = cumulative_cov(bench_filter, bench_model.A, n - 1)
@@ -336,8 +337,7 @@ class TestStackedOracleOnRandomModels:
             filt = kf_steady_state(model)
             T = int(rng.integers(1, 11))
             n = model.A.shape[0]
-            cec = conditional_error_cov(filt, model.A,
-                                        SchedulerParams(lam=lam, timeout=T))
+            cec = conditional_error_cov(filt, model.A, [lam], T)[0]
             ld_prev = 0.0
             for k in range(T):
                 cov = cumulative_cov(filt, model.A, k)
@@ -353,20 +353,87 @@ class TestStackedOracleOnRandomModels:
                 assert err <= sigma_rtol
 
 
+class TestLambdaGrid:
+    """One pass over a grid equals the grid of one at each lambda, bitwise."""
+
+    def test_grid_point_equals_grid_of_one(self, bench_model, bench_filter):
+        lams = np.logspace(-6, 6, 13)
+        cases = [(bench_filter, bench_model.A, 50)]
+        rng = np.random.default_rng(20261018)
+        for _ in range(19):
+            model = random_valid_model(rng)
+            cases.append((kf_steady_state(model), model.A, int(rng.integers(1, 21))))
+        for filt, A, T in cases:
+            grid = conditional_error_cov(filt, A, lams, T)
+            assert [cec.lam for cec in grid] == list(lams)
+            for lam, cec in zip(lams, grid):
+                one, = conditional_error_cov(filt, A, [lam], T)
+                assert cec.p_i0.tobytes() == one.p_i0.tobytes()
+                assert cec.sigmas.tobytes() == one.sigmas.tobytes()
+
+    def test_invalid_grid_point_rejected(self, bench_model, bench_filter):
+        with pytest.raises(ModelError, match="lam"):
+            conditional_error_cov(bench_filter, bench_model.A, [1.0, 0.0], 5)
+
+
+def mpmath_pass(A, Pi_eta, lam, timeout, dps=60):
+    """The conditioning recursion in mpmath on the same float inputs."""
+    mp = MPContext()
+    mp.dps = dps
+    A, Pi_eta = mp.matrix(A.tolist()), mp.matrix(Pi_eta.tolist())
+    eye = mp.eye(A.rows)
+    sigma = mp.zeros(A.rows, A.rows)
+    p_i0, sigmas = [], [sigma]
+    for _ in range(timeout):
+        N = A * sigma * A.T + Pi_eta
+        shifted = eye + 2 * mp.mpf(lam) * N
+        p_i0.append(-mp.expm1(-mp.log(mp.det(shifted)) / 2))
+        sigma = mp.inverse(shifted) * N
+        sigmas.append(sigma)
+    return ([float(p) for p in p_i0],
+            [np.array(s.tolist(), dtype=float) for s in sigmas])
+
+
+class TestMpmathReference:
+    """The pass against a 60-digit run of the same recursion.
+
+    Both runs start from the same float A and Pi_eta, so the gap is the
+    pass's own rounding. Bounds sit a few times above the worst measured
+    relative error over the bundled and scalar models (T = 50) and 30
+    seeded random models (T = 8): sigma 3.7e-15, 3.4e-14 and 2.0e-8 and
+    p_i0 2.7e-15, 1.8e-15 and 2.6e-12 at lam = 1e-6, 1 and 1e6. At 1e6
+    the condition number of I + 2 lam N_k reaches about 4e8, so any
+    backward-stable solve loses about 8 digits of sigma there.
+    """
+
+    @pytest.mark.parametrize("lam, sigma_rtol, p_rtol",
+                             [(1e-6, 1e-14, 1e-14), (1.0, 1e-13, 1e-14),
+                              (1e6, 1e-7, 1e-11)])
+    def test_pass_matches_mpmath(self, lam, sigma_rtol, p_rtol, bench_model,
+                                 golden_model):
+        cases = [(bench_model, 50), (golden_model, 50)]
+        rng = np.random.default_rng(20261017)
+        cases += [(random_valid_model(rng), 8) for _ in range(30)]
+        for model, T in cases:
+            filt = kf_steady_state(model)
+            cec, = conditional_error_cov(filt, model.A, [lam], T)
+            p_ref, sigmas_ref = mpmath_pass(model.A, filt.Pi_eta, lam, T)
+            np.testing.assert_allclose(cec.p_i0[:T], p_ref, rtol=p_rtol, atol=0)
+            for sigma, ref in zip(cec.sigmas[1:], sigmas_ref[1:]):
+                err = np.abs(sigma - ref).max() / np.abs(ref).max()
+                assert err <= sigma_rtol
+
+
 class TestConditionalErrorCov:
     def test_age_zero_exactly_zero(self, bench_model, bench_filter):
-        cec = conditional_error_cov(
-            bench_filter, bench_model.A, SchedulerParams(lam=1.0, timeout=50)
-        )
+        cec = conditional_error_cov(bench_filter, bench_model.A, [1.0], 50)[0]
         assert len(cec.sigmas) == 51
         assert np.all(cec.sigmas[0] == 0.0)
         assert cec.lam == 1.0
 
     def test_golden_scalar_recursion(self, golden_model, golden_filter):
         # N1 = 0 + 1 = 1 -> 1/(1+1) = 0.5; N2 = 0.5 + 1 -> 1.5/2.5 = 0.6
-        cec = conditional_error_cov(
-            golden_filter, golden_model.A, SchedulerParams(lam=0.5, timeout=2)
-        )
+        cec = conditional_error_cov(golden_filter, golden_model.A, [0.5], 2)[0]
         assert cec.sigmas[1][0, 0] == pytest.approx(0.5, abs=1e-12)
         assert cec.sigmas[2][0, 0] == pytest.approx(0.6, abs=1e-12)
 
@@ -375,9 +442,7 @@ class TestConditionalErrorCov:
         lam = 1.0
         A = bench_model.A
         Pi = bench_filter.Pi_eta
-        sigmas = conditional_error_cov(
-            bench_filter, A, SchedulerParams(lam=lam, timeout=50)
-        ).sigmas
+        sigmas = conditional_error_cov(bench_filter, A, [lam], 50)[0].sigmas
         eye = np.eye(2)
         for i in range(1, 51):
             N = A @ sigmas[i - 1] @ A.T + Pi
@@ -388,27 +453,22 @@ class TestConditionalErrorCov:
 
     @pytest.mark.parametrize("lam", [1.0, 100.0])
     def test_eigenvalues_below_saturation_bound(self, bench_model, bench_filter, lam):
-        sigmas = conditional_error_cov(
-            bench_filter, bench_model.A, SchedulerParams(lam=lam, timeout=50)
-        ).sigmas
+        sigmas = conditional_error_cov(bench_filter, bench_model.A, [lam], 50)[0].sigmas
         bound = 1.0 / (2.0 * lam)
         for sigma in sigmas[1:]:
             np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
             assert np.linalg.eigvalsh(sigma).max() < bound
 
     def test_monotone_growth_in_age(self, bench_model, bench_filter):
-        sigmas = conditional_error_cov(
-            bench_filter, bench_model.A, SchedulerParams(lam=0.1, timeout=10)
-        ).sigmas
+        sigmas = conditional_error_cov(bench_filter, bench_model.A, [0.1], 10)[0].sigmas
         for prev, cur in zip(sigmas, sigmas[1:]):
             assert np.linalg.eigvalsh(cur - prev).min() >= -1e-10
 
 
 class TestAnalysisRecord:
     def test_record_is_json_native(self, bench_model, bench_filter):
-        params = SchedulerParams(lam=2.0, timeout=12)
         ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, params))
+            bench_filter, bench_model.A, [2.0], 12)[0])
         record = analysis_record(ma)
         assert record["lambda"] == 2.0
         assert record["timeout"] == 12
@@ -432,8 +492,7 @@ def test_scalar_chain_against_brute_force_enumeration():
 
     model = make_golden_model()
     filt = kf_steady_state(model)
-    ma = transition_matrix(conditional_error_cov(
-        filt, model.A, SchedulerParams(lam=0.5, timeout=2)))
+    ma = transition_matrix(conditional_error_cov(filt, model.A, [0.5], 2)[0])
     q0 = 1.0 - ma.p_i0[0]
     q1 = 1.0 - ma.p_i0[1]
     weights = np.array([1.0, q0, q0 * q1])

@@ -5,11 +5,16 @@ exit codes, stdout/stderr and the artifact files.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import etlqg
 from etlqg import (
     ConvergenceError,
     SchedulerParams,
@@ -333,6 +338,25 @@ class TestAnalyzeOnly:
         assert len(rows) == 13  # bundled grid size
         rates = [float(r[1]) for r in rows]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("command", [["analyze-only"],
+                                         ["run", "--runs", "2", "--horizon", "300"]])
+    def test_runtime_does_not_import_scipy(self, tmp_path, command):
+        # scipy is a test-only dependency: a fresh interpreter running the
+        # CLI on the bundled config must never load it
+        code = ("import sys\n"
+                "from etlqg.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+                "sys.exit(code)\n")
+        src = str(Path(etlqg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *command, "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestValidateCommand:

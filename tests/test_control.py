@@ -15,7 +15,6 @@ from etlqg import (
     ControlSynthesis,
     ConvergenceError,
     ModelError,
-    SchedulerParams,
     SystemModel,
     conditional_error_cov,
     control_action,
@@ -38,13 +37,14 @@ from conftest import (
     GOLDEN_GAIN,
     GOLDEN_J2,
     PHI,
+    make_benchmark_model,
     make_golden_model,
+    random_valid_model,
 )
 
 
 def _analysis_inputs(model, lam, timeout, filt):
-    params = SchedulerParams(lam=lam, timeout=timeout)
-    return transition_matrix(conditional_error_cov(filt, model.A, params))
+    return transition_matrix(conditional_error_cov(filt, model.A, [lam], timeout)[0])
 
 
 def _quiet_model():
@@ -348,6 +348,23 @@ class TestCostTradeoffCurve:
     def test_empty_grid_rejected(self, bench_model):
         with pytest.raises(ValueError):
             cost_tradeoff_curve(bench_model, [], BENCH_TIMEOUT)
+
+    def test_single_lambda_equals_its_grid_point(self):
+        # the run_experiment path analyses one lambda at a time; the CLI
+        # analyses the whole grid in one pass
+        models = [make_benchmark_model()]
+        rng = np.random.default_rng(20261018)
+        models += [random_valid_model(rng) for _ in range(4)]
+        for model in models:
+            filt, ctrl = kf_steady_state(model), control_steady_state(model)
+            curve = cost_tradeoff_curve(model, np.logspace(-6, 6, 13),
+                                        BENCH_TIMEOUT, ss=filt, cs=ctrl)
+            for pt in curve:
+                one, = cost_tradeoff_curve(model, [pt.lam], BENCH_TIMEOUT,
+                                           ss=filt, cs=ctrl)
+                assert (one.lam, one.rate, one.cost) == (pt.lam, pt.rate, pt.cost)
+                assert one.breakdown == pt.breakdown
+                assert one.markov.pi.tobytes() == pt.markov.pi.tobytes()
 
 
 def test_golden_infinite_horizon_cost_closed_form():

@@ -288,9 +288,8 @@ class TestAgainstAnalysis:
         taus = np.concatenate([tr.tau[cfg.burn_in:] for tr in traces])
         counts = np.bincount(taus, minlength=BENCH_TIMEOUT + 1)
         occupancy = counts / taus.size
-        params = SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT)
-        ma = transition_matrix(conditional_error_cov(bench_filter, bench_model.A,
-                                                     params))
+        ma = transition_matrix(conditional_error_cov(
+            bench_filter, bench_model.A, [1.0], BENCH_TIMEOUT)[0])
         visible = ma.pi > 1e-3
         se = np.sqrt(ma.pi * (1.0 - ma.pi) / taus.size)
         # dependent samples; allow a generous multiple of the iid stderr
@@ -305,12 +304,11 @@ class TestAgainstAnalysis:
         distribution; replaying the recorded counter sequence through the
         same table must land on the same value.
         """
-        params = SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT)
         cfg = _cfg(bench_model, lam=1.0, runs=8, horizon=25_000, seed=31,
                    record_trace=True)
         _, _, traces = run_closed_loop(cfg, bench_filter, bench_control)
         ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, params))
+            bench_filter, bench_model.A, [1.0], BENCH_TIMEOUT)[0])
         bd = infinite_horizon_cost(bench_control, bench_filter, ma,
                                    bench_model)
         table = np.array([float(np.trace(bench_control.M_inf @ s))
@@ -437,11 +435,10 @@ class TestExperimentResult:
 
     def test_analytic_fields_match_direct_pipeline(self, bench_model,
                                                    bench_filter, bench_control):
-        params = SchedulerParams(lam=0.4, timeout=BENCH_TIMEOUT)
         cfg = _cfg(bench_model, lam=0.4, runs=2, horizon=300)
         res = run_experiment(cfg, bench_filter, bench_control)
         ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, params))
+            bench_filter, bench_model.A, [0.4], BENCH_TIMEOUT)[0])
         bd = infinite_horizon_cost(bench_control, bench_filter, ma,
                                    bench_model)
         assert res.analytic_rate == ma.rate

@@ -224,5 +224,5 @@ def analysis_record(ma: MarkovAnalysis) -> dict:
         "rate": ma.rate,
         "p_i0": ma.p_i0.tolist(),
         "pi": ma.pi.tolist(),
-        "sigma_e_trace": [float(np.trace(s)) for s in ma.sigmas],
+        "sigma_e_trace": np.trace(ma.sigmas, axis1=1, axis2=2).tolist(),
     }

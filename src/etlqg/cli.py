@@ -19,7 +19,9 @@ Exit codes: 0 success, 1 invalid config, 2 model validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -44,6 +46,16 @@ from .simulation import (SimConfig, aggregate_runs, lambda_groups,  # noqa: F401
 TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
                    "analytic_cost,empirical_cost,cost_stderr")
 _TRACE_BLOCK_ROWS = 2048
+# A sweep splits a group's runs across processes only when that saves more
+# than a worker's start: a spawn round trip (start, import numpy and etlqg,
+# return) took 0.40-0.46 s on a 2-vCPU host. There, splitting an untraced
+# bundled-model sweep broke even near 8e6 lambda-run-steps (13 x 32 x 20000:
+# 2.9 s either way; 13 x 64 x 20000: 4.8 s -> 3.8 s), and a traced one near
+# 2.4e5, where formatting the trace rows dominates; so a traced run-step
+# counts _TRACE_RUN_STEP_WEIGHT times. The tier-1 CLI tests and the small
+# CI smoke run stay in-process.
+_SPLIT_MIN_RUN_STEPS = 8_000_000
+_TRACE_RUN_STEP_WEIGHT = 40
 
 
 def _fmt(value) -> str:
@@ -84,6 +96,88 @@ def _trace_csv(trace, n: int, m: int) -> str:
                                  trace.e_filt[rows]])
         parts.append((row * len(table)) % tuple(table.ravel().tolist()))
     return "".join(parts)
+
+
+def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, group, runs: range,
+                    lazy: bool = False):
+    """Simulate one slice of a group's runs and format its traces.
+
+    Returns (rates, costs, texts): texts[g][j] is the trace CSV of run
+    runs[j] at group[g], or None without traces. This is the work a sweep
+    gives each process, in-process or in a spawned worker. With lazy, each
+    texts[g] is a generator, so a text is made only as it is written.
+    """
+    rates, costs, traces = run_closed_loop_grid(sim_cfg, filt, ctrl, group,
+                                                runs)
+    if traces is None:
+        return rates, costs, None
+    n, m, _ = sim_cfg.model.dims
+    texts = [(_trace_csv(t, n, m) for t in row) for row in traces]
+    return rates, costs, texts if lazy else [list(row) for row in texts]
+
+
+def _run_slices(sim_cfg: SimConfig, lams: int) -> list[range]:
+    """Contiguous slices of range(runs), one per process simulating a group.
+
+    One slice per core, if the group of lams lambdas reaches
+    _SPLIT_MIN_RUN_STEPS. numpy rounds a one-row matmul and an n=2 einsum
+    over at most two rows on other kernels than the full grid's, so every
+    slice keeps at least 2 runs and 3 lambda-runs; then the joined slices
+    equal the unsplit grid bitwise.
+    """
+    runs = sim_cfg.runs
+    run_steps = lams * runs * sim_cfg.horizon
+    if sim_cfg.record_trace:
+        run_steps *= _TRACE_RUN_STEP_WEIGHT
+    k = 1
+    if run_steps >= _SPLIT_MIN_RUN_STEPS:
+        k = max(1, min(len(os.sched_getaffinity(0)), runs // 2,
+                       lams * runs // 3))
+    return [range(i * runs // k, (i + 1) * runs // k) for i in range(k)]
+
+
+def _worker_pool(workers: int):
+    # imported here, so that analyze-only and unsplit runs load no pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # spawn, not fork: this process holds BLAS threads
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("spawn"))
+
+
+def _simulate_group(pool, sim_cfg: SimConfig, filt, ctrl, group,
+                    slices: list[range]):
+    """Simulate slices[0] here and the other slices in pool; join in run order.
+
+    Returns what _simulate_slice returns for the whole group. If slices
+    diverge, raises the error the unsplit grid raises: the earliest step,
+    then the largest |x|, then the first lambda, then the first run.
+    """
+    futures = [pool.submit(_simulate_slice, sim_cfg, filt, ctrl, group, runs)
+               for runs in slices[1:]]
+    # alone, slice 0 formats its traces as they are written, holding one text
+    # at a time; beside workers it formats them while they run
+    jobs = [functools.partial(_simulate_slice, sim_cfg, filt, ctrl, group,
+                              slices[0], lazy=not futures)]
+    parts, errors = [], []
+    for job in jobs + [future.result for future in futures]:
+        try:
+            parts.append(job())
+        except DivergenceError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda e: (e.step, -e.value, group.index(e.lam),
+                                         e.run))
+    if len(parts) == 1:
+        return parts[0]
+    rates = np.concatenate([part[0] for part in parts], axis=1)
+    costs = np.concatenate([part[1] for part in parts], axis=1)
+    texts = None
+    if parts[0][2] is not None:
+        texts = [[text for part in parts for text in part[2][g]]
+                 for g in range(len(group))]
+    return rates, costs, texts
 
 
 def _plot_script() -> str:
@@ -151,7 +245,7 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
 
     rows = []
 
-    def emit(point, rates=None, costs=None, traces=None):
+    def emit(point, rates=None, costs=None, texts=None):
         emp_rate = rate_se = emp_cost = cost_se = None
         if rates is not None:
             emp_rate, rate_se = aggregate_runs(rates)
@@ -164,11 +258,10 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
             record["cost"] = dataclasses.asdict(point.breakdown)
             _write_atomic(out_dir / f"analysis_{point.lam!r}.json",
                           json.dumps(record, indent=2) + "\n")
-        if traces is not None:
-            n, m, _ = model.dims
-            for r, trace in enumerate(traces):
+        if texts is not None:
+            for r, text in enumerate(texts):
                 name = f"trace_lam{point.lam!r}_run{r:04d}.csv"
-                _write_atomic(out_dir / name, _trace_csv(trace, n, m))
+                _write_atomic(out_dir / name, text)
 
         line = f"lambda={point.lam:g} rate={point.rate:.6f} cost={point.cost:.6f}"
         if emp_rate is not None:
@@ -176,20 +269,26 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
         print(line)
 
     if with_simulation and cfg.runs > 0:
-        # one lockstep simulation per group of lambdas, in grid order
+        # one lockstep simulation per group of lambdas, in grid order, its
+        # runs split across the cores
         sim_cfg = SimConfig(model=model,
                             params=SchedulerParams(points[0].lam, cfg.timeout),
                             horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
                             record_trace=cfg.record_trace, burn_in=cfg.burn_in)
-        start = 0
-        for group in lambda_groups(sim_cfg, [pt.lam for pt in points]):
-            rates, costs, traces = run_closed_loop_grid(sim_cfg, filt, ctrl,
-                                                        group)
-            for g in range(len(group)):
-                emit(points[start + g], rates[g], costs[g],
-                     None if traces is None else traces[g])
-            start += len(group)
-            del traces  # free this group's traces before the next is allocated
+        with contextlib.ExitStack() as stack:
+            pool = None
+            start = 0
+            for group in lambda_groups(sim_cfg, [pt.lam for pt in points]):
+                slices = _run_slices(sim_cfg, len(group))
+                if len(slices) > 1 and pool is None:
+                    pool = stack.enter_context(_worker_pool(len(slices) - 1))
+                rates, costs, texts = _simulate_group(pool, sim_cfg, filt, ctrl,
+                                                      group, slices)
+                for g in range(len(group)):
+                    emit(points[start + g], rates[g], costs[g],
+                         None if texts is None else texts[g])
+                start += len(group)
+                del texts  # free this group's traces before the next is made
     else:
         for point in points:
             emit(point)

@@ -41,6 +41,10 @@ class ConvergenceError(EtlqgError):
             f"(residual {residual:.3e})"
         )
 
+    def __reduce__(self):
+        # rebuild from the fields, so the error survives a process boundary
+        return type(self), (self.solver, self.residual, self.iterations)
+
 
 class NumericalError(EtlqgError):
     """Internal numerical inconsistency that indicates a bug, not bad input."""
@@ -58,6 +62,9 @@ class DivergenceError(EtlqgError):
             f"state diverged at step {step} (lambda {lam!r}, run {run}): "
             f"|x| = {value:.3e}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.step, self.run, self.value, self.lam)
 
 
 class ConfigError(EtlqgError):

@@ -13,14 +13,19 @@ A lambda grid runs in lockstep through one step loop: the state carries a
 leading lambda axis, shape (group, runs, n), and lambda enters only through
 the hold probability exp(-lambda * |e|^2).
 
-RNG layout: the master seed spawns one child sequence per run; each run
-spawns four generators in a fixed order (process noise, measurement noise,
-initial state, trigger uniforms). Each run's four streams are shared by
-every lambda of a group: their draws are made once, for the runs, and
-broadcast over the lambda axis, so a run at a given lambda sees the same
-numbers in any group and a group equals separate single-lambda runs
-bitwise. Draws are pregenerated in fixed-size step chunks per stream, which
-leaves every stream's order identical to stepwise consumption.
+RNG layout: run r's seed is SeedSequence(seed, spawn_key=(r,)), the r-th
+child that SeedSequence(seed).spawn would give; each run spawns four
+generators in a fixed order (process noise, measurement noise, initial
+state, trigger uniforms). A run's streams depend on its index alone, so a
+slice of runs simulated on its own equals the same columns of the full run
+bitwise, and slices may run in separate processes; that holds for slices of
+at least 2 runs and 3 lambda-runs, as numpy rounds a one-row matmul and an
+n=2 einsum over at most two rows on other kernels. Each run's four streams
+are shared by every lambda of a group: their draws are made once, for the
+runs, and broadcast over the lambda axis, so a run at a given lambda sees
+the same numbers in any group and a group equals separate single-lambda
+runs bitwise. Draws are pregenerated in fixed-size step chunks per stream,
+which leaves every stream's order identical to stepwise consumption.
 """
 
 from __future__ import annotations
@@ -120,11 +125,11 @@ class ExperimentResult:
     burn_in: int
 
 
-def _spawn_run_streams(seed: int, runs: int):
-    """Per-run generator quadruples (w, v, init, trigger), fixed order."""
-    children = np.random.SeedSequence(seed).spawn(runs)
+def _spawn_run_streams(seed: int, runs: range):
+    """Generator quadruples (w, v, init, trigger) for each run index in runs."""
     quads = []
-    for child in children:
+    for r in runs:
+        child = np.random.SeedSequence(seed, spawn_key=(r,))
         w_ss, v_ss, init_ss, trig_ss = child.spawn(4)
         quads.append((np.random.default_rng(w_ss), np.random.default_rng(v_ss),
                       np.random.default_rng(init_ss), np.random.default_rng(trig_ss)))
@@ -162,17 +167,27 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
 
 
 def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
-                         ctrl: ControlSynthesis, lams):
-    """Simulate cfg.runs closed loops at each lambda of lams, in lockstep.
+                         ctrl: ControlSynthesis, lams, runs: range | None = None):
+    """Simulate closed loops at each lambda of lams, in lockstep.
 
-    lams replaces cfg.params.lam; every other setting comes from cfg. Each
+    lams replaces cfg.params.lam; every other setting comes from cfg. runs,
+    a range inside range(cfg.runs) (all of it by default), selects the run
+    indices; column j is run runs[j], bitwise as in the full call for
+    slices of at least 2 runs and 3 lambda-runs (see the module notes). Each
     run's random streams are shared by all lambdas (common random numbers),
     so row g equals run_closed_loop at lams[g] bitwise. Returns (rates,
-    costs, traces): (len(lams), runs) arrays and, with cfg.record_trace, one
-    tuple of SimulationTrace per lambda (else None).
+    costs, traces): (len(lams), len(runs)) arrays and, with
+    cfg.record_trace, one tuple of SimulationTrace per lambda (else None).
+    A DivergenceError names the run by its index in range(cfg.runs).
     """
     if ctrl.L_inf is None:
         raise ModelError("run_closed_loop needs a steady-state feedback gain")
+    run_ids = range(cfg.runs) if runs is None else runs
+    if (not isinstance(run_ids, range) or run_ids.step != 1 or not run_ids
+            or run_ids.start < 0 or run_ids.stop > cfg.runs):
+        raise ModelError(
+            f"runs must be a nonempty step-1 range inside range({cfg.runs}), "
+            f"got {runs!r}")
     model = cfg.model
     n, m, p = model.dims
     A, B, C = model.A, model.B, model.C
@@ -182,12 +197,12 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     timeout = cfg.params.timeout
     lams = [SchedulerParams(lam, timeout).lam for lam in lams]
     lam = np.array(lams)[:, None]
-    group, runs, horizon = len(lams), cfg.runs, cfg.horizon
+    group, runs, horizon = len(lams), len(run_ids), cfg.horizon
 
     w_factor = _cov_factor(model.W)
     v_factor = _cov_factor(model.V)
     x0_factor = _cov_factor(model.X0)
-    streams = _spawn_run_streams(cfg.seed, runs)
+    streams = _spawn_run_streams(cfg.seed, run_ids)
 
     x0 = np.empty((runs, n))
     for r, (_, _, init_gen, _) in enumerate(streams):
@@ -261,7 +276,7 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                     worst = float(peak.max())
                     if worst > guard:
                         g, r, _ = np.unravel_index(peak.argmax(), peak.shape)
-                        raise DivergenceError(step=k + 1, run=int(r),
+                        raise DivergenceError(step=k + 1, run=run_ids[r],
                                               value=worst, lam=lams[g])
                 k += 1
 

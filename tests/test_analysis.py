@@ -480,6 +480,19 @@ class TestAnalysisRecord:
         round_trip = json.loads(json.dumps(record))
         assert round_trip == record
 
+    def test_sigma_trace_equals_per_sigma_loop(self, bench_model, bench_filter):
+        rng = np.random.default_rng(20261018)
+        cases = [(bench_model, bench_filter)]
+        while len(cases) < 13:
+            model = random_valid_model(rng)
+            if model.dims[0] > 2:
+                cases.append((model, kf_steady_state(model)))
+        for model, ss in cases:
+            for cec in conditional_error_cov(ss, model.A, [1e-6, 1.0, 1e6], 30):
+                got = analysis_record(transition_matrix(cec))["sigma_e_trace"]
+                want = [float(np.trace(s)) for s in cec.sigmas]
+                assert json.dumps(got) == json.dumps(want)
+
 
 def test_scalar_chain_against_brute_force_enumeration():
     """Enumerate hold patterns exactly for a tiny scalar chain.

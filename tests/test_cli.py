@@ -4,6 +4,8 @@ Each test drives `main` with a config written into tmp_path and inspects
 exit codes, stdout/stderr and the artifact files.
 """
 
+import concurrent.futures
+import dataclasses
 import json
 import os
 import re
@@ -17,6 +19,7 @@ import pytest
 import etlqg
 from etlqg import (
     ConvergenceError,
+    DivergenceError,
     SchedulerParams,
     SimConfig,
     SimulationTrace,
@@ -27,6 +30,7 @@ from etlqg import (
     load_config,
     run_closed_loop,
 )
+from etlqg import cli, simulation
 from etlqg.cli import TRADEOFF_HEADER, _trace_csv, main
 from etlqg.config import config_to_dict
 
@@ -451,3 +455,142 @@ class TestSolverFailureExit:
         err = capsys.readouterr().err
         assert "steady-state filter iteration" in err
         assert re.search(r"residual 5\.0*e-01", err)
+
+
+class TestSplitSweep:
+    """A sweep split across worker processes writes the in-process bytes."""
+
+    @staticmethod
+    def _split(monkeypatch):
+        # every group splits, across two processes
+        monkeypatch.setattr(cli, "_SPLIT_MIN_RUN_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pools = []
+        real = cli._worker_pool
+
+        def counted(workers):
+            pools.append(workers)
+            return real(workers)
+
+        monkeypatch.setattr(cli, "_worker_pool", counted)
+        return pools
+
+    @staticmethod
+    def _traced_config(tmp_path, runs, horizon=150):
+        doc = base_config(tmp_path / "unused",
+                          scheduler={"timeout": 6, "lambda_grid": [0.5, 2.0, 8.0]})
+        doc["simulation"] = {"runs": runs, "horizon": horizon, "seed": 7,
+                             "burn_in": 10, "record_trace": True}
+        return write_config(tmp_path, doc)
+
+    @staticmethod
+    def _artifacts(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                if p.name != "manifest.json"}  # the manifest echoes --out-dir
+
+    @pytest.mark.parametrize("runs,budget", [(4, None), (6, 1)])
+    def test_outputs_byte_identical_to_in_process(self, tmp_path, monkeypatch,
+                                                  runs, budget):
+        # budget 1: one lambda per group, three groups that share one pool
+        if budget is not None:
+            monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", budget)
+        cfg = self._traced_config(tmp_path, runs)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
+        pools = self._split(monkeypatch)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "split")]) == 0
+        assert pools == [1]
+        serial = self._artifacts(tmp_path / "serial")
+        split = self._artifacts(tmp_path / "split")
+        assert len([n for n in split if n.startswith("trace_")]) == 3 * runs
+        assert len([n for n in split if n.startswith("analysis_")]) == 3
+        assert "tradeoff.csv" in split
+        assert split == serial
+
+    def test_divergence_exits_3_like_in_process(self, tmp_path, monkeypatch,
+                                                capsys):
+        # zero feedback leaves the unstable plant to cross the guard
+        real = cli.control_steady_state
+        monkeypatch.setattr(cli, "control_steady_state", lambda model: (
+            dataclasses.replace(real(model), L_inf=np.zeros((1, 2)))))
+        cfg = self._traced_config(tmp_path, runs=4, horizon=400)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 3
+        want = capsys.readouterr().err
+        # the first crossing lies in the worker's slice of runs 2 and 3
+        assert re.search(r"lambda 0\.5, run [23]\)", want)
+        pools = self._split(monkeypatch)
+        out = tmp_path / "split"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 3
+        assert pools == [1]
+        assert capsys.readouterr().err == want
+        assert not list(out.glob("trace_*.csv"))
+        assert not list(out.glob("*.part"))
+
+    def test_slices_cover_the_runs_in_order(self, bench_model, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+
+        def slices(runs, lams, horizon, record_trace=False):
+            sim_cfg = SimConfig(model=bench_model,
+                                params=SchedulerParams(lam=1.0, timeout=6),
+                                horizon=horizon, runs=runs, seed=1, burn_in=0,
+                                record_trace=record_trace)
+            return cli._run_slices(sim_cfg, lams)
+
+        # the bundled sweep and trace_narrow split; narrow untraced does not
+        assert slices(1000, 13, 2000) == [range(i * 125, (i + 1) * 125)
+                                          for i in range(8)]
+        assert slices(8, 3, 20000, record_trace=True) == [
+            range(i, i + 2) for i in range(0, 8, 2)]
+        assert slices(8, 3, 20000) == [range(8)]
+        steps = cli._SPLIT_MIN_RUN_STEPS
+        for runs in range(1, 20):
+            for lams in (1, 2, 3):
+                got = slices(runs, lams, steps)
+                assert [r for s in got for r in s] == list(range(runs))
+                if len(got) > 1:
+                    assert min(len(s) for s in got) >= 2
+                    assert min(lams * len(s) for s in got) >= 3
+
+    @pytest.mark.parametrize("command", [["analyze-only"],
+                                         ["run", "--runs", "2", "--horizon", "300"]])
+    def test_unsplit_commands_load_no_pool(self, tmp_path, command):
+        code = ("import sys\n"
+                "from etlqg.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+                "             ('multiprocessing', 'concurrent')))\n"
+                "sys.exit(code)\n")
+        src = str(Path(etlqg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *command, "--out-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_merged_divergence_report_follows_the_unsplit_rule(self,
+                                                              monkeypatch):
+        # earliest step, then largest |x|, then first lambda, then first run
+        reports = {0: (9, 1, 9e12, 0.5), 2: (7, 3, 2e12, 0.5),
+                   4: (7, 4, 3e12, 2.0), 6: (7, 7, 3e12, 0.5),
+                   8: (7, 8, 3e12, 0.5)}
+
+        def diverge(sim_cfg, filt, ctrl, group, runs, lazy=False):
+            step, run, value, lam = reports[runs.start]
+            raise DivergenceError(step=step, run=run, value=value, lam=lam)
+
+        class InlinePool:
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                try:
+                    future.set_result(fn(*args))
+                except DivergenceError as exc:
+                    future.set_exception(exc)
+                return future
+
+        monkeypatch.setattr(cli, "_simulate_slice", diverge)
+        slices = [range(a, a + 2) for a in range(0, 10, 2)]
+        with pytest.raises(DivergenceError) as exc:
+            cli._simulate_group(InlinePool(), None, None, None,
+                                [0.5, 2.0, 8.0], slices)
+        assert (exc.value.step, exc.value.run) == (7, 7)

@@ -6,6 +6,7 @@ statistics with the closed-form analysis layer.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import etlqg.simulation as sim
 from etlqg import (
     ControlSynthesis,
+    ConvergenceError,
     DefinitenessError,
     DivergenceError,
     ModelError,
@@ -488,3 +490,75 @@ class TestLambdaGrid:
         # and 16.6 MB per lambda here, so four fit in 64 MiB
         narrow = _cfg(bench_model, runs=8, horizon=20000, record_trace=True)
         assert [len(g) for g in sim.lambda_groups(narrow, lams)] == [4, 4, 4, 1]
+
+
+class TestRunSlices:
+    """A slice of runs equals the same columns of the full call, bitwise.
+
+    Slices keep at least 2 runs and 3 lambda-runs, as the CLI's do: numpy
+    rounds a one-row matmul and an n=2 einsum over two rows on other kernels.
+    """
+
+    @pytest.mark.parametrize("lams,bounds", [([1.0], [0, 3, 7]),
+                                             (GRID, [0, 2, 5, 7])])
+    def test_slices_equal_columns_of_full_call(self, bench_model, bench_filter,
+                                                bench_control, lams, bounds):
+        cfg = _cfg(bench_model, runs=7, horizon=300, burn_in=20,
+                   record_trace=True)
+        rates, costs, traces = sim.run_closed_loop_grid(cfg, bench_filter,
+                                                        bench_control, lams)
+        for a, b in zip(bounds, bounds[1:]):
+            r, c, t = sim.run_closed_loop_grid(cfg, bench_filter, bench_control,
+                                               lams, range(a, b))
+            assert r.shape == c.shape == (len(lams), b - a)
+            np.testing.assert_array_equal(r, rates[:, a:b])
+            np.testing.assert_array_equal(c, costs[:, a:b])
+            for g in range(len(lams)):
+                assert len(t[g]) == b - a
+                for got, want in zip(t[g], traces[g][a:b]):
+                    for field in dataclasses.fields(SimulationTrace):
+                        np.testing.assert_array_equal(
+                            getattr(got, field.name), getattr(want, field.name))
+
+    @pytest.mark.parametrize("runs", [range(0), range(2, 9), range(0, 4, 2),
+                                      range(-1, 2), [0, 1]])
+    def test_invalid_slice_rejected(self, bench_model, bench_filter,
+                                    bench_control, runs):
+        cfg = _cfg(bench_model, runs=8, horizon=300)
+        with pytest.raises(ModelError, match="runs must be"):
+            sim.run_closed_loop_grid(cfg, bench_filter, bench_control, [1.0],
+                                     runs)
+
+    def test_guard_names_the_global_run(self, bench_model, bench_filter):
+        open_loop = TestDivergenceGuard()._open_loop(bench_model)
+        cfg = SimConfig(model=bench_model,
+                        params=SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT),
+                        horizon=2000, runs=6, seed=11, burn_in=0,
+                        divergence_limit=1e6)
+        with pytest.raises(DivergenceError) as exc:
+            sim.run_closed_loop_grid(cfg, bench_filter, open_loop, [0.5, 4.0])
+        full = exc.value
+        errors = []
+        for runs in (range(0, 3), range(3, 6)):
+            with pytest.raises(DivergenceError) as exc:
+                sim.run_closed_loop_grid(cfg, bench_filter, open_loop,
+                                         [0.5, 4.0], runs)
+            assert exc.value.run in runs
+            errors.append(exc.value)
+        # the unsplit report is the earliest slice report, largest |x| first
+        first = min(errors, key=lambda e: (e.step, -e.value))
+        assert (first.step, first.run, first.value, first.lam) == (
+            full.step, full.run, full.value, full.lam)
+
+
+@pytest.mark.parametrize("error", [
+    DivergenceError(step=3, run=1, value=2e12, lam=0.5),
+    ConvergenceError("steady-state filter iteration", residual=0.5,
+                     iterations=7),
+])
+def test_errors_survive_pickle(error):
+    # a worker's error reaches the parent pickled
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert vars(back) == vars(error)
+    assert str(back) == str(error)

@@ -19,9 +19,9 @@ Exit codes: 0 success, 1 invalid config, 2 model validation failure,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -40,22 +40,33 @@ from .analysis import analysis_record
 from .model import SchedulerParams, validate_model
 # run_closed_loop is not called here, but bench/traced_cli.py wraps it
 # under this module's name
-from .simulation import (SimConfig, aggregate_runs, lambda_groups,  # noqa: F401
-                         run_closed_loop, run_closed_loop_grid)
+from .simulation import (SimConfig, TraceBlock, aggregate_runs,  # noqa: F401
+                         lambda_groups, run_closed_loop, run_closed_loop_grid)
 
 TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
                    "analytic_cost,empirical_cost,cost_stderr")
-_TRACE_BLOCK_ROWS = 2048
-# A sweep splits a group's runs across processes only when that saves more
-# than a worker's start: a spawn round trip (start, import numpy and etlqg,
-# return) took 0.40-0.46 s on a 2-vCPU host. There, splitting an untraced
-# bundled-model sweep broke even near 8e6 lambda-run-steps (13 x 32 x 20000:
-# 2.9 s either way; 13 x 64 x 20000: 4.8 s -> 3.8 s), and a traced one near
-# 2.4e5, where formatting the trace rows dominates; so a traced run-step
-# counts _TRACE_RUN_STEP_WEIGHT times. The tier-1 CLI tests and the small
-# CI smoke run stay in-process.
+# A sweep shares a group's work with worker processes only when that saves
+# more than a worker's start: a spawn round trip (start, import numpy and
+# etlqg, return) took 0.40-0.46 s on a 2-vCPU host. There, splitting an
+# untraced bundled-model sweep broke even near 8e6 lambda-run-steps
+# (13 x 32 x 20000: 2.9 s either way; 13 x 64 x 20000: 4.8 s -> 3.8 s), and
+# a traced one near 2.4e5, where formatting the trace rows dominates; so a
+# traced run-step counts _TRACE_RUN_STEP_WEIGHT times. The tier-1 CLI tests
+# and the small CI smoke run stay in-process.
 _SPLIT_MIN_RUN_STEPS = 8_000_000
 _TRACE_RUN_STEP_WEIGHT = 40
+# Trace blocks a worker holds at once, queued or being formatted; the rest
+# wait in the simulating process, which formats them itself if the loop
+# ends first.
+_BLOCKS_PER_WORKER = 2
+# The pool's threads move each block and its text through pipes 64 KiB at a
+# time, taking the GIL for each piece; at the default 5 ms switch interval,
+# and behind one long '%' call, a block's text took 0.1-0.2 s to come back,
+# and its worker waited. While a traced group streams, this process yields
+# the GIL within _STREAM_SWITCH_S and formats _FORMAT_ROWS rows per '%':
+# a block then came back in about 25 ms.
+_STREAM_SWITCH_S = 1e-4
+_FORMAT_ROWS = 256
 
 
 def _fmt(value) -> str:
@@ -65,12 +76,13 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_atomic(path: Path, text: str):
+def _write_atomic(path: Path, *parts: str):
+    """Write the concatenated parts to path atomically."""
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
                                     suffix=".part")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -80,59 +92,73 @@ def _write_atomic(path: Path, text: str):
         raise
 
 
-def _trace_csv(trace, n: int, m: int) -> str:
-    cols = (["k", "sigma", "tau"] + [f"x{i + 1}" for i in range(n)]
-            + [f"u{i + 1}" for i in range(m)] + [f"e{i + 1}" for i in range(n)])
-    steps = np.arange(trace.sigma.shape[0])
+def _trace_csv(trace, n: int, m: int, start: int = 0) -> str:
+    """Trace CSV rows of steps start, start + 1, ... of one run.
+
+    trace holds sigma, tau, x, u and e_filt indexed by step - start: a
+    SimulationTrace, or one run of a TraceBlock. The header comes first
+    when start is 0.
+    """
+    rows = trace.sigma.shape[0]
+    steps = np.arange(start, start + rows)
     row = "%d,%d,%d" + ",%.17g" * (2 * n + m) + "\n"
-    parts = [",".join(cols) + "\n"]
-    # One '%' per block of rows; '%.17g' % v gives the bytes of _fmt(v).
+    parts = []
+    if start == 0:
+        cols = (["k", "sigma", "tau"] + [f"x{i + 1}" for i in range(n)]
+                + [f"u{i + 1}" for i in range(m)] + [f"e{i + 1}" for i in range(n)])
+        parts.append(",".join(cols) + "\n")
+    # One '%' per _FORMAT_ROWS rows; '%.17g' % v gives the bytes of _fmt(v).
     # k, sigma and tau are integers below 2**53, so the float table holds
-    # them exactly. Blocks bound the Python floats alive at once.
-    for start in range(0, steps.size, _TRACE_BLOCK_ROWS):
-        rows = slice(start, start + _TRACE_BLOCK_ROWS)
-        table = np.column_stack([steps[rows], trace.sigma[rows], trace.tau[rows],
-                                 trace.x[rows], trace.u[rows],
-                                 trace.e_filt[rows]])
+    # them exactly.
+    for first in range(0, rows, _FORMAT_ROWS):
+        part = slice(first, first + _FORMAT_ROWS)
+        table = np.column_stack([steps[part], trace.sigma[part], trace.tau[part],
+                                 trace.x[part], trace.u[part],
+                                 trace.e_filt[part]])
         parts.append((row * len(table)) % tuple(table.ravel().tolist()))
     return "".join(parts)
 
 
-def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, group, runs: range,
-                    lazy: bool = False):
-    """Simulate one slice of a group's runs and format its traces.
-
-    Returns (rates, costs, texts): texts[g][j] is the trace CSV of run
-    runs[j] at group[g], or None without traces. This is the work a sweep
-    gives each process, in-process or in a spawned worker. With lazy, each
-    texts[g] is a generator, so a text is made only as it is written.
-    """
-    rates, costs, traces = run_closed_loop_grid(sim_cfg, filt, ctrl, group,
-                                                runs)
-    if traces is None:
-        return rates, costs, None
-    n, m, _ = sim_cfg.model.dims
-    texts = [(_trace_csv(t, n, m) for t in row) for row in traces]
-    return rates, costs, texts if lazy else [list(row) for row in texts]
+def _format_block(block: TraceBlock, n: int, m: int) -> list[str]:
+    """The trace CSV text of block's steps for each run, lambda-major."""
+    _, group, runs = block.sigma.shape
+    return [_trace_csv(TraceBlock(block.start, block.sigma[:, g, r],
+                                  block.tau[:, g, r], block.x[:, g, r],
+                                  block.u[:, g, r], block.e_filt[:, g, r]),
+                       n, m, block.start)
+            for g in range(group) for r in range(runs)]
 
 
-def _run_slices(sim_cfg: SimConfig, lams: int) -> list[range]:
-    """Contiguous slices of range(runs), one per process simulating a group.
+def _processes(sim_cfg: SimConfig, lams: int) -> int:
+    """Processes that share the work of a group of lams lambdas.
 
-    One slice per core, if the group of lams lambdas reaches
-    _SPLIT_MIN_RUN_STEPS. numpy rounds a one-row matmul and an n=2 einsum
-    over at most two rows on other kernels than the full grid's, so every
-    slice keeps at least 2 runs and 3 lambda-runs; then the joined slices
-    equal the unsplit grid bitwise.
+    One per core, if the group reaches _SPLIT_MIN_RUN_STEPS. A traced group
+    runs its loop in this process and the others format its trace blocks
+    (_simulate_traced); an untraced group splits its runs (_run_slices).
+    numpy rounds a one-row matmul and an n=2 einsum over at most two rows
+    on other kernels than the full grid's, so every slice keeps at least 2
+    runs and 3 lambda-runs; then the joined slices equal the unsplit grid
+    bitwise.
     """
     runs = sim_cfg.runs
     run_steps = lams * runs * sim_cfg.horizon
     if sim_cfg.record_trace:
         run_steps *= _TRACE_RUN_STEP_WEIGHT
-    k = 1
-    if run_steps >= _SPLIT_MIN_RUN_STEPS:
-        k = max(1, min(len(os.sched_getaffinity(0)), runs // 2,
-                       lams * runs // 3))
+    if run_steps < _SPLIT_MIN_RUN_STEPS:
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    if sim_cfg.record_trace:
+        return cores
+    return max(1, min(cores, runs // 2, lams * runs // 3))
+
+
+def _run_slices(sim_cfg: SimConfig, lams: int) -> list[range]:
+    """Contiguous slices of range(runs), one per process simulating a group.
+
+    A traced group is one slice: its loop runs once (see _processes).
+    """
+    runs = sim_cfg.runs
+    k = 1 if sim_cfg.record_trace else _processes(sim_cfg, lams)
     return [range(i * runs // k, (i + 1) * runs // k) for i in range(k)]
 
 
@@ -146,22 +172,28 @@ def _worker_pool(workers: int):
                                mp_context=multiprocessing.get_context("spawn"))
 
 
+def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, group, runs: range):
+    """Rates and costs of one slice of an untraced group's runs.
+
+    This is the work a sweep gives each process, in-process or in a spawned
+    worker.
+    """
+    return run_closed_loop_grid(sim_cfg, filt, ctrl, group, runs)[:2]
+
+
 def _simulate_group(pool, sim_cfg: SimConfig, filt, ctrl, group,
                     slices: list[range]):
     """Simulate slices[0] here and the other slices in pool; join in run order.
 
-    Returns what _simulate_slice returns for the whole group. If slices
+    Returns the (rates, costs) of the whole untraced group. If slices
     diverge, raises the error the unsplit grid raises: the earliest step,
     then the largest |x|, then the first lambda, then the first run.
     """
     futures = [pool.submit(_simulate_slice, sim_cfg, filt, ctrl, group, runs)
                for runs in slices[1:]]
-    # alone, slice 0 formats its traces as they are written, holding one text
-    # at a time; beside workers it formats them while they run
-    jobs = [functools.partial(_simulate_slice, sim_cfg, filt, ctrl, group,
-                              slices[0], lazy=not futures)]
     parts, errors = [], []
-    for job in jobs + [future.result for future in futures]:
+    for job in ([lambda: _simulate_slice(sim_cfg, filt, ctrl, group, slices[0])]
+                + [future.result for future in futures]):
         try:
             parts.append(job())
         except DivergenceError as exc:
@@ -169,15 +201,65 @@ def _simulate_group(pool, sim_cfg: SimConfig, filt, ctrl, group,
     if errors:
         raise min(errors, key=lambda e: (e.step, -e.value, group.index(e.lam),
                                          e.run))
-    if len(parts) == 1:
-        return parts[0]
-    rates = np.concatenate([part[0] for part in parts], axis=1)
-    costs = np.concatenate([part[1] for part in parts], axis=1)
-    texts = None
-    if parts[0][2] is not None:
-        texts = [[text for part in parts for text in part[2][g]]
-                 for g in range(len(group))]
-    return rates, costs, texts
+    return (np.concatenate([part[0] for part in parts], axis=1),
+            np.concatenate([part[1] for part in parts], axis=1))
+
+
+def _simulate_traced(pool, workers: int, sim_cfg: SimConfig, filt, ctrl,
+                     group):
+    """Simulate a traced group in this process; workers format its traces.
+
+    Returns (rates, costs, texts): texts[g][r] lists the parts of the trace
+    CSV of run r at group[g], in order. Each TraceBlock goes to pool once
+    simulated, with at most _BLOCKS_PER_WORKER per worker in flight. The
+    others wait here, and when the loop ends this process formats them,
+    last first, while the workers finish theirs.
+    With no workers, each block is formatted once simulated. A divergence
+    cancels the blocks no worker has started.
+    """
+    n, m, _ = sim_cfg.model.dims
+    texts = {}                    # block start -> _format_block(block)
+    sent = {}                     # block start -> future of the same
+    unsent = collections.deque()
+
+    def pump(cap):
+        for start in [start for start, future in sent.items() if future.done()]:
+            texts[start] = sent.pop(start).result()
+        while unsent and len(sent) < cap:
+            block = unsent.popleft()
+            sent[block.start] = pool.submit(_format_block, block, n, m)
+
+    def on_block(block):
+        if workers:
+            unsent.append(block)
+            pump(_BLOCKS_PER_WORKER * workers)
+        else:
+            texts[block.start] = _format_block(block, n, m)
+
+    switch = sys.getswitchinterval()
+    if workers:
+        sys.setswitchinterval(_STREAM_SWITCH_S)
+    try:
+        rates, costs, _ = run_closed_loop_grid(sim_cfg, filt, ctrl, group,
+                                               on_block=on_block)
+        while unsent:
+            block = unsent.pop()
+            texts[block.start] = _format_block(block, n, m)
+            # an idle worker takes the next block; a busy one gets no
+            # backlog that this process would then wait for
+            pump(workers)
+        for start, future in sent.items():
+            texts[start] = future.result()
+    except BaseException:
+        for future in sent.values():
+            future.cancel()
+        raise
+    finally:
+        sys.setswitchinterval(switch)
+    blocks = [texts[start] for start in sorted(texts)]
+    runs = sim_cfg.runs
+    return rates, costs, [[[block[g * runs + r] for block in blocks]
+                           for r in range(runs)] for g in range(len(group))]
 
 
 def _plot_script() -> str:
@@ -259,9 +341,9 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
             _write_atomic(out_dir / f"analysis_{point.lam!r}.json",
                           json.dumps(record, indent=2) + "\n")
         if texts is not None:
-            for r, text in enumerate(texts):
+            for r, parts in enumerate(texts):
                 name = f"trace_lam{point.lam!r}_run{r:04d}.csv"
-                _write_atomic(out_dir / name, text)
+                _write_atomic(out_dir / name, *parts)
 
         line = f"lambda={point.lam:g} rate={point.rate:.6f} cost={point.cost:.6f}"
         if emp_rate is not None:
@@ -269,8 +351,8 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
         print(line)
 
     if with_simulation and cfg.runs > 0:
-        # one lockstep simulation per group of lambdas, in grid order, its
-        # runs split across the cores
+        # one lockstep simulation per group of lambdas, in grid order; the
+        # cores split an untraced group's runs or a traced group's formatting
         sim_cfg = SimConfig(model=model,
                             params=SchedulerParams(points[0].lam, cfg.timeout),
                             horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
@@ -279,11 +361,17 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
             pool = None
             start = 0
             for group in lambda_groups(sim_cfg, [pt.lam for pt in points]):
-                slices = _run_slices(sim_cfg, len(group))
-                if len(slices) > 1 and pool is None:
-                    pool = stack.enter_context(_worker_pool(len(slices) - 1))
-                rates, costs, texts = _simulate_group(pool, sim_cfg, filt, ctrl,
-                                                      group, slices)
+                processes = _processes(sim_cfg, len(group))
+                if processes > 1 and pool is None:
+                    pool = stack.enter_context(_worker_pool(processes - 1))
+                texts = None
+                if sim_cfg.record_trace:
+                    rates, costs, texts = _simulate_traced(
+                        pool, processes - 1, sim_cfg, filt, ctrl, group)
+                else:
+                    rates, costs = _simulate_group(
+                        pool, sim_cfg, filt, ctrl, group,
+                        _run_slices(sim_cfg, len(group)))
                 for g in range(len(group)):
                     emit(points[start + g], rates[g], costs[g],
                          None if texts is None else texts[g])

@@ -16,6 +16,11 @@ from .model import SystemModel, symmetrize
 
 ARE_TOL = 1e-12
 ARE_MAX_ITER = 10**6
+# Converging filter and control iterations set a new minimum step at least
+# every 12 iterations on the bundled model and 37 random models; a stalled
+# one went up to 58776 iterations between minima, its residual hovering
+# near 1e-4, and took about 45 s to reach ARE_MAX_ITER.
+ARE_STALL_WINDOW = 1000
 INNOVATION_COND_LIMIT = 1e12
 
 
@@ -90,17 +95,25 @@ def fixed_point(step, start: np.ndarray, label: str, tol: float = ARE_TOL,
                 max_iterations: int = ARE_MAX_ITER):
     """Iterate X <- step(X) from start until |X_next - X|_inf < tol.
 
-    Returns (X, iterations); raises ConvergenceError(label, ...) at the cap.
+    Returns (X, iterations). Raises ConvergenceError(label, ...) at the cap,
+    or once ARE_STALL_WINDOW iterations in a row bring no new minimum of
+    |X_next - X|_inf: a stalled iteration hovers above tol and would
+    otherwise run to the cap.
     """
     X = start
-    delta = np.inf
+    delta = best = np.inf
+    it = best_it = 0
     for it in range(1, max_iterations + 1):
         X_next = step(X)
         delta = float(np.max(np.abs(X_next - X)))
         X = X_next
         if delta < tol:
             return X, it
-    raise ConvergenceError(label, delta, max_iterations)
+        if delta < best:
+            best, best_it = delta, it
+        elif it - best_it >= ARE_STALL_WINDOW:
+            break
+    raise ConvergenceError(label, delta, it)
 
 
 def kf_update(state: FilterState, model: SystemModel, y: np.ndarray) -> FilterState:

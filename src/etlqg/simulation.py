@@ -9,9 +9,17 @@ still simulated exactly (x' = Ax + Bu + w) for cost evaluation, and the
 estimates handed back in traces are reconstructed as x minus the tracked
 errors.
 
-A lambda grid runs in lockstep through one step loop: the state carries a
-leading lambda axis, shape (group, runs, n), and lambda enters only through
-the hold probability exp(-lambda * |e|^2).
+A lambda grid runs in lockstep through one step loop: the trigger and plant
+state carry a leading lambda axis, shape (group, runs, n), and lambda enters
+only through the hold probability exp(-lambda * |e|^2). The estimator (the
+prediction error, its correction eta and the filtered error) depends on
+neither lambda nor the trigger, so it is carried once per run, (runs, n),
+and broadcast like the draws. Traces are recorded time-major, (steps, group,
+runs, .), and only the columns the loop computes anyway: sigma, tau, x, u
+and e_filt, plus the filtered error and measurement noise when full
+SimulationTraces are returned. Their y = x C^T + v, xhat_s = x - xtilde and
+xhat_c = xhat_s - e_filt are derived after the loop, with the loop's own
+operations, so they keep its bits.
 
 RNG layout: run r's seed is SeedSequence(seed, spawn_key=(r,)), the r-th
 child that SeedSequence(seed).spawn would give; each run spawns four
@@ -43,6 +51,8 @@ from .model import PSD_EIG_FLOOR, SchedulerParams, SystemModel, psd_sqrt
 DEFAULT_BURN_IN = 200
 DIVERGENCE_LIMIT = 1e12
 _CHUNK_STEPS = 256
+# Steps per TraceBlock handed to run_closed_loop_grid's on_block.
+_TRACE_BLOCK_STEPS = 2048
 # Trace bytes one run_closed_loop_grid call may hold (see lambda_groups).
 TRACE_BUDGET_BYTES = 64 * 2**20
 
@@ -110,6 +120,22 @@ class SimulationTrace:
 
 
 @dataclass(frozen=True)
+class TraceBlock:
+    """Steps start .. start + len(sigma) - 1 of every run of a lambda group.
+
+    The columns of a trace CSV, time-major: sigma and tau (steps, group,
+    runs), x and e_filt (steps, group, runs, n), u (steps, group, runs, m).
+    """
+
+    start: int
+    sigma: np.ndarray
+    tau: np.ndarray
+    x: np.ndarray
+    u: np.ndarray
+    e_filt: np.ndarray
+
+
+@dataclass(frozen=True)
 class ExperimentResult:
     lam: float
     timeout: int
@@ -167,7 +193,8 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
 
 
 def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
-                         ctrl: ControlSynthesis, lams, runs: range | None = None):
+                         ctrl: ControlSynthesis, lams, runs: range | None = None,
+                         on_block=None):
     """Simulate closed loops at each lambda of lams, in lockstep.
 
     lams replaces cfg.params.lam; every other setting comes from cfg. runs,
@@ -178,6 +205,9 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     so row g equals run_closed_loop at lams[g] bitwise. Returns (rates,
     costs, traces): (len(lams), len(runs)) arrays and, with
     cfg.record_trace, one tuple of SimulationTrace per lambda (else None).
+    With cfg.record_trace and on_block, the traces are not kept: each
+    TraceBlock of _TRACE_BLOCK_STEPS steps (fewer in the last) goes to
+    on_block(block) once simulated, and traces is None.
     A DivergenceError names the run by its index in range(cfg.runs).
     """
     if ctrl.L_inf is None:
@@ -190,14 +220,15 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
             f"got {runs!r}")
     model = cfg.model
     n, m, p = model.dims
-    A, B, C = model.A, model.B, model.C
+    At, Bt, Ct = model.A.T, model.B.T, model.C.T
     Q, R = model.Q, model.R
-    K = filt.K_inf
-    L = ctrl.L_inf
+    Kt = filt.K_inf.T
+    Lt = ctrl.L_inf.T
     timeout = cfg.params.timeout
     lams = [SchedulerParams(lam, timeout).lam for lam in lams]
-    lam = np.array(lams)[:, None]
+    neg_lam = -np.array(lams)[:, None]
     group, runs, horizon = len(lams), len(run_ids), cfg.horizon
+    burn_in = cfg.burn_in
 
     w_factor = _cov_factor(model.W)
     v_factor = _cov_factor(model.V)
@@ -208,69 +239,81 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     for r, (_, _, init_gen, _) in enumerate(streams):
         x0[r] = model.x0_mean + x0_factor @ init_gen.standard_normal(n)
     x = np.repeat(x0[None], group, axis=0)
-    xt_pred = x - model.x0_mean          # sensor prediction error, prior mean
-    e_filt = np.zeros((group, runs, n))  # estimate gap after step -1
+    # the estimator depends on neither lambda nor the trigger: one per run
+    xt_pred = x0 - model.x0_mean          # sensor prediction error, prior mean
+    e_filt = np.zeros((group, runs, n))   # estimate gap after step -1
     tau = np.zeros((group, runs), dtype=np.int64)
 
     sigma_count = np.zeros((group, runs), dtype=np.int64)
     cost_sum = np.zeros((group, runs))
 
-    if cfg.record_trace:
-        tr_x = np.empty((group, runs, horizon, n))
-        tr_y = np.empty((group, runs, horizon, p))
-        tr_xs = np.empty((group, runs, horizon, n))
-        tr_xc = np.empty((group, runs, horizon, n))
-        tr_u = np.empty((group, runs, horizon, m))
-        tr_sig = np.empty((group, runs, horizon), dtype=np.int64)
-        tr_tau = np.empty((group, runs, horizon), dtype=np.int64)
-        tr_e = np.empty((group, runs, horizon, n))
-
+    record = cfg.record_trace
+    stream = record and on_block is not None
+    full = record and not stream
+    # time-major records, one block at a time; full traces are one block
+    rows = _TRACE_BLOCK_STEPS if stream else horizon
     guard = cfg.divergence_limit
     errctx = (np.errstate(over="ignore", invalid="ignore")
               if guard is None else contextlib.nullcontext())
 
+    chunk_end = 0
     with errctx:
-        k = 0
-        while k < horizon:
-            span = min(_CHUNK_STEPS, horizon - k)
-            w_z = np.empty((runs, span, n))
-            v_z = np.empty((runs, span, p))
-            zeta = np.empty((runs, span))
-            for r, (w_gen, v_gen, _, trig_gen) in enumerate(streams):
-                w_z[r] = w_gen.standard_normal((span, n))
-                v_z[r] = v_gen.standard_normal((span, p))
-                zeta[r] = trig_gen.random(span)
-            w_block = w_z @ w_factor.T
-            v_block = v_z @ v_factor.T
+        for first in range(0, horizon, rows):
+            stop = min(first + rows, horizon)
+            if record:
+                tr_sig = np.empty((stop - first, group, runs), dtype=np.int64)
+                tr_tau = np.empty((stop - first, group, runs), dtype=np.int64)
+                tr_x = np.empty((stop - first, group, runs, n))
+                tr_u = np.empty((stop - first, group, runs, m))
+                tr_e = np.empty((stop - first, group, runs, n))
+                if full:
+                    tr_xf = np.empty((horizon, runs, n))
+                    tr_v = np.empty((horizon, runs, p))
+            for k in range(first, stop):
+                if k == chunk_end:
+                    span = min(_CHUNK_STEPS, horizon - k)
+                    w_z = np.empty((runs, span, n))
+                    v_z = np.empty((runs, span, p))
+                    zeta = np.empty((span, runs))
+                    for r, (w_gen, v_gen, _, trig_gen) in enumerate(streams):
+                        w_z[r] = w_gen.standard_normal((span, n))
+                        v_z[r] = v_gen.standard_normal((span, p))
+                        zeta[:, r] = trig_gen.random(span)
+                    # per-run matmuls, then time-major: (span, runs, .)
+                    w_block = (w_z @ w_factor.T).transpose(1, 0, 2).copy()
+                    v_block = (v_z @ v_factor.T).transpose(1, 0, 2).copy()
+                    chunk_start, chunk_end = k, k + span
 
-            # (runs, .) draws broadcast over the (group, runs, .) state
-            for j in range(span):
-                v = v_block[:, j]
-                w = w_block[:, j]
-                eta = (xt_pred @ C.T + v) @ K.T
-                e_gap = e_filt @ A.T + eta
+                # (runs, .) estimator and draws broadcast over the
+                # (group, runs, .) trigger and plant state
+                j = k - chunk_start
+                v = v_block[j]
+                w = w_block[j]
+                eta = (xt_pred @ Ct + v) @ Kt
+                e_gap = e_filt @ At + eta
                 xt_filt = xt_pred - eta
-                hold = np.exp(-lam * np.einsum("...i,...i->...", e_gap, e_gap))
-                sigma = (zeta[:, j] > hold) | (tau == timeout)
+                hold = np.exp(neg_lam * np.einsum("...i,...i->...", e_gap, e_gap))
+                sigma = (zeta[j] > hold) | (tau == timeout)
                 tau = np.where(sigma, 0, tau + 1)
                 e_filt = np.where(sigma[..., None], 0.0, e_gap)
                 xhat_c = x - xt_filt - e_filt
-                u = -(xhat_c @ L.T)
-                if k >= cfg.burn_in:
+                u = -(xhat_c @ Lt)
+                if k >= burn_in:
                     sigma_count += sigma
                     cost_sum += (np.einsum("...i,ij,...j->...", x, Q, x)
                                  + np.einsum("...i,ij,...j->...", u, R, u))
-                if cfg.record_trace:
-                    tr_x[:, :, k] = x
-                    tr_y[:, :, k] = x @ C.T + v
-                    tr_xs[:, :, k] = x - xt_filt
-                    tr_xc[:, :, k] = xhat_c
-                    tr_u[:, :, k] = u
-                    tr_sig[:, :, k] = sigma
-                    tr_tau[:, :, k] = tau
-                    tr_e[:, :, k] = e_filt
-                x = x @ A.T + u @ B.T + w
-                xt_pred = xt_filt @ A.T + w
+                if record:
+                    i = k - first
+                    tr_sig[i] = sigma
+                    tr_tau[i] = tau
+                    tr_x[i] = x
+                    tr_u[i] = u
+                    tr_e[i] = e_filt
+                    if full:
+                        tr_xf[k] = xt_filt
+                        tr_v[k] = v
+                x = x @ At + u @ Bt + w
+                xt_pred = xt_filt @ At + w
                 if guard is not None:
                     peak = np.abs(x)
                     worst = float(peak.max())
@@ -278,18 +321,23 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                         g, r, _ = np.unravel_index(peak.argmax(), peak.shape)
                         raise DivergenceError(step=k + 1, run=run_ids[r],
                                               value=worst, lam=lams[g])
-                k += 1
+            if stream:
+                on_block(TraceBlock(first, tr_sig, tr_tau, tr_x, tr_u, tr_e))
 
-    window = horizon - cfg.burn_in
+    window = horizon - burn_in
     rates = sigma_count / window
     costs = cost_sum / window
     traces = None
-    if cfg.record_trace:
+    if full:
+        # the fields the loop need not carry, derived as it would have
+        tr_y = tr_x @ Ct + tr_v[:, None]
+        tr_xs = tr_x - tr_xf[:, None]
+        tr_xc = tr_xs - tr_e
         traces = tuple(
-            tuple(SimulationTrace(x=tr_x[g, r], y=tr_y[g, r], xhat_s=tr_xs[g, r],
-                                  xhat_c=tr_xc[g, r], u=tr_u[g, r],
-                                  sigma=tr_sig[g, r], tau=tr_tau[g, r],
-                                  e_filt=tr_e[g, r])
+            tuple(SimulationTrace(x=tr_x[:, g, r], y=tr_y[:, g, r],
+                                  xhat_s=tr_xs[:, g, r], xhat_c=tr_xc[:, g, r],
+                                  u=tr_u[:, g, r], sigma=tr_sig[:, g, r],
+                                  tau=tr_tau[:, g, r], e_filt=tr_e[:, g, r])
                   for r in range(runs))
             for g in range(group))
     return rates, costs, traces

@@ -5,6 +5,7 @@ exit codes, stdout/stderr and the artifact files.
 """
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import os
@@ -525,6 +526,23 @@ class TestSplitSweep:
         assert not list(out.glob("trace_*.csv"))
         assert not list(out.glob("*.part"))
 
+    def test_untraced_split_byte_identical_to_in_process(self, tmp_path,
+                                                         monkeypatch):
+        # traced groups no longer split their runs; untraced ones still do
+        doc = base_config(tmp_path / "unused",
+                          scheduler={"timeout": 6, "lambda_grid": [0.5, 2.0, 8.0]})
+        doc["simulation"] = {"runs": 6, "horizon": 150, "seed": 7,
+                             "burn_in": 10}
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
+        pools = self._split(monkeypatch)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "split")]) == 0
+        assert pools == [1]
+        split = self._artifacts(tmp_path / "split")
+        assert sorted(split) == ["analysis_0.5.json", "analysis_2.0.json",
+                                 "analysis_8.0.json", "tradeoff.csv"]
+        assert split == self._artifacts(tmp_path / "serial")
+
     def test_slices_cover_the_runs_in_order(self, bench_model, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
 
@@ -535,11 +553,11 @@ class TestSplitSweep:
                                 record_trace=record_trace)
             return cli._run_slices(sim_cfg, lams)
 
-        # the bundled sweep and trace_narrow split; narrow untraced does not
+        # the bundled sweep splits; narrow untraced does not, and a traced
+        # group never splits its runs: it simulates once, in one process
         assert slices(1000, 13, 2000) == [range(i * 125, (i + 1) * 125)
                                           for i in range(8)]
-        assert slices(8, 3, 20000, record_trace=True) == [
-            range(i, i + 2) for i in range(0, 8, 2)]
+        assert slices(8, 3, 20000, record_trace=True) == [range(8)]
         assert slices(8, 3, 20000) == [range(8)]
         steps = cli._SPLIT_MIN_RUN_STEPS
         for runs in range(1, 20):
@@ -594,3 +612,145 @@ class TestSplitSweep:
             cli._simulate_group(InlinePool(), None, None, None,
                                 [0.5, 2.0, 8.0], slices)
         assert (exc.value.step, exc.value.run) == (7, 7)
+
+
+class _CountingPool:
+    """A worker pool that keeps the futures of what it is given."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.futures = []
+
+    def __enter__(self):
+        self.pool.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self.pool.__exit__(*exc)
+
+    def submit(self, fn, *args):
+        future = self.pool.submit(fn, *args)
+        self.futures.append(future)
+        return future
+
+
+class _HeldPool(_CountingPool):
+    """A pool that starts nothing: its futures stay pending."""
+
+    def __init__(self):
+        super().__init__(contextlib.nullcontext())
+
+    def submit(self, fn, *args):
+        self.futures.append(concurrent.futures.Future())
+        return self.futures[-1]
+
+
+class TestStreamedTraces:
+    """A traced group simulates once, here; the pool formats its blocks.
+
+    Whatever the pool formats, and whatever this process takes back, the
+    sweep writes the in-process bytes.
+    """
+
+    @staticmethod
+    def _on_pool(monkeypatch, rows=None, held=False):
+        # every traced group opens the pool, with one worker
+        monkeypatch.setattr(cli, "_SPLIT_MIN_RUN_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        if rows is not None:
+            monkeypatch.setattr(simulation, "_TRACE_BLOCK_STEPS", rows)
+        pools = []
+        real = cli._worker_pool
+
+        def counted(workers):
+            assert workers == 1
+            pools.append(_HeldPool() if held else _CountingPool(real(workers)))
+            return pools[-1]
+
+        monkeypatch.setattr(cli, "_worker_pool", counted)
+        return pools
+
+    @staticmethod
+    def _sweep(tmp_path, name, runs, horizon, **sim):
+        doc = base_config(tmp_path / "unused",
+                          scheduler={"timeout": 6, "lambda_grid": [0.5, 2.0, 8.0]})
+        doc["simulation"] = {"runs": runs, "horizon": horizon, "seed": 7,
+                             "burn_in": 10, "record_trace": True, **sim}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / name
+        return main(["run", str(cfg), "--out-dir", str(out)]), out
+
+    def test_partial_last_block(self, tmp_path, monkeypatch):
+        # 2500 steps: a block of 2048, then one of 452
+        code, serial = self._sweep(tmp_path, "serial", runs=2, horizon=2500)
+        assert code == 0
+        pools = self._on_pool(monkeypatch)
+        code, streamed = self._sweep(tmp_path, "streamed", runs=2, horizon=2500)
+        assert code == 0
+        assert len(pools) == 1 and len(pools[0].futures) == 2
+        got = TestSplitSweep._artifacts(streamed)
+        assert len([n for n in got if n.startswith("trace_")]) == 6
+        assert got == TestSplitSweep._artifacts(serial)
+
+    def test_unsent_blocks_formatted_here(self, tmp_path, monkeypatch):
+        code, serial = self._sweep(tmp_path, "serial", runs=3, horizon=150)
+        assert code == 0
+        # ten blocks of 16 rows: the loop ends long before a worker starts,
+        # so this process formats most of them
+        pools = self._on_pool(monkeypatch, rows=16)
+        here = []
+        real = cli._trace_csv
+
+        def counted(trace, n, m, start=0):
+            here.append(start)
+            return real(trace, n, m, start)
+
+        monkeypatch.setattr(cli, "_trace_csv", counted)
+        code, streamed = self._sweep(tmp_path, "streamed", runs=3, horizon=150)
+        assert code == 0
+        sent = len(pools[0].futures)
+        assert 2 <= sent < 10
+        # nine traces per block, each block formatted once, here or there
+        assert len(here) == 9 * (10 - sent)
+        assert TestSplitSweep._artifacts(streamed) == TestSplitSweep._artifacts(serial)
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_divergence_exits_3_like_in_process(self, tmp_path, monkeypatch,
+                                                capsys, held):
+        # zero feedback leaves the unstable plant to cross the guard
+        real = cli.control_steady_state
+        monkeypatch.setattr(cli, "control_steady_state", lambda model: (
+            dataclasses.replace(real(model), L_inf=np.zeros((1, 2)))))
+        code, _ = self._sweep(tmp_path, "serial", runs=4, horizon=400)
+        assert code == 3
+        want = capsys.readouterr().err
+        assert "diverged" in want
+        pools = self._on_pool(monkeypatch, rows=16, held=held)
+        code, out = self._sweep(tmp_path, "streamed", runs=4, horizon=400)
+        assert code == 3
+        assert capsys.readouterr().err == want
+        futures = pools[0].futures
+        assert len(futures) >= 2  # blocks went out before the crossing
+        if held:
+            # blocks no worker started are cancelled
+            assert all(future.cancelled() for future in futures)
+        assert not list(out.glob("trace_*.csv"))
+        assert not list(out.glob("*.part"))
+
+    def test_traced_groups_open_the_pool_by_the_split_rule(self, bench_model,
+                                                           monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+
+        def processes(runs, lams, horizon, record_trace):
+            sim_cfg = SimConfig(model=bench_model,
+                                params=SchedulerParams(lam=1.0, timeout=6),
+                                horizon=horizon, runs=runs, seed=1, burn_in=0,
+                                record_trace=record_trace)
+            return cli._processes(sim_cfg, lams)
+
+        # trace_narrow: one process simulates, seven format
+        assert processes(8, 3, 20000, True) == 8
+        assert processes(8, 3, 20000, False) == 1
+        steps = cli._SPLIT_MIN_RUN_STEPS // cli._TRACE_RUN_STEP_WEIGHT
+        assert processes(1, 1, steps, True) == 8
+        assert processes(1, 1, steps - 1, True) == 1

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from etlqg import (ConvergenceError, NumericalError, SystemModel,
-                   eta_covariance, initial_filter_state, kf_predict,
-                   kf_steady_state, kf_update)
-from etlqg.estimation import FilterState
+from etlqg import (ConvergenceError, NumericalError, SystemModel, control,
+                   control_steady_state, estimation, eta_covariance,
+                   initial_filter_state, kf_predict, kf_steady_state, kf_update)
+from etlqg.estimation import (ARE_MAX_ITER, ARE_STALL_WINDOW, ARE_TOL,
+                              FilterState, fixed_point)
 from etlqg.model import psd_sqrt
 
 from conftest import (BENCH_F_INF, BENCH_K_INF, BENCH_P_INF, BENCH_PI_ETA,
-                      GOLDEN_F, GOLDEN_GAIN, PHI)
+                      GOLDEN_F, GOLDEN_GAIN, PHI, random_valid_model)
 
 
 def _simple_model(n=2):
@@ -134,6 +135,63 @@ class TestSteadyState:
             kf_steady_state(bench_model, max_iterations=3)
         assert "steady-state filter iteration" in str(err.value)
         assert err.value.residual > 0
+
+
+def fixed_point_to_the_cap(step, start, label, tol=ARE_TOL,
+                           max_iterations=ARE_MAX_ITER):
+    """fixed_point without its stall window: it stops at tol or the cap."""
+    X = start
+    delta = np.inf
+    for it in range(1, max_iterations + 1):
+        X_next = step(X)
+        delta = float(np.max(np.abs(X_next - X)))
+        X = X_next
+        if delta < tol:
+            return X, it
+    raise ConvergenceError(label, delta, max_iterations)
+
+
+def _solves(model):
+    return kf_steady_state(model), control_steady_state(model)
+
+
+class TestStalledFixedPoint:
+    """A fixed point that stops improving fails fast; others are untouched."""
+
+    @staticmethod
+    def _stalled_model():
+        # draw 6: its filter residual hovers near 1e-4 for 10**6 iterations
+        rng = np.random.default_rng(20261018)
+        return [random_valid_model(rng, n_max=10) for _ in range(7)][6]
+
+    def test_stalled_iteration_raises_early(self):
+        with pytest.raises(ConvergenceError) as err:
+            kf_steady_state(self._stalled_model())
+        assert "steady-state filter iteration" in str(err.value)
+        assert ARE_STALL_WINDOW < err.value.iterations < 5 * ARE_STALL_WINDOW
+        assert err.value.residual > ARE_TOL
+
+    def test_slow_monotone_iteration_is_not_a_stall(self):
+        X, it = fixed_point(lambda X: 0.999 * X, np.ones(1), "slow")
+        assert it > 20 * ARE_STALL_WINDOW
+        assert X[0] < 1e-9
+
+    def test_converging_models_keep_iterations_and_bytes(self, bench_model,
+                                                         monkeypatch):
+        rng = np.random.default_rng(20261017)
+        models = [bench_model] + [random_valid_model(rng) for _ in range(30)]
+        rng = np.random.default_rng(20261018)
+        models += [random_valid_model(rng, n_max=10) for _ in range(6)]
+        got = [_solves(model) for model in models]
+        monkeypatch.setattr(estimation, "fixed_point", fixed_point_to_the_cap)
+        monkeypatch.setattr(control, "fixed_point", fixed_point_to_the_cap)
+        for model, solves in zip(models, got):
+            for a, b in zip(solves, _solves(model)):
+                for name, value in vars(b).items():
+                    if isinstance(value, np.ndarray):
+                        assert getattr(a, name).tobytes() == value.tobytes()
+                    else:
+                        assert getattr(a, name) == value
 
 
 class TestEtaCovariance:

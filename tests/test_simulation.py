@@ -23,15 +23,18 @@ from etlqg import (
     SimulationTrace,
     aggregate_runs,
     conditional_error_cov,
+    control_steady_state,
     gaussian_draw,
     infinite_horizon_cost,
+    kf_steady_state,
     riccati_backward,
     run_closed_loop,
     run_experiment,
     transition_matrix,
 )
 
-from conftest import BENCH_TIMEOUT
+from closed_loop_oracle import reference_closed_loop_grid
+from conftest import BENCH_TIMEOUT, random_valid_model
 
 
 def _cfg(model, lam=1.0, timeout=BENCH_TIMEOUT, **kw):
@@ -562,3 +565,107 @@ def test_errors_survive_pickle(error):
     assert type(back) is type(error)
     assert vars(back) == vars(error)
     assert str(back) == str(error)
+
+
+def _assert_same_bits(got, want):
+    # tobytes, not assert_array_equal: that treats -0.0 as 0.0, and a trace
+    # CSV writes the two differently
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _run_both(cfg, filt, ctrl, lams):
+    """(engine, oracle) results, or their DivergenceErrors."""
+    out = []
+    for fn in (sim.run_closed_loop_grid, reference_closed_loop_grid):
+        try:
+            out.append(fn(cfg, filt, ctrl, lams))
+        except DivergenceError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_matches_oracle(got, want):
+    if isinstance(want, DivergenceError):
+        assert isinstance(got, DivergenceError)
+        assert vars(got) == vars(want)
+        return
+    for a, b in zip(got[:2], want[:2]):
+        _assert_same_bits(a, b)
+    if want[2] is None:
+        assert got[2] is None
+        return
+    assert len(got[2]) == len(want[2])
+    for row_got, row_want in zip(got[2], want[2]):
+        assert len(row_got) == len(row_want)
+        for a, b in zip(row_got, row_want):
+            for field in dataclasses.fields(SimulationTrace):
+                _assert_same_bits(getattr(a, field.name), getattr(b, field.name))
+
+
+class TestOracle:
+    """The engine equals the old run-major loop bit for bit.
+
+    reference_closed_loop_grid (tests/closed_loop_oracle.py) is the loop
+    before the estimator left the lambda axis and the traces turned
+    time-major. Rates, costs and every trace field must keep their bytes,
+    -0.0 included.
+    """
+
+    LAMS = {1: [1.0], 3: GRID, 13: [0.01 * 10**(k / 3) for k in range(13)]}
+
+    @pytest.mark.parametrize("runs", [1, 2, 3, 7])
+    @pytest.mark.parametrize("group", [1, 3, 13])
+    @pytest.mark.parametrize("burn_in,chunk", [(0, None), (20, 7)])
+    def test_bundled_model(self, bench_model, bench_filter, bench_control,
+                           monkeypatch, runs, group, burn_in, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(sim, "_CHUNK_STEPS", chunk)
+        cfg = _cfg(bench_model, runs=runs, horizon=300, burn_in=burn_in,
+                   record_trace=True)
+        got, want = _run_both(cfg, bench_filter, bench_control,
+                              self.LAMS[group])
+        _assert_matches_oracle(got, want)
+
+    def test_random_models(self):
+        rng = np.random.default_rng(20261018)
+        runs_cycle = [1, 2, 3, 7]
+        for i in range(12):
+            model = random_valid_model(rng)
+            filt, ctrl = kf_steady_state(model), control_steady_state(model)
+            cfg = SimConfig(model=model,
+                            params=SchedulerParams(lam=1.0, timeout=7),
+                            horizon=157, runs=runs_cycle[i % 4], seed=i,
+                            burn_in=20 * (i % 2), record_trace=i % 3 != 2)
+            with pytest.MonkeyPatch.context() as mp:
+                if i % 2:
+                    mp.setattr(sim, "_CHUNK_STEPS", 7)
+                got, want = _run_both(cfg, filt, ctrl, self.LAMS[[1, 3, 13][i % 3]])
+            _assert_matches_oracle(got, want)
+
+    @pytest.mark.parametrize("runs,group,block", [(1, 1, 2048), (2, 3, 2048),
+                                                  (3, 13, 256), (7, 3, 333)])
+    def test_streamed_blocks(self, bench_model, bench_filter, bench_control,
+                             monkeypatch, runs, group, block):
+        # 2100 steps: a partial chunk of 256 and a partial block of 2048
+        monkeypatch.setattr(sim, "_TRACE_BLOCK_STEPS", block)
+        cfg = _cfg(bench_model, runs=runs, horizon=2100, burn_in=20,
+                   record_trace=True)
+        lams = self.LAMS[group]
+        blocks = []
+        rates, costs, traces = sim.run_closed_loop_grid(
+            cfg, bench_filter, bench_control, lams, on_block=blocks.append)
+        assert traces is None
+        want = reference_closed_loop_grid(cfg, bench_filter, bench_control, lams)
+        _assert_same_bits(rates, want[0])
+        _assert_same_bits(costs, want[1])
+        starts = list(range(0, 2100, block))
+        assert [b.start for b in blocks] == starts
+        assert [len(b.sigma) for b in blocks] == [
+            min(block, 2100 - s) for s in starts]
+        for name in ("sigma", "tau", "x", "u", "e_filt"):
+            whole = np.concatenate([getattr(b, name) for b in blocks])
+            for g in range(group):
+                for r in range(runs):
+                    _assert_same_bits(whole[:, g, r].copy(),
+                                      getattr(want[2][g][r], name))

@@ -18,9 +18,8 @@ from .estimation import (FilterState, SteadyStateFilter, eta_covariance,
                          kf_update)
 from .scheduling import (SchedulerState, advance_tau, initial_scheduler_state,
                          trigger_decision)
-from .analysis import (ConditionalErrorCov, CumulativeErrorCov, MarkovAnalysis,
-                       analysis_record, conditional_error_cov, cumulative_cov,
-                       nontrigger_probability, stationary_distribution,
+from .analysis import (ConditionalErrorCov, MarkovAnalysis, analysis_record,
+                       conditional_error_cov, stationary_distribution,
                        transition_matrix)
 from .control import (ControlSynthesis, CostBreakdown, TradeoffPoint,
                       control_action, control_steady_state, cost_tradeoff_curve,
@@ -44,10 +43,8 @@ __all__ = [
     "initial_filter_state", "kf_predict", "kf_steady_state", "kf_update",
     "SchedulerState", "advance_tau", "initial_scheduler_state",
     "trigger_decision",
-    "ConditionalErrorCov", "CumulativeErrorCov", "MarkovAnalysis",
-    "analysis_record", "conditional_error_cov",
-    "cumulative_cov", "nontrigger_probability", "stationary_distribution",
-    "transition_matrix",
+    "ConditionalErrorCov", "MarkovAnalysis", "analysis_record",
+    "conditional_error_cov", "stationary_distribution", "transition_matrix",
     "ControlSynthesis", "CostBreakdown", "TradeoffPoint", "control_action",
     "control_steady_state", "cost_tradeoff_curve", "finite_horizon_cost",
     "infinite_horizon_cost", "riccati_backward",

@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_to_dict, default_config_path, load_config
+from .config import (ExperimentConfig, config_from_dict, config_to_dict,
+                     default_config_path, load_config)
 from .control import control_steady_state, cost_tradeoff_curve
 from .errors import (ConfigError, ConvergenceError, DivergenceError, EtlqgError,
                      ModelError, NumericalError, ValidationFailure)
@@ -281,29 +282,17 @@ unset multiplot
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError(f"simulation.seed: must be >= 0, got {args.seed}")
-        updates["seed"] = args.seed
-    if getattr(args, "runs", None) is not None:
-        if args.runs < 0:
-            raise ConfigError(f"simulation.runs: must be >= 0, got {args.runs}")
-        updates["runs"] = args.runs
-    if getattr(args, "horizon", None) is not None:
-        if args.horizon < 1:
-            raise ConfigError(
-                f"simulation.horizon: must be >= 1, got {args.horizon}")
-        if cfg.burn_in >= args.horizon:
-            raise ConfigError(
-                "simulation.burn_in: must be < horizon "
-                f"({cfg.burn_in} >= {args.horizon})")
-        updates["horizon"] = args.horizon
-    if getattr(args, "out_dir", None) is not None:
-        updates["out_dir"] = args.out_dir
+    """Flags replace their config fields and pass the same checks."""
+    doc = config_to_dict(cfg)
+    for block, field, flag in (("simulation", "seed", "seed"),
+                               ("simulation", "runs", "runs"),
+                               ("simulation", "horizon", "horizon"),
+                               ("output", "directory", "out_dir")):
+        if getattr(args, flag, None) is not None:
+            doc[block][field] = getattr(args, flag)
     if getattr(args, "plot_script", False):
-        updates["emit_plot_data"] = True
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+        doc["output"]["emit_plot_data"] = True
+    return config_from_dict(doc)
 
 
 def _write_manifest(cfg: ExperimentConfig, out_dir: Path):

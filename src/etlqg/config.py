@@ -63,18 +63,31 @@ def _reject_unknown(block: dict, allowed, where: str):
         raise ConfigError(f"{where}.{unknown[0]}: unknown field")
 
 
+_SHAPES = {0: "a number", 1: "a list of numbers", 2: "nested lists of numbers"}
+
+
+def _numbers(value, where: str, ndims=(0,)) -> np.ndarray:
+    """value as a float array with one of the given ndims. YAML reads
+    true/yes/on as booleans, which are refused, and 1e-2 as a string, which
+    float() takes."""
+    try:
+        arr = np.array(value, dtype=object)
+        bools = [v for v in arr.flat if isinstance(v, bool)]
+        arr = arr.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: not numeric ({exc})") from None
+    if bools or arr.ndim not in ndims:
+        expected = " or ".join(_SHAPES[d] for d in ndims)
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    return arr
+
+
 def _matrix(block: dict, name: str, required=True):
     if name not in block:
         if required:
             raise ConfigError(f"model.{name}: required matrix missing")
         return None
-    try:
-        arr = np.array(block[name], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.{name}: not a numeric array ({exc})") from exc
-    if arr.ndim not in (1, 2):
-        raise ConfigError(f"model.{name}: expected 1-D or 2-D nested lists")
-    return arr
+    return _numbers(block[name], f"model.{name}", (1, 2))
 
 
 def _int_field(block: dict, name: str, default, where: str, minimum=None):
@@ -110,13 +123,10 @@ def _expand_lambda_grid(raw) -> tuple[float, ...]:
         missing = [k for k in ("min", "max", "count") if k not in raw]
         if missing:
             raise ConfigError(f"{where}.{missing[0]}: required for log-spaced grid")
-        lo, hi, count = raw["min"], raw["max"], raw["count"]
+        count = raw["count"]
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ConfigError(f"{where}.count: expected a positive integer")
-        try:
-            lo, hi = float(lo), float(hi)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: min/max must be numbers") from None
+        lo, hi = (float(_numbers(raw[k], f"{where}.{k}")) for k in ("min", "max"))
         if not 0 < lo or not np.isfinite(lo) or not np.isfinite(hi):
             raise ConfigError(f"{where}: min must be positive and finite")
         if count == 1:
@@ -129,10 +139,7 @@ def _expand_lambda_grid(raw) -> tuple[float, ...]:
             grid = np.logspace(np.log10(lo), np.log10(hi), count)
         values = tuple(float(v) for v in grid)
     elif isinstance(raw, (list, tuple)):
-        try:
-            values = tuple(float(v) for v in raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: entries must be numbers") from None
+        values = tuple(float(v) for v in _numbers(raw, where, (1,)))
     else:
         raise ConfigError(f"{where}: expected a list or a {{min,max,count}} mapping")
     if not values:
@@ -159,8 +166,11 @@ def load_config(path) -> ExperimentConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"config file: {exc}") from exc
-    doc = _parse_document(text, str(path))
+    return config_from_dict(_parse_document(text, str(path)))
 
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Validate config blocks given as plain data; inverts config_to_dict."""
     for required in ("model", "scheduler"):
         if required not in doc:
             raise ConfigError(f"{required}: required block missing")

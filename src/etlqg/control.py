@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import MarkovAnalysis, conditional_error_cov, transition_matrix
+from .analysis import (MarkovAnalysis, chain_step, conditional_error_cov,
+                       transition_matrix)
 from .errors import ModelError
 from .estimation import (ARE_MAX_ITER, ARE_TOL, SteadyStateFilter, fixed_point,
                          kalman_gain, kf_steady_state)
@@ -123,10 +124,10 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
 
     Sums the terminal/initial terms and, per step, the disturbance term, the
     filtering term and the trigger penalty weighted by the transient counter
-    distribution (started from the step-0 trigger outcome and pushed through
-    the transition matrix). With use_steady_filter_cov the filtering term
-    uses the steady updated covariance; otherwise the transient filter
-    covariances are recomputed from the initial covariance.
+    distribution: counter 0 pushed through each step's trigger, the step-0
+    one first, by `chain_step` in O(T). With use_steady_filter_cov the
+    filtering term uses the steady updated covariance; otherwise the
+    transient filter covariances are recomputed from the initial covariance.
     """
     if cs.S_seq is None or cs.L_seq is None:
         raise ModelError("finite_horizon_cost needs the finite-horizon recursion")
@@ -140,11 +141,10 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
     if not use_steady_filter_cov:
         filt_covs = _transient_filter_covs(model, N)
 
-    T = ma.timeout
-    dist = np.zeros(T + 1)
-    dist[0] = ma.p_i0[0]
-    dist[1] = 1.0 - ma.p_i0[0]
+    dist = np.zeros(ma.timeout + 1)
+    dist[0] = 1.0
     for k in range(N):
+        dist = chain_step(dist, ma.p_i0)
         S_next = cs.S_seq[k + 1]
         L = cs.L_seq[k]
         G = model.B.T @ S_next @ model.B + model.R
@@ -153,7 +153,6 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
         total += float(np.trace(S_next @ model.W))
         total += float(np.trace(P_filt @ M))
         total += float(np.einsum("i,ijk,kj->", dist, ma.sigmas, M))
-        dist = dist @ ma.P_lambda
     return total
 
 

@@ -1,6 +1,6 @@
 """Tests for the trigger-chain analysis layer.
 
-Covers the stacked error covariance, per-age hold probabilities, the
+Covers the stacked error covariance oracle, per-age hold probabilities, the
 renewal Markov chain, its stationary distribution, and the conditional
 error covariance recursion.  Hand-computed scalar values come from the
 all-ones model where every quantity collapses to golden-ratio algebra.
@@ -14,18 +14,25 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from etlqg import (
+    ConditionalErrorCov,
     ModelError,
     NumericalError,
     analysis_record,
     conditional_error_cov,
-    cumulative_cov,
     kf_steady_state,
-    nontrigger_probability,
     stationary_distribution,
     transition_matrix,
 )
+from etlqg.analysis import chain_step
 from etlqg.model import psd_sqrt
 
+from chain_oracle import (
+    balance_solve,
+    crosschecked_stationary,
+    cumulative_cov,
+    dense_transition_matrix,
+    nontrigger_probability,
+)
 from conftest import (
     BENCH_P98_LAM1_T100,
     GOLDEN_P00,
@@ -161,14 +168,15 @@ class TestTransitionMatrix:
         assert ma.p_i0[1] == pytest.approx(GOLDEN_P10, abs=1e-12)
         assert ma.p_i0[2] == 1.0
 
-        assert ma.P_lambda.shape == (3, 3)
-        np.testing.assert_allclose(ma.P_lambda.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(ma.P_lambda[:, 0], ma.p_i0, atol=1e-15)
+        P = dense_transition_matrix(ma.p_i0)
+        assert P.shape == (3, 3)
+        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(P[:, 0], ma.p_i0, atol=1e-15)
         # only the reset column and the survival superdiagonal are populated
         mask = np.zeros((3, 3), dtype=bool)
         mask[:, 0] = True
         mask[0, 1] = mask[1, 2] = True
-        assert np.all(ma.P_lambda[~mask] == 0.0)
+        assert np.all(P[~mask] == 0.0)
 
     def test_probabilities_within_unit_interval(self, bench_model, bench_filter):
         for lam in (0.01, 1.0, 100.0, 1e6):
@@ -251,7 +259,7 @@ class TestStationaryDistribution:
         ma = transition_matrix(conditional_error_cov(
             bench_filter, bench_model.A, [1.0], 50)[0])
         pi = ma.pi
-        assert np.abs(pi @ ma.P_lambda - pi).max() <= 1e-10
+        assert np.abs(pi @ dense_transition_matrix(ma.p_i0) - pi).max() <= 1e-10
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pi > 0.0)
 
@@ -260,11 +268,7 @@ class TestStationaryDistribution:
         timeout = 30
         p = np.full(timeout + 1, 0.3)
         p[timeout] = 1.0
-        P = np.zeros((timeout + 1, timeout + 1))
-        P[:, 0] = p
-        for i in range(timeout):
-            P[i, i + 1] = 1.0 - p[i]
-        pi = stationary_distribution(p, P)
+        pi = stationary_distribution(p)
         ratios = pi[1:] / pi[:-1]
         np.testing.assert_allclose(ratios, 0.7, rtol=1e-12)
         expected_rate = 1.0 / np.cumprod(np.r_[1.0, np.full(timeout, 0.7)]).sum()
@@ -272,28 +276,57 @@ class TestStationaryDistribution:
 
     def test_certain_timeout_chain_is_uniform(self):
         p = np.array([0.0, 0.0, 0.0, 1.0])
-        P = np.zeros((4, 4))
-        P[:, 0] = p
-        for i in range(3):
-            P[i, i + 1] = 1.0 - p[i]
-        np.testing.assert_allclose(stationary_distribution(p, P), 0.25, atol=1e-14)
+        np.testing.assert_allclose(stationary_distribution(p), 0.25, atol=1e-14)
 
     def test_inconsistent_chain_detected(self):
-        # reset column disagrees with the survival structure
+        # the dense oracle's reset column disagrees with the survival structure
         p = np.array([0.3, 0.3, 1.0])
         P = np.zeros((3, 3))
         P[:, 0] = [0.6, 0.6, 1.0]
         P[0, 1] = 0.4
         P[1, 2] = 0.4
         with pytest.raises(NumericalError):
-            stationary_distribution(p, P)
+            crosschecked_stationary(p, P)
 
     def test_singular_balance_system_detected(self):
         # two closed classes: the balance equations have no unique solution
         p = np.array([1.0, 0.0, 1.0])
         P = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         with pytest.raises(NumericalError, match="cross-check"):
-            stationary_distribution(p, P)
+            crosschecked_stationary(p, P)
+
+    @pytest.mark.parametrize("timeout", [2, 50, 1000])
+    def test_matches_lu_balance_solve(self, bench_model, bench_filter, timeout):
+        cases = [(bench_filter, bench_model.A, timeout)]
+        rng = np.random.default_rng(20261019)
+        for _ in range(10):
+            model = random_valid_model(rng)
+            cases.append((kf_steady_state(model), model.A, int(rng.integers(1, 21))))
+        for filt, A, T in cases:
+            for cec in conditional_error_cov(filt, A, [1e-6, 1.0, 1e6], T):
+                ma = transition_matrix(cec)
+                P = dense_transition_matrix(ma.p_i0)
+                np.testing.assert_allclose(ma.pi, balance_solve(P),
+                                           rtol=0, atol=1e-14)
+                np.testing.assert_allclose(chain_step(ma.pi, ma.p_i0), ma.pi @ P,
+                                           rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("where", [0, 3, 5])
+    def test_nan_probability_rejected(self, bench_model, bench_filter, where):
+        cec, = conditional_error_cov(bench_filter, bench_model.A, [1.0], 5)
+        p_i0 = cec.p_i0.copy()
+        p_i0[where] = np.nan
+        with pytest.raises(NumericalError, match="lambda=1.0"):
+            transition_matrix(ConditionalErrorCov(cec.sigmas, p_i0, cec.lam))
+
+    def test_chain_without_certain_timeout_rejected(self, bench_model,
+                                                    bench_filter):
+        # p_i0[T] < 1 leaks mass past the timeout: pi no longer balances
+        cec, = conditional_error_cov(bench_filter, bench_model.A, [1.0], 5)
+        p_i0 = cec.p_i0.copy()
+        p_i0[-1] = 0.5
+        with pytest.raises(NumericalError, match="balance"):
+            transition_matrix(ConditionalErrorCov(cec.sigmas, p_i0, cec.lam))
 
 
 class TestTelescoping:
@@ -374,6 +407,14 @@ class TestLambdaGrid:
     def test_invalid_grid_point_rejected(self, bench_model, bench_filter):
         with pytest.raises(ModelError, match="lam"):
             conditional_error_cov(bench_filter, bench_model.A, [1.0, 0.0], 5)
+
+    @pytest.mark.parametrize("timeout", [1, 50])
+    def test_overflowing_grid_point_named(self, bench_model, bench_filter,
+                                          timeout):
+        # 2 lam overflows at lam = 1e308: NaN must not pass the range check
+        with pytest.raises(NumericalError, match=r"lambda=1e\+308"):
+            conditional_error_cov(bench_filter, bench_model.A,
+                                  [1.0, 1e308, 2.0], timeout)
 
 
 def mpmath_pass(A, Pi_eta, lam, timeout, dps=60):

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -443,8 +444,67 @@ class TestConfigErrors:
         assert "simulation.seed: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_out_dir_flag(self, tmp_path, capsys, monkeypatch):
+        # the config rejects an empty output.directory; so must the flag,
+        # before anything is written into the working directory
+        cfg = write_config(tmp_path, base_config(tmp_path / "out"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze-only", str(cfg), "--out-dir", ""]) == 1
+        assert ("output.directory: expected a nonempty string"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+    @pytest.mark.parametrize("field, old, new", [
+        ("scheduler.lambda_grid", "{min: 0.01, max: 100.0, count: 13}",
+         "[true, 2.0]"),
+        ("scheduler.lambda_grid", "{min: 0.01, max: 100.0, count: 13}",
+         "[yes, 2.0]"),
+        ("scheduler.lambda_grid", "{min: 0.01, max: 100.0, count: 13}",
+         "[0.5, on]"),
+        ("scheduler.lambda_grid.max", "max: 100.0", "max: true"),
+        ("scheduler.lambda_grid.min", "min: 0.01", "min: yes"),
+        ("model.A", "[[1.2, 1.0]", "[[1.2, true]"),
+    ])
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, field, old, new):
+        text = default_config_path().read_text()
+        assert old in text
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(text.replace(old, new))
+        assert main(["validate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{field}: expected " in err
+        assert "True" in err
+
+    def test_numeric_strings_still_load(self, tmp_path):
+        # PyYAML reads 1e-2 (no dot) as the string '1e-2'
+        text = default_config_path().read_text()
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(text.replace("{min: 0.01, max: 100.0, count: 13}",
+                                    "[1e-2, 2.0]")
+                           .replace("[[1.2, 1.0]", "[[1.2, 1e0]"))
+        loaded = load_config(cfg)
+        assert loaded.lambda_grid == (0.01, 2.0)
+        assert loaded.model.A[0, 1] == 1.0
+        cfg.write_text(text.replace("{min: 0.01, max: 100.0, count: 13}",
+                                    "{min: 1e-2, max: 1e2, count: 3}"))
+        assert load_config(cfg).lambda_grid == (0.01, 1.0, 100.0)
+
 
 class TestSolverFailureExit:
+    @pytest.mark.parametrize("command", ["analyze-only", "run"])
+    def test_overflowing_lambda_exits_3(self, tmp_path, capsys, command):
+        # 2 * 1e308 overflows: the pass yields NaN, which used to pass the
+        # range check and reach tradeoff.csv and the JSON artifacts
+        out = tmp_path / "out"
+        doc = base_config(out, scheduler={"timeout": 6,
+                                          "lambda_grid": [1.0, 1e308]})
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(cfg)]) == 3
+        assert "lambda=1e+308" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_nonconvergence_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(model, *a, **kw):
             raise ConvergenceError("steady-state filter iteration",

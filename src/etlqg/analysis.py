@@ -66,6 +66,22 @@ def _logdet_shifted(matrix: np.ndarray, lam) -> np.ndarray:
     return np.sum(np.log1p(2.0 * np.asarray(lam)[..., None] * eigs), axis=-1)
 
 
+def _solve_grid(M: np.ndarray, B: np.ndarray, lams, age: int) -> np.ndarray:
+    """np.linalg.solve(M, B), batched over the grid; a singular M[g] (2 lam N
+    overflowing inside the LU) raises NumericalError naming lams[g]."""
+    try:
+        return np.linalg.solve(M, B)
+    except np.linalg.LinAlgError:
+        for g, lam in enumerate(lams):
+            try:
+                np.linalg.solve(M[g], B[g])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"lambda={lam!r}: I + 2 lambda N is singular at age "
+                    f"{age}: {exc}") from None
+        raise
+
+
 def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
                           timeout: int) -> list[ConditionalErrorCov]:
     """The conditioning pass over a lambda grid, one result per lambda.
@@ -76,7 +92,8 @@ def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
     so a lambda gets the same bits alone as in any grid. Accurate from
     lam = 1e-6 to 1e6, tested up to timeout 1000, and free of the O(1/lam)
     cancellation of the subtraction form (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1.
-    A lambda so large that 2 lam N overflows raises NumericalError naming it.
+    A lambda so large that 2 lam N overflows, or makes the solve singular,
+    raises NumericalError naming it.
     """
     lams = [SchedulerParams(lam, timeout).lam for lam in lams]
     A = np.asarray(A, dtype=float)
@@ -89,8 +106,8 @@ def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
         for k in range(timeout):
             inner = symmetrize(A @ sigmas[:, k] @ A.T + ss.Pi_eta)
             ld[:, k] = _logdet_shifted(inner, lam)
-            sigmas[:, k + 1] = symmetrize(
-                np.linalg.solve(eye + 2.0 * lam[:, None, None] * inner, inner))
+            sigmas[:, k + 1] = symmetrize(_solve_grid(
+                eye + 2.0 * lam[:, None, None] * inner, inner, lams, k))
     p_i0 = np.ones((len(lams), timeout + 1))
     p_i0[:, :timeout] = -np.expm1(-0.5 * ld)
     ok = ((p_i0 >= -_PROB_SLACK) & (p_i0 <= 1 + _PROB_SLACK)).all(axis=1)

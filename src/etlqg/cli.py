@@ -51,23 +51,23 @@ TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
 # etlqg, return) took 0.40-0.46 s on a 2-vCPU host. There, splitting an
 # untraced bundled-model sweep broke even near 8e6 lambda-run-steps
 # (13 x 32 x 20000: 2.9 s either way; 13 x 64 x 20000: 4.8 s -> 3.8 s), and
-# a traced one near 2.4e5, where formatting the trace rows dominates; so a
-# traced run-step counts _TRACE_RUN_STEP_WEIGHT times. The tier-1 CLI tests
-# and the small CI smoke run stay in-process.
+# streaming a traced one to the pool near 3e5, where its workers format the
+# trace rows (3 x 5 x 20000: 2.0 s either way; 3 x 7 x 20000: 2.1 s -> 1.9
+# s; 3 x 8 x 20000: 2.2-2.4 s -> 1.9-2.1 s; medians of 5-9); so a traced
+# run-step counts _TRACE_RUN_STEP_WEIGHT times. The tier-1 CLI tests and the
+# small CI smoke run stay in-process.
 _SPLIT_MIN_RUN_STEPS = 8_000_000
-_TRACE_RUN_STEP_WEIGHT = 40
+_TRACE_RUN_STEP_WEIGHT = 25
 # Trace blocks a worker holds at once, queued or being formatted; the rest
 # wait in the simulating process, which formats them itself if the loop
 # ends first.
 _BLOCKS_PER_WORKER = 2
 # The pool's threads move each block and its text through pipes 64 KiB at a
-# time, taking the GIL for each piece; at the default 5 ms switch interval,
-# and behind one long '%' call, a block's text took 0.1-0.2 s to come back,
-# and its worker waited. While a traced group streams, this process yields
-# the GIL within _STREAM_SWITCH_S and formats _FORMAT_ROWS rows per '%':
+# time, taking the GIL for each piece; at the default 5 ms switch interval a
+# block's text took 0.1-0.2 s to come back, and its worker waited. While a
+# traced group streams, this process yields the GIL within _STREAM_SWITCH_S:
 # a block then came back in about 25 ms.
 _STREAM_SWITCH_S = 1e-4
-_FORMAT_ROWS = 256
 
 
 def _fmt(value) -> str:
@@ -98,26 +98,23 @@ def _trace_csv(trace, n: int, m: int, start: int = 0) -> str:
 
     trace holds sigma, tau, x, u and e_filt indexed by step - start: a
     SimulationTrace, or one run of a TraceBlock. The header comes first
-    when start is 0.
+    when start is 0. k, sigma and tau are '%d' cells and the rest '%.17g'
+    cells, the bytes of _fmt (see csvtext). The CLI passes one block of
+    rows at a time, which bounds the memory of the formatting.
     """
+    # imported here, so that runs without traces do not load the formatter
+    from .csvtext import format_rows
+
     rows = trace.sigma.shape[0]
-    steps = np.arange(start, start + rows)
-    row = "%d,%d,%d" + ",%.17g" * (2 * n + m) + "\n"
-    parts = []
+    header = ""
     if start == 0:
         cols = (["k", "sigma", "tau"] + [f"x{i + 1}" for i in range(n)]
                 + [f"u{i + 1}" for i in range(m)] + [f"e{i + 1}" for i in range(n)])
-        parts.append(",".join(cols) + "\n")
-    # One '%' per _FORMAT_ROWS rows; '%.17g' % v gives the bytes of _fmt(v).
-    # k, sigma and tau are integers below 2**53, so the float table holds
-    # them exactly.
-    for first in range(0, rows, _FORMAT_ROWS):
-        part = slice(first, first + _FORMAT_ROWS)
-        table = np.column_stack([steps[part], trace.sigma[part], trace.tau[part],
-                                 trace.x[part], trace.u[part],
-                                 trace.e_filt[part]])
-        parts.append((row * len(table)) % tuple(table.ravel().tolist()))
-    return "".join(parts)
+        header = ",".join(cols) + "\n"
+    ints = np.column_stack([np.arange(start, start + rows), trace.sigma,
+                            trace.tau])
+    floats = np.column_stack([trace.x, trace.u, trace.e_filt])
+    return header + format_rows(ints, floats)
 
 
 def _format_block(block: TraceBlock, n: int, m: int) -> list[str]:
@@ -305,14 +302,14 @@ def _write_manifest(cfg: ExperimentConfig, out_dir: Path):
 
 def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
     validate_and_report(cfg)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     model = cfg.model
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
     points = cost_tradeoff_curve(model, cfg.lambda_grid, cfg.timeout,
                                  ss=filt, cs=ctrl)
+    # made only now, so that a sweep failing in analysis leaves nothing
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
 

@@ -503,7 +503,21 @@ class TestSolverFailureExit:
             warnings.simplefilter("error")
             assert main([command, str(cfg)]) == 3
         assert "lambda=1e+308" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze-only", "run"])
+    def test_singular_conditioning_solve_exits_3(self, tmp_path, capsys,
+                                                 command):
+        # at 1e306, 2 lambda N overflows inside the batched LU, which numpy
+        # reports as a singular matrix for the whole grid
+        out = tmp_path / "out"
+        doc = base_config(out, scheduler={"timeout": 6,
+                                          "lambda_grid": [1.0, 1e306]})
+        cfg = write_config(tmp_path, doc)
+        assert main([command, str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "lambda=1e+306: " in err
+        assert not out.exists()
 
     def test_nonconvergence_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(model, *a, **kw):

@@ -19,7 +19,6 @@ Exit codes: 0 success, 1 invalid config, 2 model validation failure,
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import dataclasses
 import json
@@ -46,28 +45,13 @@ from .simulation import (SimConfig, TraceBlock, aggregate_runs,  # noqa: F401
 
 TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
                    "analytic_cost,empirical_cost,cost_stderr")
-# A sweep shares a group's work with worker processes only when that saves
-# more than a worker's start: a spawn round trip (start, import numpy and
-# etlqg, return) took 0.40-0.46 s on a 2-vCPU host. There, splitting an
-# untraced bundled-model sweep broke even near 8e6 lambda-run-steps
-# (13 x 32 x 20000: 2.9 s either way; 13 x 64 x 20000: 4.8 s -> 3.8 s), and
-# streaming a traced one to the pool near 3e5, where its workers format the
-# trace rows (3 x 5 x 20000: 2.0 s either way; 3 x 7 x 20000: 2.1 s -> 1.9
-# s; 3 x 8 x 20000: 2.2-2.4 s -> 1.9-2.1 s; medians of 5-9); so a traced
-# run-step counts _TRACE_RUN_STEP_WEIGHT times. The tier-1 CLI tests and the
-# small CI smoke run stay in-process.
+# A sweep splits an untraced group's runs across worker processes only when
+# that saves more than a worker's start: a spawn round trip (start, import
+# numpy and etlqg, return) took 0.40-0.46 s on a 2-vCPU host, where the
+# bundled-model sweep broke even near 8e6 lambda-run-steps (13 x 32 x 20000:
+# 2.9 s either way; 13 x 64 x 20000: 4.8 s -> 3.8 s). The tier-1 CLI tests
+# and the small CI smoke run stay in-process.
 _SPLIT_MIN_RUN_STEPS = 8_000_000
-_TRACE_RUN_STEP_WEIGHT = 25
-# Trace blocks a worker holds at once, queued or being formatted; the rest
-# wait in the simulating process, which formats them itself if the loop
-# ends first.
-_BLOCKS_PER_WORKER = 2
-# The pool's threads move each block and its text through pipes 64 KiB at a
-# time, taking the GIL for each piece; at the default 5 ms switch interval a
-# block's text took 0.1-0.2 s to come back, and its worker waited. While a
-# traced group streams, this process yields the GIL within _STREAM_SWITCH_S:
-# a block then came back in about 25 ms.
-_STREAM_SWITCH_S = 1e-4
 
 
 def _fmt(value) -> str:
@@ -77,20 +61,35 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+@contextlib.contextmanager
+def _replacing(paths):
+    """Yield a fresh .part file name beside each of paths.
+
+    When the block ends, each .part file replaces its path; on any error
+    they are all removed. tempfile names them, so a stale .part file or one
+    of a concurrent run is never written.
+    """
+    parts = []
+    try:
+        for path in paths:
+            fd, part = tempfile.mkstemp(dir=path.parent,
+                                        prefix=path.name + ".", suffix=".part")
+            os.close(fd)
+            parts.append(part)
+        yield parts
+        for part, path in zip(parts, paths):
+            os.replace(part, path)
+    except BaseException:
+        for part in parts:
+            with contextlib.suppress(OSError):
+                os.unlink(part)
+        raise
+
+
 def _write_atomic(path: Path, *parts: str):
     """Write the concatenated parts to path atomically."""
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                                    suffix=".part")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.writelines(parts)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with _replacing([path]) as (part,), open(part, "w", newline="") as fh:
+        fh.writelines(parts)
 
 
 def _trace_csv(trace, n: int, m: int, start: int = 0) -> str:
@@ -117,46 +116,46 @@ def _trace_csv(trace, n: int, m: int, start: int = 0) -> str:
     return header + format_rows(ints, floats)
 
 
-def _format_block(block: TraceBlock, n: int, m: int) -> list[str]:
-    """The trace CSV text of block's steps for each run, lambda-major."""
+def _format_block(block: TraceBlock, n: int, m: int):
+    """The trace CSV text of block's steps for each run, lambda-major.
+
+    A generator: one run's text is formatted at a time.
+    """
     _, group, runs = block.sigma.shape
-    return [_trace_csv(TraceBlock(block.start, block.sigma[:, g, r],
+    return (_trace_csv(TraceBlock(block.start, block.sigma[:, g, r],
                                   block.tau[:, g, r], block.x[:, g, r],
                                   block.u[:, g, r], block.e_filt[:, g, r]),
                        n, m, block.start)
-            for g in range(group) for r in range(runs)]
+            for g in range(group) for r in range(runs))
 
 
 def _processes(sim_cfg: SimConfig, lams: int) -> int:
-    """Processes that share the work of a group of lams lambdas.
+    """Processes that share the runs of an untraced group of lams lambdas.
 
-    One per core, if the group reaches _SPLIT_MIN_RUN_STEPS. A traced group
-    runs its loop in this process and the others format its trace blocks
-    (_simulate_traced); an untraced group splits its runs (_run_slices).
-    numpy rounds a one-row matmul and an n=2 einsum over at most two rows
-    on other kernels than the full grid's, so every slice keeps at least 2
-    runs and 3 lambda-runs; then the joined slices equal the unsplit grid
-    bitwise.
+    One per core, if the group reaches _SPLIT_MIN_RUN_STEPS and a spawned
+    worker can start. numpy rounds a one-row matmul and an n=2 einsum over
+    at most two rows on other kernels than the full grid's, so every slice
+    keeps at least 2 runs and 3 lambda-runs; then the joined slices equal
+    the unsplit grid bitwise.
     """
     runs = sim_cfg.runs
-    run_steps = lams * runs * sim_cfg.horizon
-    if sim_cfg.record_trace:
-        run_steps *= _TRACE_RUN_STEP_WEIGHT
-    if run_steps < _SPLIT_MIN_RUN_STEPS:
+    if lams * runs * sim_cfg.horizon < _SPLIT_MIN_RUN_STEPS:
+        return 1
+    # spawn starts each worker by running __main__'s file again, unless it
+    # ran as a module; a script read from stdin ('<stdin>') has no file
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if (getattr(main, "__spec__", None) is None and path is not None
+            and not os.path.isfile(path)):
         return 1
     cores = len(os.sched_getaffinity(0))
-    if sim_cfg.record_trace:
-        return cores
     return max(1, min(cores, runs // 2, lams * runs // 3))
 
 
 def _run_slices(sim_cfg: SimConfig, lams: int) -> list[range]:
-    """Contiguous slices of range(runs), one per process simulating a group.
-
-    A traced group is one slice: its loop runs once (see _processes).
-    """
+    """Contiguous slices of range(runs), one per process simulating a group."""
     runs = sim_cfg.runs
-    k = 1 if sim_cfg.record_trace else _processes(sim_cfg, lams)
+    k = _processes(sim_cfg, lams)
     return [range(i * runs // k, (i + 1) * runs // k) for i in range(k)]
 
 
@@ -203,61 +202,26 @@ def _simulate_group(pool, sim_cfg: SimConfig, filt, ctrl, group,
             np.concatenate([part[1] for part in parts], axis=1))
 
 
-def _simulate_traced(pool, workers: int, sim_cfg: SimConfig, filt, ctrl,
-                     group):
-    """Simulate a traced group in this process; workers format its traces.
+def _simulate_traced(sim_cfg: SimConfig, filt, ctrl, group, paths):
+    """Simulate a traced group here, writing each run's trace CSV to its path.
 
-    Returns (rates, costs, texts): texts[g][r] lists the parts of the trace
-    CSV of run r at group[g], in order. Each TraceBlock goes to pool once
-    simulated, with at most _BLOCKS_PER_WORKER per worker in flight. The
-    others wait here, and when the loop ends this process formats them,
-    last first, while the workers finish theirs.
-    With no workers, each block is formatted once simulated. A divergence
-    cancels the blocks no worker has started.
+    paths are the trace files of the group's runs, lambda-major. Each
+    TraceBlock is formatted one run at a time once simulated, and each run's
+    text is appended to that run's .part file, so this process holds one
+    block and one run's text. Every file is replaced when the group ends;
+    on any error, as on a divergence, none is (see _replacing).
+    Returns the group's (rates, costs).
     """
     n, m, _ = sim_cfg.model.dims
-    texts = {}                    # block start -> _format_block(block)
-    sent = {}                     # block start -> future of the same
-    unsent = collections.deque()
+    with _replacing(paths) as parts:
+        def on_block(block):
+            for part, text in zip(parts, _format_block(block, n, m)):
+                with open(part, "a", newline="") as fh:
+                    fh.write(text)
 
-    def pump(cap):
-        for start in [start for start, future in sent.items() if future.done()]:
-            texts[start] = sent.pop(start).result()
-        while unsent and len(sent) < cap:
-            block = unsent.popleft()
-            sent[block.start] = pool.submit(_format_block, block, n, m)
-
-    def on_block(block):
-        if workers:
-            unsent.append(block)
-            pump(_BLOCKS_PER_WORKER * workers)
-        else:
-            texts[block.start] = _format_block(block, n, m)
-
-    switch = sys.getswitchinterval()
-    if workers:
-        sys.setswitchinterval(_STREAM_SWITCH_S)
-    try:
         rates, costs, _ = run_closed_loop_grid(sim_cfg, filt, ctrl, group,
                                                on_block=on_block)
-        while unsent:
-            block = unsent.pop()
-            texts[block.start] = _format_block(block, n, m)
-            # an idle worker takes the next block; a busy one gets no
-            # backlog that this process would then wait for
-            pump(workers)
-        for start, future in sent.items():
-            texts[start] = future.result()
-    except BaseException:
-        for future in sent.values():
-            future.cancel()
-        raise
-    finally:
-        sys.setswitchinterval(switch)
-    blocks = [texts[start] for start in sorted(texts)]
-    runs = sim_cfg.runs
-    return rates, costs, [[[block[g * runs + r] for block in blocks]
-                           for r in range(runs)] for g in range(len(group))]
+    return rates, costs
 
 
 def _plot_script() -> str:
@@ -313,7 +277,7 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
 
     rows = []
 
-    def emit(point, rates=None, costs=None, texts=None):
+    def emit(point, rates=None, costs=None):
         emp_rate = rate_se = emp_cost = cost_se = None
         if rates is not None:
             emp_rate, rate_se = aggregate_runs(rates)
@@ -326,10 +290,6 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
             record["cost"] = dataclasses.asdict(point.breakdown)
             _write_atomic(out_dir / f"analysis_{point.lam!r}.json",
                           json.dumps(record, indent=2) + "\n")
-        if texts is not None:
-            for r, parts in enumerate(texts):
-                name = f"trace_lam{point.lam!r}_run{r:04d}.csv"
-                _write_atomic(out_dir / name, *parts)
 
         line = f"lambda={point.lam:g} rate={point.rate:.6f} cost={point.cost:.6f}"
         if emp_rate is not None:
@@ -338,31 +298,28 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
 
     if with_simulation and cfg.runs > 0:
         # one lockstep simulation per group of lambdas, in grid order; the
-        # cores split an untraced group's runs or a traced group's formatting
+        # cores split an untraced group's runs
         sim_cfg = SimConfig(model=model,
                             params=SchedulerParams(points[0].lam, cfg.timeout),
                             horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
                             record_trace=cfg.record_trace, burn_in=cfg.burn_in)
-        with contextlib.ExitStack() as stack:
-            pool = None
-            start = 0
-            for group in lambda_groups(sim_cfg, [pt.lam for pt in points]):
-                processes = _processes(sim_cfg, len(group))
-                if processes > 1 and pool is None:
-                    pool = stack.enter_context(_worker_pool(processes - 1))
-                texts = None
-                if sim_cfg.record_trace:
-                    rates, costs, texts = _simulate_traced(
-                        pool, processes - 1, sim_cfg, filt, ctrl, group)
-                else:
-                    rates, costs = _simulate_group(
-                        pool, sim_cfg, filt, ctrl, group,
-                        _run_slices(sim_cfg, len(group)))
-                for g in range(len(group)):
-                    emit(points[start + g], rates[g], costs[g],
-                         None if texts is None else texts[g])
-                start += len(group)
-                del texts  # free this group's traces before the next is made
+        start = 0
+        for group in lambda_groups(sim_cfg, [pt.lam for pt in points]):
+            if sim_cfg.record_trace:
+                rates, costs = _simulate_traced(
+                    sim_cfg, filt, ctrl, group,
+                    [out_dir / f"trace_lam{pt.lam!r}_run{r:04d}.csv"
+                     for pt in points[start:start + len(group)]
+                     for r in range(cfg.runs)])
+            else:
+                slices = _run_slices(sim_cfg, len(group))
+                with (_worker_pool(len(slices) - 1) if len(slices) > 1
+                      else contextlib.nullcontext()) as pool:
+                    rates, costs = _simulate_group(pool, sim_cfg, filt, ctrl,
+                                                   group, slices)
+            for g in range(len(group)):
+                emit(points[start + g], rates[g], costs[g])
+            start += len(group)
     else:
         for point in points:
             emit(point)

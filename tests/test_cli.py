@@ -5,7 +5,6 @@ exit codes, stdout/stderr and the artifact files.
 """
 
 import concurrent.futures
-import contextlib
 import dataclasses
 import json
 import os
@@ -533,7 +532,10 @@ class TestSolverFailureExit:
 
 
 class TestSplitSweep:
-    """A sweep split across worker processes writes the in-process bytes."""
+    """A sweep split across worker processes writes the in-process bytes.
+
+    Only untraced groups split; a traced one runs in this process.
+    """
 
     @staticmethod
     def _split(monkeypatch):
@@ -551,11 +553,11 @@ class TestSplitSweep:
         return pools
 
     @staticmethod
-    def _traced_config(tmp_path, runs, horizon=150):
+    def _config(tmp_path, runs, horizon=150, record_trace=True):
         doc = base_config(tmp_path / "unused",
                           scheduler={"timeout": 6, "lambda_grid": [0.5, 2.0, 8.0]})
         doc["simulation"] = {"runs": runs, "horizon": horizon, "seed": 7,
-                             "burn_in": 10, "record_trace": True}
+                             "burn_in": 10, "record_trace": record_trace}
         return write_config(tmp_path, doc)
 
     @staticmethod
@@ -566,14 +568,14 @@ class TestSplitSweep:
     @pytest.mark.parametrize("runs,budget", [(4, None), (6, 1)])
     def test_outputs_byte_identical_to_in_process(self, tmp_path, monkeypatch,
                                                   runs, budget):
-        # budget 1: one lambda per group, three groups that share one pool
+        # budget 1: one lambda per group, three groups, none on a pool
         if budget is not None:
             monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", budget)
-        cfg = self._traced_config(tmp_path, runs)
+        cfg = self._config(tmp_path, runs)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
         pools = self._split(monkeypatch)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "split")]) == 0
-        assert pools == [1]
+        assert pools == []
         serial = self._artifacts(tmp_path / "serial")
         split = self._artifacts(tmp_path / "split")
         assert len([n for n in split if n.startswith("trace_")]) == 3 * runs
@@ -587,27 +589,23 @@ class TestSplitSweep:
         real = cli.control_steady_state
         monkeypatch.setattr(cli, "control_steady_state", lambda model: (
             dataclasses.replace(real(model), L_inf=np.zeros((1, 2)))))
-        cfg = self._traced_config(tmp_path, runs=4, horizon=400)
+        cfg = self._config(tmp_path, runs=4, horizon=400)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 3
         want = capsys.readouterr().err
-        # the first crossing lies in the worker's slice of runs 2 and 3
+        # the first crossing lies in runs 2 and 3: the second slice, had the
+        # group split its runs in two
         assert re.search(r"lambda 0\.5, run [23]\)", want)
         pools = self._split(monkeypatch)
         out = tmp_path / "split"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 3
-        assert pools == [1]
+        assert pools == []
         assert capsys.readouterr().err == want
         assert not list(out.glob("trace_*.csv"))
         assert not list(out.glob("*.part"))
 
     def test_untraced_split_byte_identical_to_in_process(self, tmp_path,
                                                          monkeypatch):
-        # traced groups no longer split their runs; untraced ones still do
-        doc = base_config(tmp_path / "unused",
-                          scheduler={"timeout": 6, "lambda_grid": [0.5, 2.0, 8.0]})
-        doc["simulation"] = {"runs": 6, "horizon": 150, "seed": 7,
-                             "burn_in": 10}
-        cfg = write_config(tmp_path, doc)
+        cfg = self._config(tmp_path, runs=6, record_trace=False)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
         pools = self._split(monkeypatch)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "split")]) == 0
@@ -620,18 +618,15 @@ class TestSplitSweep:
     def test_slices_cover_the_runs_in_order(self, bench_model, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
 
-        def slices(runs, lams, horizon, record_trace=False):
+        def slices(runs, lams, horizon):
             sim_cfg = SimConfig(model=bench_model,
                                 params=SchedulerParams(lam=1.0, timeout=6),
-                                horizon=horizon, runs=runs, seed=1, burn_in=0,
-                                record_trace=record_trace)
+                                horizon=horizon, runs=runs, seed=1, burn_in=0)
             return cli._run_slices(sim_cfg, lams)
 
-        # the bundled sweep splits; narrow untraced does not, and a traced
-        # group never splits its runs: it simulates once, in one process
+        # the bundled sweep splits; narrow untraced does not
         assert slices(1000, 13, 2000) == [range(i * 125, (i + 1) * 125)
                                           for i in range(8)]
-        assert slices(8, 3, 20000, record_trace=True) == [range(8)]
         assert slices(8, 3, 20000) == [range(8)]
         steps = cli._SPLIT_MIN_RUN_STEPS
         for runs in range(1, 20):
@@ -642,6 +637,15 @@ class TestSplitSweep:
                     assert min(len(s) for s in got) >= 2
                     assert min(lams * len(s) for s in got) >= 3
 
+    @staticmethod
+    def _python(*args, script=None):
+        """Run a fresh interpreter on this checkout's etlqg."""
+        src = str(Path(etlqg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        return subprocess.run([sys.executable, *args], input=script, env=env,
+                              capture_output=True, text=True, timeout=300)
+
     @pytest.mark.parametrize("command", [["analyze-only"],
                                          ["run", "--runs", "2", "--horizon", "300"]])
     def test_unsplit_commands_load_no_pool(self, tmp_path, command):
@@ -651,14 +655,26 @@ class TestSplitSweep:
                 "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
                 "             ('multiprocessing', 'concurrent')))\n"
                 "sys.exit(code)\n")
-        src = str(Path(etlqg.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        done = subprocess.run(
-            [sys.executable, "-c", code, *command, "--out-dir", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=300)
+        done = self._python("-c", code, *command,
+                            "--out-dir", str(tmp_path / "out"))
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_main_read_from_stdin_runs_in_process(self, tmp_path):
+        # a spawned worker would run '<stdin>' as __main__'s file, fail to
+        # find it and break the pool
+        cfg = self._config(tmp_path, runs=6, record_trace=False)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
+        script = ("import os, sys\n"
+                  "from etlqg import cli\n"
+                  "cli._SPLIT_MIN_RUN_STEPS = 0\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        done = self._python("-", "run", str(cfg),
+                            "--out-dir", str(tmp_path / "stdin"), script=script)
+        assert done.returncode == 0, done.stderr
+        assert (self._artifacts(tmp_path / "stdin")
+                == self._artifacts(tmp_path / "serial"))
 
     def test_merged_divergence_report_follows_the_unsplit_rule(self,
                                                               monkeypatch):
@@ -688,61 +704,25 @@ class TestSplitSweep:
         assert (exc.value.step, exc.value.run) == (7, 7)
 
 
-class _CountingPool:
-    """A worker pool that keeps the futures of what it is given."""
-
-    def __init__(self, pool):
-        self.pool = pool
-        self.futures = []
-
-    def __enter__(self):
-        self.pool.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        return self.pool.__exit__(*exc)
-
-    def submit(self, fn, *args):
-        future = self.pool.submit(fn, *args)
-        self.futures.append(future)
-        return future
-
-
-class _HeldPool(_CountingPool):
-    """A pool that starts nothing: its futures stay pending."""
-
-    def __init__(self):
-        super().__init__(contextlib.nullcontext())
-
-    def submit(self, fn, *args):
-        self.futures.append(concurrent.futures.Future())
-        return self.futures[-1]
-
-
 class TestStreamedTraces:
-    """A traced group simulates once, here; the pool formats its blocks.
-
-    Whatever the pool formats, and whatever this process takes back, the
-    sweep writes the in-process bytes.
-    """
+    """A traced group simulates once, in this process, even where an untraced
+    one would split its runs; each run's trace is appended to its file block
+    by block, and the sweep writes the bytes of whole traces."""
 
     @staticmethod
-    def _on_pool(monkeypatch, rows=None, held=False):
-        # every traced group opens the pool, with one worker
-        monkeypatch.setattr(cli, "_SPLIT_MIN_RUN_STEPS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    def _streamed(monkeypatch, rows=None):
+        # every group would split, across two processes; count the blocks
         if rows is not None:
             monkeypatch.setattr(simulation, "_TRACE_BLOCK_STEPS", rows)
-        pools = []
-        real = cli._worker_pool
+        blocks = []
+        real = cli._format_block
 
-        def counted(workers):
-            assert workers == 1
-            pools.append(_HeldPool() if held else _CountingPool(real(workers)))
-            return pools[-1]
+        def counted(block, n, m):
+            blocks.append(block.start)
+            return real(block, n, m)
 
-        monkeypatch.setattr(cli, "_worker_pool", counted)
-        return pools
+        monkeypatch.setattr(cli, "_format_block", counted)
+        return TestSplitSweep._split(monkeypatch), blocks
 
     @staticmethod
     def _sweep(tmp_path, name, runs, horizon, **sim):
@@ -758,39 +738,37 @@ class TestStreamedTraces:
         # 2500 steps: a block of 2048, then one of 452
         code, serial = self._sweep(tmp_path, "serial", runs=2, horizon=2500)
         assert code == 0
-        pools = self._on_pool(monkeypatch)
-        code, streamed = self._sweep(tmp_path, "streamed", runs=2, horizon=2500)
+        want = TestSplitSweep._artifacts(serial)
+        # a leftover trace of the same name is replaced
+        streamed = tmp_path / "streamed"
+        streamed.mkdir()
+        (streamed / "trace_lam0.5_run0000.csv").write_text("stale\n")
+        pools, blocks = self._streamed(monkeypatch)
+        code, _ = self._sweep(tmp_path, "streamed", runs=2, horizon=2500)
         assert code == 0
-        assert len(pools) == 1 and len(pools[0].futures) == 2
+        assert pools == [] and blocks == [0, 2048]
         got = TestSplitSweep._artifacts(streamed)
         assert len([n for n in got if n.startswith("trace_")]) == 6
-        assert got == TestSplitSweep._artifacts(serial)
+        assert got == want
 
-    def test_unsent_blocks_formatted_here(self, tmp_path, monkeypatch):
-        code, serial = self._sweep(tmp_path, "serial", runs=3, horizon=150)
-        assert code == 0
-        # ten blocks of 16 rows: the loop ends long before a worker starts,
-        # so this process formats most of them
-        pools = self._on_pool(monkeypatch, rows=16)
-        here = []
-        real = cli._trace_csv
+        # a formatting error in the second block propagates; the files of
+        # the run before stay whole, and no .part file is left
+        real = cli._format_block
 
-        def counted(trace, n, m, start=0):
-            here.append(start)
-            return real(trace, n, m, start)
+        def fail_second(block, n, m):
+            if block.start:
+                raise RuntimeError("format failed")
+            return real(block, n, m)
 
-        monkeypatch.setattr(cli, "_trace_csv", counted)
-        code, streamed = self._sweep(tmp_path, "streamed", runs=3, horizon=150)
-        assert code == 0
-        sent = len(pools[0].futures)
-        assert 2 <= sent < 10
-        # nine traces per block, each block formatted once, here or there
-        assert len(here) == 9 * (10 - sent)
-        assert TestSplitSweep._artifacts(streamed) == TestSplitSweep._artifacts(serial)
+        monkeypatch.setattr(cli, "_format_block", fail_second)
+        with pytest.raises(RuntimeError, match="format failed"):
+            self._sweep(tmp_path, "streamed", runs=2, horizon=2500)
+        assert not list(streamed.glob("*.part"))
+        assert TestSplitSweep._artifacts(streamed) == want
 
-    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("appended", [False, True])
     def test_divergence_exits_3_like_in_process(self, tmp_path, monkeypatch,
-                                                capsys, held):
+                                                capsys, appended):
         # zero feedback leaves the unstable plant to cross the guard
         real = cli.control_steady_state
         monkeypatch.setattr(cli, "control_steady_state", lambda model: (
@@ -799,32 +777,13 @@ class TestStreamedTraces:
         assert code == 3
         want = capsys.readouterr().err
         assert "diverged" in want
-        pools = self._on_pool(monkeypatch, rows=16, held=held)
+        # appended: blocks of 16 rows reach the .part files before the
+        # crossing; else the crossing comes within the first block
+        pools, blocks = self._streamed(monkeypatch, rows=16 if appended else None)
         code, out = self._sweep(tmp_path, "streamed", runs=4, horizon=400)
         assert code == 3
         assert capsys.readouterr().err == want
-        futures = pools[0].futures
-        assert len(futures) >= 2  # blocks went out before the crossing
-        if held:
-            # blocks no worker started are cancelled
-            assert all(future.cancelled() for future in futures)
+        assert pools == []
+        assert (len(blocks) >= 2) if appended else blocks == []
         assert not list(out.glob("trace_*.csv"))
         assert not list(out.glob("*.part"))
-
-    def test_traced_groups_open_the_pool_by_the_split_rule(self, bench_model,
-                                                           monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-
-        def processes(runs, lams, horizon, record_trace):
-            sim_cfg = SimConfig(model=bench_model,
-                                params=SchedulerParams(lam=1.0, timeout=6),
-                                horizon=horizon, runs=runs, seed=1, burn_in=0,
-                                record_trace=record_trace)
-            return cli._processes(sim_cfg, lams)
-
-        # trace_narrow: one process simulates, seven format
-        assert processes(8, 3, 20000, True) == 8
-        assert processes(8, 3, 20000, False) == 1
-        steps = cli._SPLIT_MIN_RUN_STEPS // cli._TRACE_RUN_STEP_WEIGHT
-        assert processes(1, 1, steps, True) == 8
-        assert processes(1, 1, steps - 1, True) == 1

@@ -67,13 +67,16 @@ def _replacing(paths):
 
     When the block ends, each .part file replaces its path; on any error
     they are all removed. tempfile names them, so a stale .part file or one
-    of a concurrent run is never written.
+    of a concurrent run is never written, and given open()'s mode.
     """
+    umask = os.umask(0o022)
+    os.umask(umask)
     parts = []
     try:
         for path in paths:
             fd, part = tempfile.mkstemp(dir=path.parent,
                                         prefix=path.name + ".", suffix=".part")
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp's is owner-only
             os.close(fd)
             parts.append(part)
         yield parts
@@ -133,10 +136,9 @@ def _processes(sim_cfg: SimConfig, lams: int) -> int:
     """Processes that share the runs of an untraced group of lams lambdas.
 
     One per core, if the group reaches _SPLIT_MIN_RUN_STEPS and a spawned
-    worker can start. numpy rounds a one-row matmul and an n=2 einsum over
-    at most two rows on other kernels than the full grid's, so every slice
-    keeps at least 2 runs and 3 lambda-runs; then the joined slices equal
-    the unsplit grid bitwise.
+    worker can start. numpy rounds a one-row matmul on another kernel than
+    the full grid's, so every slice keeps at least 2 runs; then the joined
+    slices equal the unsplit grid bitwise.
     """
     runs = sim_cfg.runs
     if lams * runs * sim_cfg.horizon < _SPLIT_MIN_RUN_STEPS:
@@ -149,7 +151,7 @@ def _processes(sim_cfg: SimConfig, lams: int) -> int:
             and not os.path.isfile(path)):
         return 1
     cores = len(os.sched_getaffinity(0))
-    return max(1, min(cores, runs // 2, lams * runs // 3))
+    return max(1, min(cores, runs // 2))
 
 
 def _run_slices(sim_cfg: SimConfig, lams: int) -> list[range]:

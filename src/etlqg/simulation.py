@@ -14,12 +14,15 @@ state carry a leading lambda axis, shape (group, runs, n), and lambda enters
 only through the hold probability exp(-lambda * |e|^2). The estimator (the
 prediction error, its correction eta and the filtered error) depends on
 neither lambda nor the trigger, so it is carried once per run, (runs, n),
-and broadcast like the draws. Traces are recorded time-major, (steps, group,
-runs, .), and only the columns the loop computes anyway: sigma, tau, x, u
-and e_filt, plus the filtered error and measurement noise when full
-SimulationTraces are returned. Their y = x C^T + v, xhat_s = x - xtilde and
-xhat_c = xhat_s - e_filt are derived after the loop, with the loop's own
-operations, so they keep its bits.
+and broadcast like the draws. A step runs only the estimator, trigger and
+plant recurrences, writing x, u and sigma into time-major block buffers,
+(steps, group, runs, .); the divergence guard, the transmission count and
+the stage cost are reduced once per block, the cost in step order from the
+running sum, so it has the bits of a per-step sum. A traced block's buffers
+are its trace, with tau and e_filt recorded per step, plus the filtered
+error and measurement noise when full SimulationTraces are returned. Their
+y = x C^T + v, xhat_s = x - xtilde and xhat_c = xhat_s - e_filt are derived
+after the loop, with the loop's own operations, so they keep its bits.
 
 RNG layout: run r's seed is SeedSequence(seed, spawn_key=(r,)), the r-th
 child that SeedSequence(seed).spawn would give; each run spawns four
@@ -27,18 +30,17 @@ generators in a fixed order (process noise, measurement noise, initial
 state, trigger uniforms). A run's streams depend on its index alone, so a
 slice of runs simulated on its own equals the same columns of the full run
 bitwise, and slices may run in separate processes; that holds for slices of
-at least 2 runs and 3 lambda-runs, as numpy rounds a one-row matmul and an
-n=2 einsum over at most two rows on other kernels. Each run's four streams
-are shared by every lambda of a group: their draws are made once, for the
-runs, and broadcast over the lambda axis, so a run at a given lambda sees
-the same numbers in any group and a group equals separate single-lambda
-runs bitwise. Draws are pregenerated in fixed-size step chunks per stream,
-which leaves every stream's order identical to stepwise consumption.
+at least 2 runs, as numpy rounds a one-row matmul on another kernel. Each
+run's four streams are shared by every lambda of a group: their draws are
+made once, for the runs, and broadcast over the lambda axis, so a run at a
+given lambda sees the same numbers in any group and a group equals separate
+single-lambda runs bitwise. Draws are pregenerated in fixed-size step chunks
+per stream, which leaves every stream's order identical to stepwise
+consumption.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +53,8 @@ from .model import PSD_EIG_FLOOR, SchedulerParams, SystemModel, psd_sqrt
 DEFAULT_BURN_IN = 200
 DIVERGENCE_LIMIT = 1e12
 _CHUNK_STEPS = 256
+# Bytes of x, u and sigma per untraced block (1-2 MiB ran fastest, 4 MiB L2)
+_BLOCK_BYTES = 2 * 2**20
 # Steps per TraceBlock handed to run_closed_loop_grid's on_block.
 _TRACE_BLOCK_STEPS = 2048
 # Trace bytes one run_closed_loop_grid call may hold (see lambda_groups).
@@ -192,6 +196,16 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
     return rates[0], costs[0], None if traces is None else traces[0]
 
 
+def _quad(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x'Mx over the last axis, sum_i sum_j (x_i M_ij) x_j in (i, j) order:
+    the bits of np.einsum("...i,ij,...j->...", x, M, x), except that numpy
+    sums n = 2 pairwise over at most two rows. So no cost bit depends on width.
+    """
+    n = len(M)
+    return sum((x[..., i] * M[i, j]) * x[..., j]
+               for i in range(n) for j in range(n))
+
+
 def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                          ctrl: ControlSynthesis, lams, runs: range | None = None,
                          on_block=None):
@@ -200,15 +214,18 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     lams replaces cfg.params.lam; every other setting comes from cfg. runs,
     a range inside range(cfg.runs) (all of it by default), selects the run
     indices; column j is run runs[j], bitwise as in the full call for
-    slices of at least 2 runs and 3 lambda-runs (see the module notes). Each
-    run's random streams are shared by all lambdas (common random numbers),
-    so row g equals run_closed_loop at lams[g] bitwise. Returns (rates,
-    costs, traces): (len(lams), len(runs)) arrays and, with
-    cfg.record_trace, one tuple of SimulationTrace per lambda (else None).
-    With cfg.record_trace and on_block, the traces are not kept: each
-    TraceBlock of _TRACE_BLOCK_STEPS steps (fewer in the last) goes to
-    on_block(block) once simulated, and traces is None.
-    A DivergenceError names the run by its index in range(cfg.runs).
+    slices of at least 2 runs (see the module notes). Each run's random
+    streams are shared by all lambdas (common random numbers), so row g
+    equals run_closed_loop at lams[g] bitwise. Returns (rates, costs,
+    traces): (len(lams), len(runs)) arrays and, with cfg.record_trace, one
+    tuple of SimulationTrace per lambda (else None). With cfg.record_trace
+    and on_block, the traces are not kept: each TraceBlock of
+    _TRACE_BLOCK_STEPS steps (fewer in the last) goes to on_block(block)
+    once simulated, and traces is None.
+
+    A DivergenceError names the first step whose largest |x| passes
+    cfg.divergence_limit, and the run by its index in range(cfg.runs); the
+    loop runs on to the end of its block, which never reaches on_block.
     """
     if ctrl.L_inf is None:
         raise ModelError("run_closed_loop needs a steady-state feedback gain")
@@ -221,7 +238,6 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     model = cfg.model
     n, m, p = model.dims
     At, Bt, Ct = model.A.T, model.B.T, model.C.T
-    Q, R = model.Q, model.R
     Kt = filt.K_inf.T
     Lt = ctrl.L_inf.T
     timeout = cfg.params.timeout
@@ -235,12 +251,11 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     x0_factor = _cov_factor(model.X0)
     streams = _spawn_run_streams(cfg.seed, run_ids)
 
-    x0 = np.empty((runs, n))
+    x = np.empty((runs, n))               # broadcast over lambda in xb[0]
     for r, (_, _, init_gen, _) in enumerate(streams):
-        x0[r] = model.x0_mean + x0_factor @ init_gen.standard_normal(n)
-    x = np.repeat(x0[None], group, axis=0)
+        x[r] = model.x0_mean + x0_factor @ init_gen.standard_normal(n)
     # the estimator depends on neither lambda nor the trigger: one per run
-    xt_pred = x0 - model.x0_mean          # sensor prediction error, prior mean
+    xt_pred = x - model.x0_mean           # sensor prediction error, prior mean
     e_filt = np.zeros((group, runs, n))   # estimate gap after step -1
     tau = np.zeros((group, runs), dtype=np.int64)
 
@@ -250,26 +265,28 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     record = cfg.record_trace
     stream = record and on_block is not None
     full = record and not stream
-    # time-major records, one block at a time; full traces are one block
-    rows = _TRACE_BLOCK_STEPS if stream else horizon
-    guard = cfg.divergence_limit
-    errctx = (np.errstate(over="ignore", invalid="ignore")
-              if guard is None else contextlib.nullcontext())
+    rows = (_TRACE_BLOCK_STEPS if stream else horizon if full
+            else max(1, _BLOCK_BYTES // (8 * (n + m + 1) * group * runs)))
 
     chunk_end = 0
-    with errctx:
+    # the loop runs on to the end of a diverging block, past overflow
+    with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, horizon, rows):
-            stop = min(first + rows, horizon)
+            steps = min(rows, horizon - first)
+            # x_first .. x_first+steps; untraced blocks reuse the buffers
+            if record or first == 0:
+                xb = np.empty((steps + 1, group, runs, n))
+                ub = np.empty((steps, group, runs, m))
+                sb = np.empty((steps, group, runs), dtype=bool)
             if record:
-                tr_sig = np.empty((stop - first, group, runs), dtype=np.int64)
-                tr_tau = np.empty((stop - first, group, runs), dtype=np.int64)
-                tr_x = np.empty((stop - first, group, runs, n))
-                tr_u = np.empty((stop - first, group, runs, m))
-                tr_e = np.empty((stop - first, group, runs, n))
+                tr_tau = np.empty((steps, group, runs), dtype=np.int64)
+                tr_e = np.empty((steps, group, runs, n))
                 if full:
                     tr_xf = np.empty((horizon, runs, n))
                     tr_v = np.empty((horizon, runs, p))
-            for k in range(first, stop):
+            xb[0] = x
+            x = xb[0]
+            for i, k in enumerate(range(first, first + steps)):
                 if k == chunk_end:
                     span = min(_CHUNK_STEPS, horizon - k)
                     w_z = np.empty((runs, span, n))
@@ -293,36 +310,36 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                 e_gap = e_filt @ At + eta
                 xt_filt = xt_pred - eta
                 hold = np.exp(neg_lam * np.einsum("...i,...i->...", e_gap, e_gap))
-                sigma = (zeta[j] > hold) | (tau == timeout)
+                sigma = np.logical_or(zeta[j] > hold, tau == timeout, out=sb[i])
                 tau = np.where(sigma, 0, tau + 1)
                 e_filt = np.where(sigma[..., None], 0.0, e_gap)
                 xhat_c = x - xt_filt - e_filt
-                u = -(xhat_c @ Lt)
-                if k >= burn_in:
-                    sigma_count += sigma
-                    cost_sum += (np.einsum("...i,ij,...j->...", x, Q, x)
-                                 + np.einsum("...i,ij,...j->...", u, R, u))
+                u = np.negative(xhat_c @ Lt, out=ub[i])
                 if record:
-                    i = k - first
-                    tr_sig[i] = sigma
                     tr_tau[i] = tau
-                    tr_x[i] = x
-                    tr_u[i] = u
                     tr_e[i] = e_filt
                     if full:
                         tr_xf[k] = xt_filt
                         tr_v[k] = v
-                x = x @ At + u @ Bt + w
+                x = np.add(x @ At + u @ Bt, w, out=xb[i + 1])
                 xt_pred = xt_filt @ At + w
-                if guard is not None:
-                    peak = np.abs(x)
-                    worst = float(peak.max())
-                    if worst > guard:
-                        g, r, _ = np.unravel_index(peak.argmax(), peak.shape)
-                        raise DivergenceError(step=k + 1, run=run_ids[r],
-                                              value=worst, lam=lams[g])
+
+            if cfg.divergence_limit is not None:
+                peak = np.abs(xb[1:steps + 1])
+                worst = peak.reshape(steps, -1).max(axis=1)
+                crossed = np.flatnonzero(worst > cfg.divergence_limit)
+                if crossed.size:
+                    i = crossed[0]
+                    g, r, _ = np.unravel_index(peak[i].argmax(), peak[i].shape)
+                    raise DivergenceError(step=first + i + 1, run=run_ids[r],
+                                          value=float(worst[i]), lam=lams[g])
+            lo = max(burn_in - first, 0)  # the first row after burn-in
+            sigma_count += sb[lo:steps].sum(axis=0)
+            stage = _quad(xb[lo:steps], model.Q) + _quad(ub[lo:steps], model.R)
+            cost_sum = np.cumsum(np.concatenate([cost_sum[None], stage]), 0)[-1]
             if stream:
-                on_block(TraceBlock(first, tr_sig, tr_tau, tr_x, tr_u, tr_e))
+                on_block(TraceBlock(first, sb.astype(np.int64), tr_tau,
+                                    xb[:-1], ub, tr_e))
 
     window = horizon - burn_in
     rates = sigma_count / window
@@ -330,13 +347,14 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     traces = None
     if full:
         # the fields the loop need not carry, derived as it would have
-        tr_y = tr_x @ Ct + tr_v[:, None]
-        tr_xs = tr_x - tr_xf[:, None]
+        tr_y = xb[:-1] @ Ct + tr_v[:, None]
+        tr_xs = xb[:-1] - tr_xf[:, None]
         tr_xc = tr_xs - tr_e
         traces = tuple(
-            tuple(SimulationTrace(x=tr_x[:, g, r], y=tr_y[:, g, r],
+            tuple(SimulationTrace(x=xb[:-1, g, r], y=tr_y[:, g, r],
                                   xhat_s=tr_xs[:, g, r], xhat_c=tr_xc[:, g, r],
-                                  u=tr_u[:, g, r], sigma=tr_sig[:, g, r],
+                                  u=ub[:, g, r],
+                                  sigma=sb[:, g, r].astype(np.int64),
                                   tau=tr_tau[:, g, r], e_filt=tr_e[:, g, r])
                   for r in range(runs))
             for g in range(group))

@@ -115,8 +115,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                 u = -(xhat_c @ L.T)
                 if k >= cfg.burn_in:
                     sigma_count += sigma
-                    cost_sum += (np.einsum("...i,ij,...j->...", x, Q, x)
-                                 + np.einsum("...i,ij,...j->...", u, R, u))
+                    cost_sum += simulation._quad(x, Q) + simulation._quad(u, R)
                 if cfg.record_trace:
                     tr_x[:, :, k] = x
                     tr_y[:, :, k] = x @ C.T + v

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -633,9 +634,10 @@ class TestSplitSweep:
             for lams in (1, 2, 3):
                 got = slices(runs, lams, steps)
                 assert [r for s in got for r in s] == list(range(runs))
+                # one slice per core, each of at least 2 runs
+                assert len(got) == max(1, min(8, runs // 2))
                 if len(got) > 1:
                     assert min(len(s) for s in got) >= 2
-                    assert min(lams * len(s) for s in got) >= 3
 
     @staticmethod
     def _python(*args, script=None):
@@ -787,3 +789,39 @@ class TestStreamedTraces:
         assert (len(blocks) >= 2) if appended else blocks == []
         assert not list(out.glob("trace_*.csv"))
         assert not list(out.glob("*.part"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("record_trace", [False, True])
+    def test_overflow_after_the_crossing_leaves_nothing(self, tmp_path,
+                                                        monkeypatch, capsys,
+                                                        record_trace):
+        # open loop, the guard is passed near step 150 and the state
+        # overflows near step 3900, inside the same block of 4096 steps
+        real = cli.control_steady_state
+        monkeypatch.setattr(cli, "control_steady_state", lambda model: (
+            dataclasses.replace(real(model), L_inf=np.zeros((1, 2)))))
+        pools, blocks = self._streamed(monkeypatch, rows=4096)
+        code, out = self._sweep(tmp_path, "out", runs=2, horizon=4000,
+                                record_trace=record_trace)
+        assert code == 3
+        assert "diverged" in capsys.readouterr().err
+        assert pools == [] and blocks == []
+        assert list(out.iterdir()) == []
+
+
+class TestArtifactModes:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_artifacts_get_the_mode_open_gives(self, tmp_path, umask, mode):
+        out = tmp_path / "out"
+        doc = base_config(out)
+        doc["simulation"].update(runs=2, record_trace=True)
+        cfg = write_config(tmp_path, doc)
+        old = os.umask(umask)
+        try:
+            assert main(["run", str(cfg)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("tradeoff.csv", "analysis_0.5.json", "manifest.json",
+                     "trace_lam0.5_run0000.csv"):
+            assert stat.S_IMODE((out / name).stat().st_mode) == mode, name

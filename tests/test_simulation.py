@@ -498,12 +498,13 @@ class TestLambdaGrid:
 class TestRunSlices:
     """A slice of runs equals the same columns of the full call, bitwise.
 
-    Slices keep at least 2 runs and 3 lambda-runs, as the CLI's do: numpy
-    rounds a one-row matmul and an n=2 einsum over two rows on other kernels.
+    Slices keep at least 2 runs, as the CLI's do: numpy rounds a one-row
+    matmul on another kernel.
     """
 
     @pytest.mark.parametrize("lams,bounds", [([1.0], [0, 3, 7]),
-                                             (GRID, [0, 2, 5, 7])])
+                                             (GRID, [0, 2, 5, 7]),
+                                             ([1.0], [0, 2, 4, 6])])
     def test_slices_equal_columns_of_full_call(self, bench_model, bench_filter,
                                                 bench_control, lams, bounds):
         cfg = _cfg(bench_model, runs=7, horizon=300, burn_in=20,
@@ -669,3 +670,75 @@ class TestOracle:
                 for r in range(runs):
                     _assert_same_bits(whole[:, g, r].copy(),
                                       getattr(want[2][g][r], name))
+
+
+class TestStageCost:
+    """The stage cost is summed in step order with sim._quad, whose bits do
+    not depend on how many rows it is given."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (1, 3), (2, 2), (13, 7),
+                                       (5, 3, 8)])
+    def test_quad_equals_einsum(self, n, shape):
+        # numpy's einsum sums n=2 pairwise over at most two rows; from three
+        # rows on, it sums in (i, j) order as _quad does
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal((n, n))
+        M = f @ f.T
+        x = (rng.standard_normal(shape + (n,))
+             * 10.0 ** rng.integers(-3, 4, shape + (n,)))
+        _assert_same_bits(sim._quad(x, M),
+                          np.einsum("...i,ij,...j->...", x, M, x))
+
+    def test_cost_bits_do_not_depend_on_grid_width(self, bench_model,
+                                                   bench_filter, bench_control):
+        # a 1-lambda, 2-run grid is the shape where einsum sums pairwise
+        cfg = _cfg(bench_model, runs=2, horizon=2000, burn_in=20, seed=7)
+        rates, costs, _ = sim.run_closed_loop_grid(cfg, bench_filter,
+                                                   bench_control, [10.0])
+        grid_rates, grid_costs, _ = sim.run_closed_loop_grid(
+            cfg, bench_filter, bench_control, GRID)
+        _assert_same_bits(rates[0], grid_rates[2])
+        _assert_same_bits(costs[0], grid_costs[2])
+
+
+class TestBlockGuard:
+    """The guard is checked once per block, and reports what a per-step
+    check reports."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("block", [None, 64, 4096])
+    def test_crossing_then_overflow_in_one_block(self, bench_model,
+                                                 bench_filter, monkeypatch,
+                                                 block):
+        # open loop, the state passes 1e12 near step 150 and overflows to
+        # inf near step 3900; the loop runs on to the end of the crossing's
+        # block, so with one block of 4000 steps it overflows, and no
+        # RuntimeWarning may escape
+        open_loop = TestDivergenceGuard()._open_loop(bench_model)
+        cfg = SimConfig(model=bench_model,
+                        params=SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT),
+                        horizon=4000, runs=2, seed=11, burn_in=0,
+                        record_trace=block is not None)
+        _, costs, _ = sim.run_closed_loop_grid(
+            dataclasses.replace(cfg, divergence_limit=None, record_trace=False),
+            bench_filter, open_loop, [1.0])
+        assert not np.isfinite(costs).any()
+        assert sim._BLOCK_BYTES // (8 * 4 * 2) >= cfg.horizon
+        if block is not None:
+            monkeypatch.setattr(sim, "_TRACE_BLOCK_STEPS", block)
+        blocks = []
+        with pytest.raises(DivergenceError) as exc:
+            sim.run_closed_loop_grid(cfg, bench_filter, open_loop, [1.0],
+                                     on_block=blocks.append)
+        with pytest.raises(DivergenceError) as want:
+            reference_closed_loop_grid(cfg, bench_filter, open_loop, [1.0])
+        assert vars(exc.value) == vars(want.value)
+        # x_step is computed at step - 1; that step's block never arrives
+        crossing = want.value.step - 1
+        if block is None:
+            assert blocks == []
+        else:
+            assert [b.start for b in blocks] == list(
+                range(0, crossing // block * block, block))
+            assert all(b.start + len(b.sigma) <= crossing for b in blocks)

@@ -12,22 +12,17 @@ from .errors import (ConfigError, ConvergenceError, DefinitenessError,
                      ValidationFailure)
 from .model import (SchedulerParams, SystemModel, ValidationCheck,
                     ValidationReport, controllability_rank, observability_rank,
-                    require_valid, validate_model)
-from .estimation import (FilterState, SteadyStateFilter, eta_covariance,
-                         initial_filter_state, kf_predict, kf_steady_state,
-                         kf_update)
-from .scheduling import (SchedulerState, advance_tau, initial_scheduler_state,
-                         trigger_decision)
+                    validate_model)
+from .estimation import SteadyStateFilter, kf_steady_state
 from .analysis import (ConditionalErrorCov, MarkovAnalysis, analysis_record,
                        conditional_error_cov, stationary_distribution,
                        transition_matrix)
 from .control import (ControlSynthesis, CostBreakdown, TradeoffPoint,
-                      control_action, control_steady_state, cost_tradeoff_curve,
+                      control_steady_state, cost_tradeoff_curve,
                       finite_horizon_cost, infinite_horizon_cost,
                       riccati_backward)
 from .simulation import (ExperimentResult, SimConfig, SimulationTrace,
-                         aggregate_runs, gaussian_draw, run_closed_loop,
-                         run_experiment)
+                         aggregate_runs, run_closed_loop, run_experiment)
 from .config import (ExperimentConfig, config_to_dict, default_config_path,
                      load_config)
 
@@ -37,19 +32,15 @@ __all__ = [
     "ConfigError", "ConvergenceError", "DefinitenessError", "DivergenceError",
     "EtlqgError", "ModelError", "NumericalError", "ValidationFailure",
     "SchedulerParams", "SystemModel", "ValidationCheck", "ValidationReport",
-    "controllability_rank", "observability_rank", "require_valid",
-    "validate_model",
-    "FilterState", "SteadyStateFilter", "eta_covariance",
-    "initial_filter_state", "kf_predict", "kf_steady_state", "kf_update",
-    "SchedulerState", "advance_tau", "initial_scheduler_state",
-    "trigger_decision",
+    "controllability_rank", "observability_rank", "validate_model",
+    "SteadyStateFilter", "kf_steady_state",
     "ConditionalErrorCov", "MarkovAnalysis", "analysis_record",
     "conditional_error_cov", "stationary_distribution", "transition_matrix",
-    "ControlSynthesis", "CostBreakdown", "TradeoffPoint", "control_action",
+    "ControlSynthesis", "CostBreakdown", "TradeoffPoint",
     "control_steady_state", "cost_tradeoff_curve", "finite_horizon_cost",
     "infinite_horizon_cost", "riccati_backward",
     "ExperimentResult", "SimConfig", "SimulationTrace", "aggregate_runs",
-    "gaussian_draw", "run_closed_loop", "run_experiment",
+    "run_closed_loop", "run_experiment",
     "ExperimentConfig", "config_to_dict", "default_config_path", "load_config",
     "__version__",
 ]

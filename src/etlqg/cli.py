@@ -11,6 +11,8 @@ Artifacts (under the output directory, written atomically):
   manifest.json         full config echo (re-ingestable as a config) + tool info
   plot.gp               optional gnuplot script (emit_plot_data / --plot-script)
   trace_*.csv           optional per-run step traces (simulation.record_trace)
+A finished sweep removes the artifacts of an earlier one that it did not
+write; files with other names stay.
 
 Exit codes: 0 success, 1 invalid config, 2 model validation failure,
 3 numerical non-convergence or divergence.
@@ -23,6 +25,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -52,6 +55,9 @@ TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
 # 2.9 s either way; 13 x 64 x 20000: 4.8 s -> 3.8 s). The tier-1 CLI tests
 # and the small CI smoke run stay in-process.
 _SPLIT_MIN_RUN_STEPS = 8_000_000
+# The artifacts a sweep may write, but for manifest.json
+_ARTIFACT = re.compile(r"tradeoff\.csv|plot\.gp|analysis_.*\.json"
+                       r"|trace_lam.*_run.*\.csv")
 
 
 def _fmt(value) -> str:
@@ -278,6 +284,7 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
+    written = set()
 
     def emit(point, rates=None, costs=None):
         emp_rate = rate_se = emp_cost = cost_se = None
@@ -290,8 +297,9 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
         if "json" in cfg.formats:
             record = analysis_record(point.markov)
             record["cost"] = dataclasses.asdict(point.breakdown)
-            _write_atomic(out_dir / f"analysis_{point.lam!r}.json",
-                          json.dumps(record, indent=2) + "\n")
+            name = f"analysis_{point.lam!r}.json"
+            _write_atomic(out_dir / name, json.dumps(record, indent=2) + "\n")
+            written.add(name)
 
         line = f"lambda={point.lam:g} rate={point.rate:.6f} cost={point.cost:.6f}"
         if emp_rate is not None:
@@ -308,11 +316,13 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
         start = 0
         for group in lambda_groups(sim_cfg, [pt.lam for pt in points]):
             if sim_cfg.record_trace:
+                names = [f"trace_lam{pt.lam!r}_run{r:04d}.csv"
+                         for pt in points[start:start + len(group)]
+                         for r in range(cfg.runs)]
                 rates, costs = _simulate_traced(
                     sim_cfg, filt, ctrl, group,
-                    [out_dir / f"trace_lam{pt.lam!r}_run{r:04d}.csv"
-                     for pt in points[start:start + len(group)]
-                     for r in range(cfg.runs)])
+                    [out_dir / name for name in names])
+                written.update(names)
             else:
                 slices = _run_slices(sim_cfg, len(group))
                 with (_worker_pool(len(slices) - 1) if len(slices) > 1
@@ -331,9 +341,16 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
         for row in rows:
             csv_lines.append(",".join(_fmt(cell) for cell in row))
         _write_atomic(out_dir / "tradeoff.csv", "\n".join(csv_lines) + "\n")
+        written.add("tradeoff.csv")
     if cfg.emit_plot_data:
         _write_atomic(out_dir / "plot.gp", _plot_script())
+        written.add("plot.gp")
     _write_manifest(cfg, out_dir)
+    # then no artifact of an earlier sweep into out_dir is left
+    for path in out_dir.iterdir():
+        if (path.name not in written and _ARTIFACT.fullmatch(path.name)
+                and path.is_file()):
+            path.unlink()
     print(f"artifacts written to {out_dir}")
     return 0
 

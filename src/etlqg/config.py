@@ -22,11 +22,11 @@ import yaml
 
 from .errors import ConfigError
 from .model import SystemModel
+from .simulation import DEFAULT_BURN_IN
 
 DEFAULT_RUNS = 1000
 DEFAULT_HORIZON = 2000
 DEFAULT_SEED = 12345
-DEFAULT_BURN_IN = 200
 DEFAULT_OUT_DIR = "./results"
 OUT_DIR_ENV_VAR = "ETLQG_OUT_DIR"
 _FORMATS = ("csv", "json")

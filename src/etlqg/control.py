@@ -15,8 +15,8 @@ import numpy as np
 from .analysis import (MarkovAnalysis, chain_step, conditional_error_cov,
                        transition_matrix)
 from .errors import ModelError
-from .estimation import (ARE_MAX_ITER, ARE_TOL, SteadyStateFilter, fixed_point,
-                         kalman_gain, kf_steady_state)
+from .estimation import (ARE_MAX_ITER, ARE_TOL, SteadyStateFilter, filter_step,
+                         fixed_point, kf_steady_state)
 from .model import SystemModel, symmetrize
 
 
@@ -98,11 +98,6 @@ def control_steady_state(model: SystemModel, tol: float = ARE_TOL,
                             residual=residual, iterations=it)
 
 
-def control_action(L: np.ndarray, xhat_c: np.ndarray) -> np.ndarray:
-    """u = -L xhat."""
-    return -(np.asarray(L, dtype=float) @ np.asarray(xhat_c, dtype=float).reshape(-1))
-
-
 def infinite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
                           ma: MarkovAnalysis, model: SystemModel) -> CostBreakdown:
     """Closed-form long-run average cost under the event-triggered loop."""
@@ -158,15 +153,11 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
 
 def _transient_filter_covs(model: SystemModel, N: int) -> list[np.ndarray]:
     """Updated filter covariances P_{k|k} for k = 0..N-1 from X0."""
-    n = model.A.shape[0]
-    eye = np.eye(n)
     P_pred = model.X0.copy()
     out = []
     for _ in range(N):
-        K = kalman_gain(P_pred, model)
-        P_filt = symmetrize((eye - K @ model.C) @ P_pred)
-        out.append(P_filt)
-        P_pred = symmetrize(model.A @ P_filt @ model.A.T + model.W)
+        P_filt, P_pred = filter_step(P_pred, model)
+        out.append(symmetrize(P_filt))
     return out
 
 

@@ -1,8 +1,8 @@
 """Sensor-side Kalman filtering and its steady-state quantities.
 
-The per-step predict/update recursions operate on FilterState values; the
-steady-state solver iterates the predicted-covariance recursion to the fixed
-point used by every analytic formula downstream (P_inf, K_inf, F_inf, Pi_eta).
+One covariance step, filter_step, defines the filter recursion; the
+steady-state solver iterates it from X0 to the fixed point used by every
+analytic formula downstream (P_inf, K_inf, F_inf, Pi_eta).
 """
 
 from __future__ import annotations
@@ -25,17 +25,6 @@ INNOVATION_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
-class FilterState:
-    """One time slice of the filter: predicted and updated mean/covariance."""
-
-    x_pred: np.ndarray
-    x_filt: np.ndarray
-    P_pred: np.ndarray
-    P_filt: np.ndarray
-    gain: np.ndarray
-
-
-@dataclass(frozen=True)
 class SteadyStateFilter:
     """Fixed point of the filtering recursion.
 
@@ -52,29 +41,6 @@ class SteadyStateFilter:
     Pi_eta: np.ndarray
     iterations: int
     residual: float
-
-
-def initial_filter_state(model: SystemModel) -> FilterState:
-    """Prior at k=0: prediction is the initial-state distribution."""
-    n, _, p = model.dims
-    return FilterState(
-        x_pred=model.x0_mean.copy(),
-        x_filt=model.x0_mean.copy(),
-        P_pred=model.X0.copy(),
-        P_filt=model.X0.copy(),
-        gain=np.zeros((n, p)),
-    )
-
-
-def kf_predict(state: FilterState, model: SystemModel,
-               u_prev: np.ndarray | None = None) -> FilterState:
-    """Time update: propagate the filtered estimate through the dynamics."""
-    x = model.A @ state.x_filt
-    if u_prev is not None:
-        x = x + model.B @ np.asarray(u_prev, dtype=float).reshape(-1)
-    P = symmetrize(model.A @ state.P_filt @ model.A.T + model.W)
-    return FilterState(x_pred=x, x_filt=state.x_filt,
-                       P_pred=P, P_filt=state.P_filt, gain=state.gain)
 
 
 def kalman_gain(P_pred: np.ndarray, model: SystemModel) -> np.ndarray:
@@ -116,16 +82,15 @@ def fixed_point(step, start: np.ndarray, label: str, tol: float = ARE_TOL,
     raise ConvergenceError(label, delta, it)
 
 
-def kf_update(state: FilterState, model: SystemModel, y: np.ndarray) -> FilterState:
-    """Measurement update: blend prediction and observation."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    gain = kalman_gain(state.P_pred, model)
-    innovation = y - model.C @ state.x_pred
-    x = state.x_pred + gain @ innovation
-    n = model.A.shape[0]
-    P = symmetrize((np.eye(n) - gain @ model.C) @ state.P_pred)
-    return FilterState(x_pred=state.x_pred, x_filt=x,
-                       P_pred=state.P_pred, P_filt=P, gain=gain)
+def filter_step(P_pred: np.ndarray, model: SystemModel):
+    """One covariance step of the filter: (P_filt, P_next).
+
+    P_filt = (I - K C) P_pred is the updated covariance, not symmetrized;
+    P_next = sym(A P_filt A^T + W) is the next predicted covariance.
+    """
+    K = kalman_gain(P_pred, model)
+    P_filt = (np.eye(model.A.shape[0]) - K @ model.C) @ P_pred
+    return P_filt, symmetrize(model.A @ P_filt @ model.A.T + model.W)
 
 
 def kf_steady_state(model: SystemModel, tol: float = ARE_TOL,
@@ -136,35 +101,10 @@ def kf_steady_state(model: SystemModel, tol: float = ARE_TOL,
     updated covariance F_inf and the correction covariance Pi_eta along with
     iteration diagnostics. Raises ConvergenceError when the cap is hit.
     """
-    eye = np.eye(model.A.shape[0])
-
-    def step(P):
-        K = kalman_gain(P, model)
-        return symmetrize(model.A @ ((eye - K @ model.C) @ P) @ model.A.T + model.W)
-
-    P, it = fixed_point(step, model.X0.copy(), "steady-state filter iteration",
-                        tol, max_iterations)
+    P, it = fixed_point(lambda P: filter_step(P, model)[1], model.X0.copy(),
+                        "steady-state filter iteration", tol, max_iterations)
+    P_filt, P_next = filter_step(P, model)
     K = kalman_gain(P, model)
-    F = symmetrize((eye - K @ model.C) @ P)
-    Pi = symmetrize(K @ model.C @ P)
-    # Riccati residual at the fixed point, for the convergence contract
-    residual = float(np.max(np.abs(symmetrize(model.A @ F @ model.A.T + model.W) - P)))
-    return SteadyStateFilter(P_inf=P, K_inf=K, F_inf=F, Pi_eta=Pi,
-                             iterations=it, residual=residual)
-
-
-def eta_covariance(ss: SteadyStateFilter, model: SystemModel) -> np.ndarray:
-    """Covariance of the steady-state filter correction.
-
-    Computed as K C P and cross-checked against the equivalent quadratic
-    form K (C P C^T + V) K^T; disagreement means the fixed point is bad.
-    """
-    direct = symmetrize(ss.K_inf @ model.C @ ss.P_inf)
-    S = model.C @ ss.P_inf @ model.C.T + model.V
-    quad = symmetrize(ss.K_inf @ S @ ss.K_inf.T)
-    gap = float(np.max(np.abs(direct - quad)))
-    if gap > 1e-9:
-        raise NumericalError(
-            f"filter-correction covariance identity violated: |KCP - KSK^T| = {gap:.3e}"
-        )
-    return direct
+    return SteadyStateFilter(P_inf=P, K_inf=K, F_inf=symmetrize(P_filt),
+                             Pi_eta=symmetrize(K @ model.C @ P), iterations=it,
+                             residual=float(np.max(np.abs(P_next - P))))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DefinitenessError, ModelError, ValidationFailure
+from .errors import DefinitenessError, ModelError
 
 SYMMETRY_TOL = 1e-10
 PSD_EIG_FLOOR = -1e-10
@@ -271,11 +271,3 @@ def validate_model(model: SystemModel) -> ValidationReport:
             f"rank == {n}, informational", required=False))
 
     return ValidationReport(tuple(checks))
-
-
-def require_valid(model: SystemModel) -> ValidationReport:
-    """validate_model that raises ValidationFailure when a gating check fails."""
-    report = validate_model(model)
-    if not report.passed:
-        raise ValidationFailure(report)
-    return report

@@ -63,21 +63,9 @@ TRACE_BUDGET_BYTES = 64 * 2**20
 
 def _cov_factor(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ModelError(f"covariance must be square, got shape {cov.shape}")
     if float(np.min(np.linalg.eigvalsh((cov + cov.T) / 2.0))) < PSD_EIG_FLOOR:
         raise DefinitenessError("sampling covariance is indefinite; cannot factor")
     return psd_sqrt(cov)
-
-
-def gaussian_draw(rng: np.random.Generator, mean, cov) -> np.ndarray:
-    """One sample of N(mean, cov) through the PSD square root of cov."""
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    factor = _cov_factor(cov)
-    if factor.shape[0] != mean.shape[0]:
-        raise ModelError("mean and covariance dimensions disagree")
-    z = rng.standard_normal(mean.shape[0])
-    return mean + factor @ z
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 axis: a named oracle for `etlqg.simulation.run_closed_loop_grid`.
 
 This is the engine's old body, kept verbatim apart from its name, the
-imports below and the chunk size, which it reads from the engine module so
-that a monkeypatched `_CHUNK_STEPS` reaches both. It carries every state as
+imports below, the chunk size, which it reads from the engine module so
+that a monkeypatched `_CHUNK_STEPS` reaches both, and its stage-cost line,
+which calls the engine's `simulation._quad` (in step order, so the cost
+keeps the bits of a per-step einsum). It carries every state as
 (group, runs, n), records traces run-major and forms y, xhat_s and xhat_c
 inside the loop. The engine must
 reproduce its rates, costs and every trace field bit for bit; see
@@ -29,10 +31,9 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
 
     lams replaces cfg.params.lam; every other setting comes from cfg. runs,
     a range inside range(cfg.runs) (all of it by default), selects the run
-    indices; column j is run runs[j], bitwise as in the full call for
-    slices of at least 2 runs and 3 lambda-runs (see the module notes). Each
-    run's random streams are shared by all lambdas (common random numbers),
-    so row g equals run_closed_loop at lams[g] bitwise. Returns (rates,
+    indices; column j is run runs[j]. Each run's random streams are shared
+    by all lambdas (common random numbers), so row g equals run_closed_loop
+    at lams[g] bitwise. Returns (rates,
     costs, traces): (len(lams), len(runs)) arrays and, with
     cfg.record_trace, one tuple of SimulationTrace per lambda (else None).
     A DivergenceError names the run by its index in range(cfg.runs).

@@ -825,3 +825,76 @@ class TestArtifactModes:
         for name in ("tradeoff.csv", "analysis_0.5.json", "manifest.json",
                      "trace_lam0.5_run0000.csv"):
             assert stat.S_IMODE((out / name).stat().st_mode) == mode, name
+
+
+class TestRerun:
+    """A rerun into the same directory leaves only its own artifacts."""
+
+    @staticmethod
+    def _run(tmp_path, runs=3, grid=(0.1, 1.0, 10.0), record_trace=True,
+             horizon=60):
+        doc = base_config(tmp_path / "out",
+                          scheduler={"timeout": 6, "lambda_grid": list(grid)})
+        doc["simulation"] = {"runs": runs, "horizon": horizon, "seed": 7,
+                             "burn_in": 10, "record_trace": record_trace}
+        return main(["run", str(write_config(tmp_path, doc))])
+
+    @staticmethod
+    def _files(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_fewer_runs_leave_only_the_new_traces(self, tmp_path):
+        assert self._run(tmp_path, runs=3) == 0
+        out = tmp_path / "out"
+        assert len(list(out.glob("trace_*.csv"))) == 9
+        assert self._run(tmp_path, runs=2) == 0
+        traces = sorted(p.name for p in out.glob("trace_*.csv"))
+        assert traces == [f"trace_lam{lam!r}_run{r:04d}.csv"
+                          for lam in (0.1, 1.0, 10.0) for r in range(2)]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["simulation"]["runs"] == 2
+
+    def test_smaller_grid_leaves_its_analyses_and_other_files(self, tmp_path):
+        assert self._run(tmp_path) == 0
+        out = tmp_path / "out"
+        (out / "notes.txt").write_text("kept\n")
+        assert self._run(tmp_path, grid=(0.1, 1.0)) == 0
+        assert sorted(p.name for p in out.glob("analysis_*.json")) == [
+            "analysis_0.1.json", "analysis_1.0.json"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert len(read_rows(out)) == 2
+
+    def test_failed_rerun_removes_nothing(self, tmp_path, monkeypatch, capsys):
+        assert self._run(tmp_path) == 0
+        out = tmp_path / "out"
+        before = self._files(out)
+        # zero feedback leaves the unstable plant to cross the guard
+        real = cli.control_steady_state
+        monkeypatch.setattr(cli, "control_steady_state", lambda model: (
+            dataclasses.replace(real(model), L_inf=np.zeros((1, 2)))))
+        assert self._run(tmp_path, runs=2, record_trace=False,
+                         horizon=400) == 3
+        assert "diverged" in capsys.readouterr().err
+        assert self._files(out) == before
+
+
+class TestTracedCli:
+    """bench/traced_cli.py wraps names in etlqg.cli and etlqg.control; it
+    fails if one of them is gone."""
+
+    @pytest.mark.parametrize("command", [
+        ["analyze-only"], ["run", "--runs", "4", "--horizon", "300"]])
+    def test_wrapper_runs_and_records_spans(self, tmp_path, command):
+        wrapper = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+        spans_path = tmp_path / "spans.json"
+        done = TestSplitSweep._python(str(wrapper), str(spans_path), *command,
+                                      "--out-dir", str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        spans = json.loads(spans_path.read_text())
+        assert spans["exit_code"] == 0
+        names = {span["name"] for span in spans["spans"]}
+        want = {"cli.main", "estimation.kf_steady_state",
+                "analysis.conditional_error_cov"}
+        if command[0] == "run":
+            want.add("cli.write_atomic")
+        assert want <= names

@@ -17,7 +17,6 @@ from etlqg import (
     ModelError,
     SystemModel,
     conditional_error_cov,
-    control_action,
     control_steady_state,
     cost_tradeoff_curve,
     finite_horizon_cost,
@@ -165,22 +164,6 @@ class TestControlSteadyState:
         with pytest.raises(ConvergenceError) as exc:
             control_steady_state(bench_model, max_iterations=3)
         assert "steady-state control iteration" in str(exc.value)
-
-
-class TestControlAction:
-    def test_negative_feedback(self, bench_control):
-        u = control_action(bench_control.L_inf, np.array([1.0, 0.0]))
-        np.testing.assert_array_equal(u, -bench_control.L_inf[:, 0])
-
-    def test_zero_state(self, bench_control):
-        u = control_action(bench_control.L_inf, np.zeros(2))
-        np.testing.assert_array_equal(u, np.zeros(1))
-
-    def test_shape(self):
-        L = np.ones((3, 4))
-        u = control_action(L, np.ones(4))
-        assert u.shape == (3,)
-        np.testing.assert_allclose(u, -4.0)
 
 
 class TestInfiniteHorizonCost:

@@ -5,98 +5,42 @@ import pytest
 import scipy.linalg
 
 from etlqg import (ConvergenceError, NumericalError, SystemModel, control,
-                   control_steady_state, estimation, eta_covariance,
-                   initial_filter_state, kf_predict, kf_steady_state, kf_update)
+                   control_steady_state, estimation, kf_steady_state)
 from etlqg.estimation import (ARE_MAX_ITER, ARE_STALL_WINDOW, ARE_TOL,
-                              FilterState, fixed_point)
-from etlqg.model import psd_sqrt
+                              filter_step, fixed_point, kalman_gain)
+from etlqg.model import psd_sqrt, symmetrize
 
 from conftest import (BENCH_F_INF, BENCH_K_INF, BENCH_P_INF, BENCH_PI_ETA,
                       GOLDEN_F, GOLDEN_GAIN, PHI, random_valid_model)
 
 
-def _simple_model(n=2):
-    eye = np.eye(n)
-    return SystemModel(A=0.5 * eye, B=eye, C=eye, W=eye, V=eye, Q=eye,
-                      Qf=eye, R=eye, x0_mean=np.zeros(n), X0=eye)
-
-
-def _state(n, p, x_pred=None, x_filt=None, P_pred=None, P_filt=None):
-    z = np.zeros(n)
-    zz = np.zeros((n, n))
-    return FilterState(
-        x_pred=z if x_pred is None else np.asarray(x_pred, dtype=float),
-        x_filt=z if x_filt is None else np.asarray(x_filt, dtype=float),
-        P_pred=zz if P_pred is None else np.asarray(P_pred, dtype=float),
-        P_filt=zz if P_filt is None else np.asarray(P_filt, dtype=float),
-        gain=np.zeros((n, p)))
-
-
-class TestPredict:
-    def test_noise_only_propagation(self):
-        model = _simple_model()
-        out = kf_predict(_state(2, 2), model)
-        assert np.array_equal(out.x_pred, np.zeros(2))
-        assert np.allclose(out.P_pred, np.eye(2), atol=1e-15)
-
-    def test_benchmark_mean_propagation(self, bench_model):
-        state = _state(2, 1, x_filt=[1.0, 1.0])
-        out = kf_predict(state, bench_model, u_prev=[0.0])
-        assert np.allclose(out.x_pred, [2.2, 0.9], atol=1e-12)
-
-    def test_control_input_enters_mean(self, bench_model):
-        out = kf_predict(_state(2, 1), bench_model, u_prev=[2.0])
-        assert np.allclose(out.x_pred, 2.0 * bench_model.B[:, 0], atol=1e-15)
-
+class TestFilterStep:
     def test_golden_covariance_step(self, golden_model):
-        state = _state(1, 1, P_filt=[[PHI - 1.0]])
-        out = kf_predict(state, golden_model)
-        assert out.P_pred[0, 0] == pytest.approx(PHI, abs=1e-12)
+        P_filt, P_next = filter_step(np.array([[PHI]]), golden_model)
+        assert P_filt[0, 0] == pytest.approx(GOLDEN_F, abs=1e-12)
+        assert P_next[0, 0] == pytest.approx(PHI, abs=1e-12)
+
+    def test_filtered_covariance_psd_along_walk(self, bench_model):
+        # P_filt is (I - K C) P_pred; the Joseph form is PSD by construction
+        C, V = bench_model.C, bench_model.V
+        P_pred = bench_model.X0
+        for _ in range(50):
+            K = kalman_gain(P_pred, bench_model)
+            P_filt, P_next = filter_step(P_pred, bench_model)
+            I_KC = np.eye(2) - K @ C
+            joseph = I_KC @ P_pred @ I_KC.T + K @ V @ K.T
+            assert np.max(np.abs(P_filt - joseph)) <= 1e-10
+            assert np.linalg.eigvalsh(symmetrize(P_filt))[0] >= -1e-10
+            P_pred = P_next
 
 
-class TestUpdate:
-    def test_zero_innovation_keeps_mean(self, bench_model):
-        state = _state(2, 1, x_pred=[3.0, -1.0], P_pred=np.eye(2))
-        y = bench_model.C @ state.x_pred
-        out = kf_update(state, bench_model, y)
-        assert np.array_equal(out.x_filt, state.x_pred)
-
-    def test_golden_gain_and_covariance(self, golden_model):
-        state = _state(1, 1, P_pred=[[PHI]])
-        out = kf_update(state, golden_model, y=[0.0])
-        assert out.gain[0, 0] == pytest.approx(GOLDEN_GAIN, abs=1e-12)
-        assert out.P_filt[0, 0] == pytest.approx(GOLDEN_F, abs=1e-12)
-
-    def test_update_identity_and_psd(self, bench_model):
-        rng = np.random.default_rng(7)
-        state = initial_filter_state(bench_model)
-        for _ in range(25):
-            state = kf_predict(state, bench_model)
-            state = kf_update(state, bench_model, y=rng.standard_normal(1))
-            joseph = (np.eye(2) - state.gain @ bench_model.C) @ state.P_pred
-            assert np.max(np.abs(state.P_filt - joseph)) <= 1e-10
-            assert np.linalg.eigvalsh(state.P_filt)[0] >= -1e-10
-
-    def test_steady_state_is_update_fixed_point(self, bench_model, bench_filter):
-        state = _state(2, 1, P_pred=bench_filter.P_inf)
-        out = kf_update(state, bench_model, y=[0.0])
-        assert np.allclose(out.P_filt, bench_filter.F_inf, atol=1e-9)
-        assert np.allclose(out.gain, bench_filter.K_inf, atol=1e-9)
-
+class TestKalmanGain:
     def test_ill_conditioned_innovation_raises(self):
         eye = np.eye(2)
         model = SystemModel(A=0.5 * eye, B=eye, C=eye, W=eye, V=1e-9 * eye,
                             Q=eye, Qf=eye, R=eye, x0_mean=np.zeros(2), X0=eye)
-        state = _state(2, 2, P_pred=np.diag([1e9, 1e-9]))
         with pytest.raises(NumericalError):
-            kf_update(state, model, y=[0.0, 0.0])
-
-
-class TestInitialState:
-    def test_prior_is_initial_distribution(self, bench_model):
-        state = initial_filter_state(bench_model)
-        assert np.array_equal(state.x_pred, bench_model.x0_mean)
-        assert np.array_equal(state.P_pred, bench_model.X0)
+            kalman_gain(np.diag([1e9, 1e-9]), model)
 
 
 class TestSteadyState:
@@ -123,6 +67,13 @@ class TestSteadyState:
         assert np.allclose(bench_filter.F_inf, BENCH_F_INF, rtol=1e-9)
         assert np.allclose(bench_filter.Pi_eta, BENCH_PI_ETA, rtol=1e-9)
         assert bench_filter.residual <= 1e-9
+
+    def test_benchmark_eta_covariance_identity(self, bench_filter, bench_model):
+        # Pi_eta = K C P equals the quadratic form K (C P C^T + V) K^T
+        S = bench_model.C @ bench_filter.P_inf @ bench_model.C.T + bench_model.V
+        quad = bench_filter.K_inf @ S @ bench_filter.K_inf.T
+        assert np.max(np.abs(bench_filter.Pi_eta - quad)) <= 1e-9
+        assert np.allclose(bench_filter.Pi_eta, BENCH_PI_ETA, rtol=1e-9)
 
     def test_benchmark_matches_independent_solver(self, bench_model, bench_filter):
         # filtering fixed point via the dual DARE in an external solver
@@ -192,19 +143,6 @@ class TestStalledFixedPoint:
                         assert getattr(a, name).tobytes() == value.tobytes()
                     else:
                         assert getattr(a, name) == value
-
-
-class TestEtaCovariance:
-    def test_golden_unit_covariance(self, golden_filter, golden_model):
-        Pi = eta_covariance(golden_filter, golden_model)
-        assert Pi[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_benchmark_identity_between_forms(self, bench_filter, bench_model):
-        Pi = eta_covariance(bench_filter, bench_model)
-        S = bench_model.C @ bench_filter.P_inf @ bench_model.C.T + bench_model.V
-        quad = bench_filter.K_inf @ S @ bench_filter.K_inf.T
-        assert np.max(np.abs(Pi - quad)) <= 1e-9
-        assert np.allclose(Pi, BENCH_PI_ETA, rtol=1e-9)
 
 
 def _filter_error_paths(model, ss, chains, steps, seed):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from etlqg import (DefinitenessError, ModelError, SchedulerParams, SystemModel,
-                   ValidationFailure, control_steady_state,
-                   controllability_rank, kf_steady_state, observability_rank,
-                   require_valid, validate_model)
+                   control_steady_state, controllability_rank, kf_steady_state,
+                   observability_rank, validate_model)
 from etlqg.model import psd_sqrt, spectral_radius, symmetrize
 
 from conftest import make_benchmark_model, make_golden_model, random_valid_model
@@ -164,14 +163,6 @@ class TestValidateModel:
         failed = {c.name for c in report.checks if not c.passed}
         assert "observable(A,sqrt(Q))" in failed
         assert "controllable(A,B)" in failed
-
-    def test_require_valid_raises_with_report(self):
-        kw = _bench_kwargs()
-        kw["Q"] = np.zeros((2, 2))
-        with pytest.raises(ValidationFailure) as err:
-            require_valid(SystemModel(**kw))
-        assert "observable(A,sqrt(Q))" in str(err.value)
-        assert err.value.report.checks
 
     def test_report_lines_render(self, bench_model):
         lines = validate_model(bench_model).lines()

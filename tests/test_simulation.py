@@ -24,7 +24,6 @@ from etlqg import (
     aggregate_runs,
     conditional_error_cov,
     control_steady_state,
-    gaussian_draw,
     infinite_horizon_cost,
     kf_steady_state,
     riccati_backward,
@@ -44,40 +43,10 @@ def _cfg(model, lam=1.0, timeout=BENCH_TIMEOUT, **kw):
                      **defaults)
 
 
-class TestGaussianDraw:
-    def test_zero_covariance_returns_mean_exactly(self):
-        rng = np.random.default_rng(0)
-        mean = np.array([3.0, -1.0])
-        out = gaussian_draw(rng, mean, np.zeros((2, 2)))
-        np.testing.assert_array_equal(out, mean)
-
-    def test_sample_covariance_matches(self, bench_model):
-        rng = np.random.default_rng(20240821)
-        n_samples = 200_000
-        draws = np.empty((n_samples, 2))
-        for i in range(n_samples):
-            draws[i] = gaussian_draw(rng, np.zeros(2), bench_model.W)
-        sample_cov = (draws.T @ draws) / n_samples
-        np.testing.assert_allclose(sample_cov, bench_model.W, atol=0.02)
-
-    def test_sample_mean_matches(self, bench_model):
-        rng = np.random.default_rng(20240822)
-        n_samples = 200_000
-        total = np.zeros(2)
-        mean = np.array([5.0, 5.0])
-        for _ in range(n_samples):
-            total += gaussian_draw(rng, mean, bench_model.W)
-        np.testing.assert_allclose(total / n_samples, mean, atol=0.02)
-
+class TestCovFactor:
     def test_indefinite_covariance_rejected(self):
-        rng = np.random.default_rng(2)
         with pytest.raises(DefinitenessError):
-            gaussian_draw(rng, np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-    def test_dimension_mismatch_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ModelError):
-            gaussian_draw(rng, np.zeros(3), np.eye(2))
+            sim._cov_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 class TestSimConfig:

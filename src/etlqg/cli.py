@@ -36,8 +36,8 @@ from . import __version__
 from .config import (ExperimentConfig, config_from_dict, config_to_dict,
                      default_config_path, load_config)
 from .control import control_steady_state, cost_tradeoff_curve
-from .errors import (ConfigError, ConvergenceError, DivergenceError, EtlqgError,
-                     ModelError, NumericalError, ValidationFailure)
+from .errors import (ConfigError, DivergenceError, EtlqgError, ModelError,
+                     ValidationFailure)
 from .estimation import kf_steady_state
 from .analysis import analysis_record
 from .model import SchedulerParams, validate_model
@@ -421,9 +421,6 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, NumericalError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except EtlqgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -24,12 +24,13 @@ from .model import SystemModel, symmetrize
 class ControlSynthesis:
     """Feedback gains from the backward recursion and/or its fixed point.
 
-    Finite-horizon use fills S_seq (S_0..S_N) and L_seq (L_0..L_{N-1});
+    Finite-horizon use fills S_seq (S_0..S_N), L_seq and M_seq (0..N-1);
     steady-state use fills S_inf, L_inf, M_inf plus solver diagnostics.
     """
 
     S_seq: tuple[np.ndarray, ...] | None = None
     L_seq: tuple[np.ndarray, ...] | None = None
+    M_seq: tuple[np.ndarray, ...] | None = None
     S_inf: np.ndarray | None = None
     L_inf: np.ndarray | None = None
     M_inf: np.ndarray | None = None
@@ -62,28 +63,31 @@ class TradeoffPoint:
 
 
 def _gain_step(S_next: np.ndarray, model: SystemModel):
+    """Gain L, S and the cost matrix M = sym(L'(B'S_next B + R)L) of a step."""
     G = model.B.T @ S_next @ model.B + model.R
     L = np.linalg.solve(G, model.B.T @ S_next @ model.A)
     S = symmetrize(model.A.T @ S_next @ model.A + model.Q
                    - model.A.T @ S_next @ model.B @ L)
-    return L, S, G
+    return L, S, symmetrize(L.T @ G @ L)
 
 
 def riccati_backward(model: SystemModel, N: int) -> ControlSynthesis:
     """Backward recursion over horizon N starting from the terminal weight.
 
-    Returns S_0..S_N and L_0..L_{N-1}, each S symmetrized.
+    Returns S_0..S_N, L_0..L_{N-1} and M_0..M_{N-1}, each S symmetrized.
     """
     if N < 1:
         raise ValueError(f"horizon must be >= 1, got {N}")
     S_rev = [symmetrize(model.Qf)]
-    L_rev = []
+    L_rev, M_rev = [], []
     for _ in range(N):
-        L, S, _ = _gain_step(S_rev[-1], model)
+        L, S, M = _gain_step(S_rev[-1], model)
         L_rev.append(L)
         S_rev.append(S)
+        M_rev.append(M)
     return ControlSynthesis(S_seq=tuple(reversed(S_rev)),
-                            L_seq=tuple(reversed(L_rev)))
+                            L_seq=tuple(reversed(L_rev)),
+                            M_seq=tuple(reversed(M_rev)))
 
 
 def control_steady_state(model: SystemModel, tol: float = ARE_TOL,
@@ -91,9 +95,8 @@ def control_steady_state(model: SystemModel, tol: float = ARE_TOL,
     """Fixed point of the backward recursion, iterated from S = Q."""
     S, it = fixed_point(lambda S: _gain_step(S, model)[1], model.Q.copy(),
                         "steady-state control iteration", tol, max_iterations)
-    L, S_check, G = _gain_step(S, model)
+    L, S_check, M = _gain_step(S, model)
     residual = float(np.max(np.abs(S_check - S)))
-    M = symmetrize(L.T @ G @ L)
     return ControlSynthesis(S_inf=S, L_inf=L, M_inf=M,
                             residual=residual, iterations=it)
 
@@ -124,7 +127,7 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
     filtering term uses the steady updated covariance; otherwise the
     transient filter covariances are recomputed from the initial covariance.
     """
-    if cs.S_seq is None or cs.L_seq is None:
+    if cs.S_seq is None or cs.M_seq is None:
         raise ModelError("finite_horizon_cost needs the finite-horizon recursion")
     if len(cs.S_seq) != N + 1:
         raise ModelError(
@@ -140,12 +143,9 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
     dist[0] = 1.0
     for k in range(N):
         dist = chain_step(dist, ma.p_i0)
-        S_next = cs.S_seq[k + 1]
-        L = cs.L_seq[k]
-        G = model.B.T @ S_next @ model.B + model.R
-        M = symmetrize(L.T @ G @ L)
+        M = cs.M_seq[k]
         P_filt = ss.F_inf if use_steady_filter_cov else filt_covs[k]
-        total += float(np.trace(S_next @ model.W))
+        total += float(np.trace(cs.S_seq[k + 1] @ model.W))
         total += float(np.trace(P_filt @ M))
         total += float(np.einsum("i,ijk,kj->", dist, ma.sigmas, M))
     return total

@@ -37,10 +37,6 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def spectral_radius(A: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
-
-
 def _as_matrix(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 2:

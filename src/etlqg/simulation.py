@@ -45,10 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlSynthesis, control_steady_state, cost_tradeoff_curve
-from .errors import DefinitenessError, DivergenceError, ModelError
-from .estimation import SteadyStateFilter, kf_steady_state
-from .model import PSD_EIG_FLOOR, SchedulerParams, SystemModel, psd_sqrt
+from .control import ControlSynthesis
+from .errors import DivergenceError, ModelError
+from .estimation import SteadyStateFilter
+from .model import SchedulerParams, SystemModel, psd_sqrt
 
 DEFAULT_BURN_IN = 200
 DIVERGENCE_LIMIT = 1e12
@@ -59,13 +59,6 @@ _BLOCK_BYTES = 2 * 2**20
 _TRACE_BLOCK_STEPS = 2048
 # Trace bytes one run_closed_loop_grid call may hold (see lambda_groups).
 TRACE_BUDGET_BYTES = 64 * 2**20
-
-
-def _cov_factor(cov: np.ndarray) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if float(np.min(np.linalg.eigvalsh((cov + cov.T) / 2.0))) < PSD_EIG_FLOOR:
-        raise DefinitenessError("sampling covariance is indefinite; cannot factor")
-    return psd_sqrt(cov)
 
 
 @dataclass(frozen=True)
@@ -125,22 +118,6 @@ class TraceBlock:
     x: np.ndarray
     u: np.ndarray
     e_filt: np.ndarray
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    lam: float
-    timeout: int
-    analytic_rate: float
-    analytic_cost: float
-    empirical_rate: float | None
-    rate_stderr: float | None
-    empirical_cost: float | None
-    cost_stderr: float | None
-    runs: int
-    horizon: int
-    seed: int
-    burn_in: int
 
 
 def _spawn_run_streams(seed: int, runs: range):
@@ -234,9 +211,9 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     group, runs, horizon = len(lams), len(run_ids), cfg.horizon
     burn_in = cfg.burn_in
 
-    w_factor = _cov_factor(model.W)
-    v_factor = _cov_factor(model.V)
-    x0_factor = _cov_factor(model.X0)
+    w_factor = psd_sqrt(model.W)
+    v_factor = psd_sqrt(model.V)
+    x0_factor = psd_sqrt(model.X0)
     streams = _spawn_run_streams(cfg.seed, run_ids)
 
     x = np.empty((runs, n))               # broadcast over lambda in xb[0]
@@ -357,30 +334,3 @@ def aggregate_runs(values: np.ndarray):
         return mean, None
     stderr = float(values.std(ddof=1) / np.sqrt(values.size))
     return mean, stderr
-
-
-def run_experiment(cfg: SimConfig,
-                   filt: SteadyStateFilter | None = None,
-                   ctrl: ControlSynthesis | None = None) -> ExperimentResult:
-    """Analytic pipeline plus Monte Carlo aggregation for one lambda.
-
-    Precomputed filter/controller syntheses may be passed in to share the
-    model-level solves across a sweep; they must come from cfg.model.
-    """
-    model = cfg.model
-    if filt is None:
-        filt = kf_steady_state(model)
-    if ctrl is None:
-        ctrl = control_steady_state(model)
-    point = cost_tradeoff_curve(model, [cfg.params.lam], cfg.params.timeout,
-                                ss=filt, cs=ctrl)[0]
-
-    rates, costs, _ = run_closed_loop(cfg, filt, ctrl)
-    emp_rate, rate_se = aggregate_runs(rates)
-    emp_cost, cost_se = aggregate_runs(costs)
-    return ExperimentResult(
-        lam=cfg.params.lam, timeout=cfg.params.timeout,
-        analytic_rate=point.rate, analytic_cost=point.cost,
-        empirical_rate=emp_rate, rate_stderr=rate_se,
-        empirical_cost=emp_cost, cost_stderr=cost_se,
-        runs=cfg.runs, horizon=cfg.horizon, seed=cfg.seed, burn_in=cfg.burn_in)

@@ -2,7 +2,8 @@
 axis: a named oracle for `etlqg.simulation.run_closed_loop_grid`.
 
 This is the engine's old body, kept verbatim apart from its name, the
-imports below, the chunk size, which it reads from the engine module so
+imports below, its covariance factors (psd_sqrt, as the engine's), the
+chunk size, which it reads from the engine module so
 that a monkeypatched `_CHUNK_STEPS` reaches both, and its stage-cost line,
 which calls the engine's `simulation._quad` (in step order, so the cost
 keeps the bits of a per-step einsum). It carries every state as
@@ -21,7 +22,8 @@ import numpy as np
 from etlqg import (ControlSynthesis, DivergenceError, ModelError,
                    SchedulerParams, SimConfig, SimulationTrace,
                    SteadyStateFilter, simulation)
-from etlqg.simulation import _cov_factor, _spawn_run_streams
+from etlqg.model import psd_sqrt
+from etlqg.simulation import _spawn_run_streams
 
 
 def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
@@ -57,9 +59,9 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     lam = np.array(lams)[:, None]
     group, runs, horizon = len(lams), len(run_ids), cfg.horizon
 
-    w_factor = _cov_factor(model.W)
-    v_factor = _cov_factor(model.V)
-    x0_factor = _cov_factor(model.X0)
+    w_factor = psd_sqrt(model.W)
+    v_factor = psd_sqrt(model.V)
+    x0_factor = psd_sqrt(model.X0)
     streams = _spawn_run_streams(cfg.seed, run_ids)
 
     x0 = np.empty((runs, n))

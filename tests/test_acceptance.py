@@ -16,15 +16,17 @@ from etlqg import (
     ControlSynthesis,
     SchedulerParams,
     SimConfig,
+    aggregate_runs,
     conditional_error_cov,
     control_steady_state,
+    cost_tradeoff_curve,
     infinite_horizon_cost,
     kf_steady_state,
     run_closed_loop,
-    run_experiment,
     transition_matrix,
     validate_model,
 )
+from etlqg.simulation import run_closed_loop_grid
 
 from chain_oracle import (cumulative_cov, dense_transition_matrix,
                           nontrigger_probability)
@@ -79,18 +81,20 @@ def test_criterion_3_monte_carlo_agreement_grid():
     model = make_benchmark_model()
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
+    lams = [0.01, 0.1, 1.0, 10.0, 100.0]
+    points = cost_tradeoff_curve(model, lams, BENCH_TIMEOUT, ss=filt, cs=ctrl)
+    cfg = SimConfig(model=model,
+                    params=SchedulerParams(lam=lams[0], timeout=BENCH_TIMEOUT),
+                    horizon=2000, runs=1000, seed=31415, burn_in=200)
+    rates, costs, _ = run_closed_loop_grid(cfg, filt, ctrl, lams)
     worst_rate = worst_cost = 0.0
-    for lam in (0.01, 0.1, 1.0, 10.0, 100.0):
-        cfg = SimConfig(model=model,
-                        params=SchedulerParams(lam=lam, timeout=BENCH_TIMEOUT),
-                        horizon=2000, runs=1000, seed=31415, burn_in=200)
-        res = run_experiment(cfg, filt, ctrl)
-        rate_rel = abs(res.empirical_rate - res.analytic_rate) / res.analytic_rate
-        worst_rate = max(worst_rate, rate_rel)
-        if lam >= 0.1:
-            cost_rel = (abs(res.empirical_cost - res.analytic_cost)
-                        / res.analytic_cost)
-            worst_cost = max(worst_cost, cost_rel)
+    for point, run_rates, run_costs in zip(points, rates, costs):
+        emp_rate, _ = aggregate_runs(run_rates)
+        worst_rate = max(worst_rate, abs(emp_rate - point.rate) / point.rate)
+        if point.lam >= 0.1:
+            emp_cost, _ = aggregate_runs(run_costs)
+            worst_cost = max(worst_cost,
+                             abs(emp_cost - point.cost) / point.cost)
     ok = worst_rate <= 0.01 and worst_cost <= 0.02
     line = _report("3 (Monte Carlo agreement)", ok,
                    f"worst rate dev={worst_rate:.4%} (<=1%) "

@@ -26,7 +26,9 @@ from etlqg import (
     SimConfig,
     SimulationTrace,
     SystemModel,
+    aggregate_runs,
     control_steady_state,
+    cost_tradeoff_curve,
     default_config_path,
     kf_steady_state,
     load_config,
@@ -98,6 +100,30 @@ class TestRunCommand:
             values = [float(cell) for cell in row]
             assert 0.0 < values[1] <= 1.0   # analytic rate
             assert values[4] > 0.0          # analytic cost
+
+    def test_rows_are_the_library_values(self, tmp_path):
+        # the analysis' rate and cost, and aggregate_runs over the lockstep
+        # grid's runs, each cell read back exactly
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, base_config(out))
+        assert main(["run", str(cfg_path)]) == 0
+        cfg = load_config(cfg_path)
+        filt = kf_steady_state(cfg.model)
+        ctrl = control_steady_state(cfg.model)
+        points = cost_tradeoff_curve(cfg.model, cfg.lambda_grid, cfg.timeout,
+                                     ss=filt, cs=ctrl)
+        sim_cfg = SimConfig(model=cfg.model,
+                            params=SchedulerParams(points[0].lam, cfg.timeout),
+                            horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
+                            burn_in=cfg.burn_in)
+        rates, costs, _ = simulation.run_closed_loop_grid(
+            sim_cfg, filt, ctrl, cfg.lambda_grid)
+        rows = read_rows(out)
+        assert len(rows) == len(points) == 2
+        for row, point, run_rates, run_costs in zip(rows, points, rates, costs):
+            want = [point.lam, point.rate, *aggregate_runs(run_rates),
+                    point.cost, *aggregate_runs(run_costs)]
+            assert [float(cell) for cell in row] == want
 
     def test_analysis_record_contents(self, tmp_path):
         out = tmp_path / "out"

@@ -333,8 +333,8 @@ class TestCostTradeoffCurve:
             cost_tradeoff_curve(bench_model, [], BENCH_TIMEOUT)
 
     def test_single_lambda_equals_its_grid_point(self):
-        # the run_experiment path analyses one lambda at a time; the CLI
-        # analyses the whole grid in one pass
+        # a lambda analysed alone gets the bits of the CLI's one pass over
+        # the whole grid
         models = [make_benchmark_model()]
         rng = np.random.default_rng(20261018)
         models += [random_valid_model(rng) for _ in range(4)]

@@ -6,7 +6,7 @@ import pytest
 from etlqg import (DefinitenessError, ModelError, SchedulerParams, SystemModel,
                    control_steady_state, controllability_rank, kf_steady_state,
                    observability_rank, validate_model)
-from etlqg.model import psd_sqrt, spectral_radius, symmetrize
+from etlqg.model import psd_sqrt, symmetrize
 
 from conftest import make_benchmark_model, make_golden_model, random_valid_model
 
@@ -125,7 +125,6 @@ class TestPsdSqrt:
     def test_symmetrize_and_radius(self):
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
         assert np.allclose(symmetrize(M), [[1.0, 1.0], [1.0, 1.0]])
-        assert spectral_radius(np.diag([1.2, -0.9])) == pytest.approx(1.2)
 
 
 class TestValidateModel:

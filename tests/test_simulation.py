@@ -15,7 +15,6 @@ import etlqg.simulation as sim
 from etlqg import (
     ControlSynthesis,
     ConvergenceError,
-    DefinitenessError,
     DivergenceError,
     ModelError,
     SchedulerParams,
@@ -24,11 +23,11 @@ from etlqg import (
     aggregate_runs,
     conditional_error_cov,
     control_steady_state,
+    cost_tradeoff_curve,
     infinite_horizon_cost,
     kf_steady_state,
     riccati_backward,
     run_closed_loop,
-    run_experiment,
     transition_matrix,
 )
 
@@ -41,12 +40,6 @@ def _cfg(model, lam=1.0, timeout=BENCH_TIMEOUT, **kw):
     defaults.update(kw)
     return SimConfig(model=model, params=SchedulerParams(lam=lam, timeout=timeout),
                      **defaults)
-
-
-class TestCovFactor:
-    def test_indefinite_covariance_rejected(self):
-        with pytest.raises(DefinitenessError):
-            sim._cov_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
 class TestSimConfig:
@@ -107,13 +100,6 @@ class TestDeterminism:
         ra, _, _ = run_closed_loop(cfg_a, bench_filter, bench_control)
         rb, _, _ = run_closed_loop(cfg_b, bench_filter, bench_control)
         assert not np.array_equal(ra, rb)
-
-    def test_run_experiment_repeatable(self, bench_model, bench_filter,
-                                       bench_control):
-        cfg = _cfg(bench_model, runs=4, horizon=600)
-        res1 = run_experiment(cfg, bench_filter, bench_control)
-        res2 = run_experiment(cfg, bench_filter, bench_control)
-        assert res1 == res2
 
 
 class TestAggregateRuns:
@@ -208,13 +194,23 @@ class TestTraceInvariants:
         assert traces is None
 
 
+def _against_analysis(cfg, filt, ctrl):
+    """The analytic point at cfg's lambda, then the (mean, stderr) of the
+    simulated rates and of the costs: a row of the CLI sweep."""
+    point, = cost_tradeoff_curve(cfg.model, [cfg.params.lam],
+                                 cfg.params.timeout, ss=filt, cs=ctrl)
+    rates, costs, _ = run_closed_loop(cfg, filt, ctrl)
+    return point, aggregate_runs(rates), aggregate_runs(costs)
+
+
 class TestAgainstAnalysis:
     def test_unit_sensitivity_agreement(self, bench_model, bench_filter,
                                         bench_control):
         cfg = _cfg(bench_model, lam=1.0, runs=64, horizon=2000, seed=2024)
-        res = run_experiment(cfg, bench_filter, bench_control)
-        assert abs(res.empirical_rate - res.analytic_rate) < 4 * res.rate_stderr
-        assert abs(res.empirical_cost - res.analytic_cost) < 5 * res.cost_stderr
+        point, (rate, rate_se), (cost, cost_se) = _against_analysis(
+            cfg, bench_filter, bench_control)
+        assert abs(rate - point.rate) < 4 * rate_se
+        assert abs(cost - point.cost) < 5 * cost_se
 
     def test_low_sensitivity_rate_sits_above_timeout_floor(
         self, bench_model, bench_filter, bench_control
@@ -226,18 +222,20 @@ class TestAgainstAnalysis:
         pure-timeout floor; the simulator must reproduce the analytic value.
         """
         cfg = _cfg(bench_model, lam=1e-6, runs=64, horizon=2000, seed=2025)
-        res = run_experiment(cfg, bench_filter, bench_control)
+        point, (rate, rate_se), _ = _against_analysis(cfg, bench_filter,
+                                                      bench_control)
         floor = 1.0 / (BENCH_TIMEOUT + 1)
-        assert res.analytic_rate > 1.9 * floor
-        assert 0.035 < res.analytic_rate < 0.042
-        assert abs(res.empirical_rate - res.analytic_rate) < 4 * res.rate_stderr
+        assert point.rate > 1.9 * floor
+        assert 0.035 < point.rate < 0.042
+        assert abs(rate - point.rate) < 4 * rate_se
 
     def test_extreme_sensitivity_sends_almost_always(self, bench_model,
                                                      bench_filter, bench_control):
         cfg = _cfg(bench_model, lam=1e6, runs=8, horizon=2000)
-        res = run_experiment(cfg, bench_filter, bench_control)
-        assert res.analytic_rate >= 0.999
-        assert res.empirical_rate >= 0.99
+        point, (rate, _), _ = _against_analysis(cfg, bench_filter,
+                                                bench_control)
+        assert point.rate >= 0.999
+        assert rate >= 0.99
 
     def test_pure_timeout_cadence_is_exact(self, golden_model, golden_filter,
                                            golden_control):
@@ -385,38 +383,6 @@ class TestScheduleControlSeparation:
             np.testing.assert_array_equal(a.tau, b.tau)
             np.testing.assert_array_equal(a.e_filt, b.e_filt)
             assert not np.array_equal(a.x, b.x)
-
-
-class TestExperimentResult:
-    def test_fields_echo_configuration(self, bench_model, bench_filter,
-                                       bench_control):
-        cfg = _cfg(bench_model, lam=2.0, runs=3, horizon=400, seed=17)
-        res = run_experiment(cfg, bench_filter, bench_control)
-        assert res.lam == 2.0
-        assert res.timeout == BENCH_TIMEOUT
-        assert res.runs == 3
-        assert res.horizon == 400
-        assert res.seed == 17
-        assert res.burn_in == 200
-
-    def test_single_run_has_no_stderr(self, bench_model, bench_filter,
-                                      bench_control):
-        cfg = _cfg(bench_model, runs=1, horizon=400)
-        res = run_experiment(cfg, bench_filter, bench_control)
-        assert res.rate_stderr is None
-        assert res.cost_stderr is None
-        assert res.empirical_rate is not None
-
-    def test_analytic_fields_match_direct_pipeline(self, bench_model,
-                                                   bench_filter, bench_control):
-        cfg = _cfg(bench_model, lam=0.4, runs=2, horizon=300)
-        res = run_experiment(cfg, bench_filter, bench_control)
-        ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, [0.4], BENCH_TIMEOUT)[0])
-        bd = infinite_horizon_cost(bench_control, bench_filter, ma,
-                                   bench_model)
-        assert res.analytic_rate == ma.rate
-        assert res.analytic_cost == bd.total
 
 
 GRID = [0.1, 1.0, 10.0]

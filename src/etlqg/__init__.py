@@ -21,8 +21,7 @@ from .control import (ControlSynthesis, CostBreakdown, TradeoffPoint,
                       control_steady_state, cost_tradeoff_curve,
                       finite_horizon_cost, infinite_horizon_cost,
                       riccati_backward)
-from .simulation import (SimConfig, SimulationTrace, aggregate_runs,
-                         run_closed_loop)
+from .simulation import SimConfig, aggregate_runs, run_closed_loop
 from .config import (ExperimentConfig, config_to_dict, default_config_path,
                      load_config)
 
@@ -39,7 +38,7 @@ __all__ = [
     "ControlSynthesis", "CostBreakdown", "TradeoffPoint",
     "control_steady_state", "cost_tradeoff_curve", "finite_horizon_cost",
     "infinite_horizon_cost", "riccati_backward",
-    "SimConfig", "SimulationTrace", "aggregate_runs", "run_closed_loop",
+    "SimConfig", "aggregate_runs", "run_closed_loop",
     "ExperimentConfig", "config_to_dict", "default_config_path", "load_config",
     "__version__",
 ]

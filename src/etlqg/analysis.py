@@ -22,6 +22,11 @@ from .estimation import SteadyStateFilter
 from .model import SchedulerParams, symmetrize
 
 STATIONARY_CROSSCHECK_TOL = 1e-8
+# The largest lambda the pass accepts: the largest power of ten at which sigma
+# kept within 1e-6 relative of a 60-digit mpmath pass on the bundled and 24
+# random models (1.7e-7 at 1e7, 2.3e-6 at 1e8). Pi_eta has rank p < n, so
+# det(I + 2 lam N) cancels its top power of lam; at 1e100 sigma is 75% off.
+LAMBDA_MAX = 1e7
 _PROB_SLACK = 1e-9
 
 
@@ -90,12 +95,17 @@ def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
     p_k0 = -expm1(-ld_k/2) and sigma_{k+1} = (I + 2 lam N_k)^{-1} N_k for
     k = 0..T-1: per age one eigvalsh and one LU solve, batched over the grid,
     so a lambda gets the same bits alone as in any grid. Accurate from
-    lam = 1e-6 to 1e6, tested up to timeout 1000, and free of the O(1/lam)
-    cancellation of the subtraction form (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1.
-    A lambda so large that 2 lam N overflows, or makes the solve singular,
-    raises NumericalError naming it.
+    lam = 1e-6 to LAMBDA_MAX, tested up to timeout 1000, and free of the
+    O(1/lam) cancellation of the subtraction form
+    (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1. A lambda above LAMBDA_MAX, or one
+    whose solve is singular or leaves [0, 1], raises NumericalError naming it.
     """
     lams = [SchedulerParams(lam, timeout).lam for lam in lams]
+    for lam in lams:
+        if lam > LAMBDA_MAX:
+            raise NumericalError(
+                f"lambda={lam!r}: above LAMBDA_MAX={LAMBDA_MAX:g}, where the "
+                f"conditioning pass loses sigma's accuracy")
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     lam = np.array(lams)

@@ -40,7 +40,7 @@ from .errors import (ConfigError, DivergenceError, EtlqgError, ModelError,
                      ValidationFailure)
 from .estimation import kf_steady_state
 from .analysis import analysis_record
-from .model import SchedulerParams, validate_model
+from .model import validate_model
 # run_closed_loop is not called here, but bench/traced_cli.py wraps it
 # under this module's name
 from .simulation import (SimConfig, TraceBlock, aggregate_runs,  # noqa: F401
@@ -101,19 +101,18 @@ def _write_atomic(path: Path, *parts: str):
         fh.writelines(parts)
 
 
-def _trace_csv(trace, n: int, m: int, start: int = 0) -> str:
-    """Trace CSV rows of steps start, start + 1, ... of one run.
+def _trace_csv(trace, n: int, m: int) -> str:
+    """Trace CSV rows of steps trace.start, trace.start + 1, ... of one run.
 
-    trace holds sigma, tau, x, u and e_filt indexed by step - start: a
-    SimulationTrace, or one run of a TraceBlock. The header comes first
-    when start is 0. k, sigma and tau are '%d' cells and the rest '%.17g'
-    cells, the bytes of _fmt (see csvtext). The CLI passes one block of
-    rows at a time, which bounds the memory of the formatting.
+    trace is one run of a TraceBlock (TraceBlock.per_run). The header comes
+    first when trace.start is 0. k, sigma and tau are '%d' cells and the
+    rest '%.17g' cells, the bytes of _fmt (see csvtext). The CLI passes one
+    block of rows at a time, which bounds the memory of the formatting.
     """
     # imported here, so that runs without traces do not load the formatter
     from .csvtext import format_rows
 
-    rows = trace.sigma.shape[0]
+    start, rows = trace.start, trace.sigma.shape[0]
     header = ""
     if start == 0:
         cols = (["k", "sigma", "tau"] + [f"x{i + 1}" for i in range(n)]
@@ -126,16 +125,11 @@ def _trace_csv(trace, n: int, m: int, start: int = 0) -> str:
 
 
 def _format_block(block: TraceBlock, n: int, m: int):
-    """The trace CSV text of block's steps for each run, lambda-major.
+    """The trace CSV text of each run of block, lambda-major.
 
     A generator: one run's text is formatted at a time.
     """
-    _, group, runs = block.sigma.shape
-    return (_trace_csv(TraceBlock(block.start, block.sigma[:, g, r],
-                                  block.tau[:, g, r], block.x[:, g, r],
-                                  block.u[:, g, r], block.e_filt[:, g, r]),
-                       n, m, block.start)
-            for g in range(group) for r in range(runs))
+    return (_trace_csv(run, n, m) for row in block.per_run() for run in row)
 
 
 def _processes(sim_cfg: SimConfig, lams: int) -> int:
@@ -309,8 +303,7 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
     if with_simulation and cfg.runs > 0:
         # one lockstep simulation per group of lambdas, in grid order; the
         # cores split an untraced group's runs
-        sim_cfg = SimConfig(model=model,
-                            params=SchedulerParams(points[0].lam, cfg.timeout),
+        sim_cfg = SimConfig(model=model, timeout=cfg.timeout,
                             horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
                             record_trace=cfg.record_trace, burn_in=cfg.burn_in)
         start = 0

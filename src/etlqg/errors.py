@@ -47,7 +47,7 @@ class ConvergenceError(EtlqgError):
 
 
 class NumericalError(EtlqgError):
-    """Internal numerical inconsistency that indicates a bug, not bad input."""
+    """A numerical inconsistency, or a lambda beyond the accurate range."""
 
 
 class DivergenceError(EtlqgError):

@@ -5,9 +5,7 @@ state it tracks the sensor-side prediction error and the sensor/controller
 estimate gap directly. The transmission decisions depend only on those error
 coordinates and the trigger uniforms, never on the state or input, so the
 sigma sequence is bitwise independent of the control law. The plant state is
-still simulated exactly (x' = Ax + Bu + w) for cost evaluation, and the
-estimates handed back in traces are reconstructed as x minus the tracked
-errors.
+still simulated exactly (x' = Ax + Bu + w) for cost evaluation.
 
 A lambda grid runs in lockstep through one step loop: the trigger and plant
 state carry a leading lambda axis, shape (group, runs, n), and lambda enters
@@ -18,11 +16,9 @@ and broadcast like the draws. A step runs only the estimator, trigger and
 plant recurrences, writing x, u and sigma into time-major block buffers,
 (steps, group, runs, .); the divergence guard, the transmission count and
 the stage cost are reduced once per block, the cost in step order from the
-running sum, so it has the bits of a per-step sum. A traced block's buffers
-are its trace, with tau and e_filt recorded per step, plus the filtered
-error and measurement noise when full SimulationTraces are returned. Their
-y = x C^T + v, xhat_s = x - xtilde and xhat_c = xhat_s - e_filt are derived
-after the loop, with the loop's own operations, so they keep its bits.
+running sum, so it has the bits of a per-step sum. A traced block's buffers,
+with tau and e_filt recorded per step, are its TraceBlock: the columns of a
+trace CSV.
 
 RNG layout: run r's seed is SeedSequence(seed, spawn_key=(r,)), the r-th
 child that SeedSequence(seed).spawn would give; each run spawns four
@@ -57,14 +53,15 @@ _CHUNK_STEPS = 256
 _BLOCK_BYTES = 2 * 2**20
 # Steps per TraceBlock handed to run_closed_loop_grid's on_block.
 _TRACE_BLOCK_STEPS = 2048
-# Trace bytes one run_closed_loop_grid call may hold (see lambda_groups).
+# Trace budget of one run_closed_loop_grid call, counted in units of
+# 8 * (4n + p + m + 2) bytes per run-step and lambda (see lambda_groups).
 TRACE_BUDGET_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
 class SimConfig:
     model: SystemModel
-    params: SchedulerParams
+    timeout: int
     horizon: int
     runs: int
     seed: int
@@ -73,14 +70,12 @@ class SimConfig:
     divergence_limit: float | None = DIVERGENCE_LIMIT
 
     def __post_init__(self):
-        for name in ("horizon", "runs", "seed", "burn_in"):
+        for name in ("timeout", "horizon", "runs", "seed", "burn_in"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ModelError(f"{name} must be an integer, got {value!r}")
-        if self.horizon < 1:
-            raise ModelError(f"horizon must be >= 1, got {self.horizon}")
-        if self.runs < 1:
-            raise ModelError(f"runs must be >= 1, got {self.runs}")
+            if name in ("timeout", "horizon", "runs") and value < 1:
+                raise ModelError(f"{name} must be >= 1, got {value}")
         if self.seed < 0:
             raise ModelError(f"seed must be nonnegative, got {self.seed}")
         if not 0 <= self.burn_in < self.horizon:
@@ -91,25 +86,12 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class SimulationTrace:
-    """Per-step records for one run; arrays indexed by step k."""
-
-    x: np.ndarray        # (horizon, n) true state x_k
-    y: np.ndarray        # (horizon, p) measurement y_k
-    xhat_s: np.ndarray   # (horizon, n) sensor filtered estimate
-    xhat_c: np.ndarray   # (horizon, n) controller estimate
-    u: np.ndarray        # (horizon, m) applied input
-    sigma: np.ndarray    # (horizon,) transmission indicator
-    tau: np.ndarray      # (horizon,) steps since last transmission
-    e_filt: np.ndarray   # (horizon, n) post-decision estimate gap
-
-
-@dataclass(frozen=True)
 class TraceBlock:
     """Steps start .. start + len(sigma) - 1 of every run of a lambda group.
 
-    The columns of a trace CSV, time-major: sigma and tau (steps, group,
-    runs), x and e_filt (steps, group, runs, n), u (steps, group, runs, m).
+    The columns of a trace CSV, time-major: the transmission indicator sigma
+    and the counter tau (steps, group, runs), the state x and the estimate
+    gap e_filt (steps, group, runs, n), the input u (steps, group, runs, m).
     """
 
     start: int
@@ -118,6 +100,16 @@ class TraceBlock:
     x: np.ndarray
     u: np.ndarray
     e_filt: np.ndarray
+
+    def per_run(self) -> tuple:
+        """Each run as a TraceBlock of views, one tuple of runs per lambda:
+        sigma and tau (steps,), x and e_filt (steps, n), u (steps, m)."""
+        _, group, runs = self.sigma.shape
+        return tuple(tuple(TraceBlock(self.start, self.sigma[:, g, r],
+                                      self.tau[:, g, r], self.x[:, g, r],
+                                      self.u[:, g, r], self.e_filt[:, g, r])
+                           for r in range(runs))
+                     for g in range(group))
 
 
 def _spawn_run_streams(seed: int, runs: range):
@@ -149,15 +141,14 @@ def lambda_groups(cfg: SimConfig, lams) -> list[list[float]]:
 
 
 def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
-                    ctrl: ControlSynthesis):
-    """Simulate cfg.runs independent closed loops at cfg.params.lam.
+                    ctrl: ControlSynthesis, lam: float):
+    """Simulate cfg.runs independent closed loops at lam.
 
     Returns (rates, costs, traces): per-run empirical transmission rate and
     running-average stage cost over the post-burn-in window, and a tuple of
-    SimulationTrace (or None unless cfg.record_trace).
+    one-run TraceBlocks (or None unless cfg.record_trace).
     """
-    rates, costs, traces = run_closed_loop_grid(cfg, filt, ctrl,
-                                                [cfg.params.lam])
+    rates, costs, traces = run_closed_loop_grid(cfg, filt, ctrl, [lam])
     return rates[0], costs[0], None if traces is None else traces[0]
 
 
@@ -176,17 +167,16 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                          on_block=None):
     """Simulate closed loops at each lambda of lams, in lockstep.
 
-    lams replaces cfg.params.lam; every other setting comes from cfg. runs,
-    a range inside range(cfg.runs) (all of it by default), selects the run
-    indices; column j is run runs[j], bitwise as in the full call for
+    runs, a range inside range(cfg.runs) (all of it by default), selects the
+    run indices; column j is run runs[j], bitwise as in the full call for
     slices of at least 2 runs (see the module notes). Each run's random
     streams are shared by all lambdas (common random numbers), so row g
     equals run_closed_loop at lams[g] bitwise. Returns (rates, costs,
-    traces): (len(lams), len(runs)) arrays and, with cfg.record_trace, one
-    tuple of SimulationTrace per lambda (else None). With cfg.record_trace
-    and on_block, the traces are not kept: each TraceBlock of
-    _TRACE_BLOCK_STEPS steps (fewer in the last) goes to on_block(block)
-    once simulated, and traces is None.
+    traces): (len(lams), len(runs)) arrays and, with cfg.record_trace, the
+    per_run() of one TraceBlock of the whole horizon (else None). With
+    cfg.record_trace and on_block, each TraceBlock of _TRACE_BLOCK_STEPS
+    steps (fewer in the last) goes to on_block(block) once simulated
+    instead, and traces is None.
 
     A DivergenceError names the first step whose largest |x| passes
     cfg.divergence_limit, and the run by its index in range(cfg.runs); the
@@ -205,7 +195,7 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     At, Bt, Ct = model.A.T, model.B.T, model.C.T
     Kt = filt.K_inf.T
     Lt = ctrl.L_inf.T
-    timeout = cfg.params.timeout
+    timeout = cfg.timeout
     lams = [SchedulerParams(lam, timeout).lam for lam in lams]
     neg_lam = -np.array(lams)[:, None]
     group, runs, horizon = len(lams), len(run_ids), cfg.horizon
@@ -228,9 +218,11 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     cost_sum = np.zeros((group, runs))
 
     record = cfg.record_trace
-    stream = record and on_block is not None
-    full = record and not stream
-    rows = (_TRACE_BLOCK_STEPS if stream else horizon if full
+    blocks = None
+    if record and on_block is None:  # keep one block of the whole horizon
+        blocks = []
+        on_block = blocks.append
+    rows = (horizon if blocks is not None else _TRACE_BLOCK_STEPS if record
             else max(1, _BLOCK_BYTES // (8 * (n + m + 1) * group * runs)))
 
     chunk_end = 0
@@ -246,9 +238,6 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
             if record:
                 tr_tau = np.empty((steps, group, runs), dtype=np.int64)
                 tr_e = np.empty((steps, group, runs, n))
-                if full:
-                    tr_xf = np.empty((horizon, runs, n))
-                    tr_v = np.empty((horizon, runs, p))
             xb[0] = x
             x = xb[0]
             for i, k in enumerate(range(first, first + steps)):
@@ -278,14 +267,11 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                 sigma = np.logical_or(zeta[j] > hold, tau == timeout, out=sb[i])
                 tau = np.where(sigma, 0, tau + 1)
                 e_filt = np.where(sigma[..., None], 0.0, e_gap)
-                xhat_c = x - xt_filt - e_filt
-                u = np.negative(xhat_c @ Lt, out=ub[i])
+                # the controller's estimate is x - xt_filt - e_filt
+                u = np.negative((x - xt_filt - e_filt) @ Lt, out=ub[i])
                 if record:
                     tr_tau[i] = tau
                     tr_e[i] = e_filt
-                    if full:
-                        tr_xf[k] = xt_filt
-                        tr_v[k] = v
                 x = np.add(x @ At + u @ Bt, w, out=xb[i + 1])
                 xt_pred = xt_filt @ At + w
 
@@ -302,28 +288,13 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
             sigma_count += sb[lo:steps].sum(axis=0)
             stage = _quad(xb[lo:steps], model.Q) + _quad(ub[lo:steps], model.R)
             cost_sum = np.cumsum(np.concatenate([cost_sum[None], stage]), 0)[-1]
-            if stream:
+            if record:
                 on_block(TraceBlock(first, sb.astype(np.int64), tr_tau,
                                     xb[:-1], ub, tr_e))
 
     window = horizon - burn_in
-    rates = sigma_count / window
-    costs = cost_sum / window
-    traces = None
-    if full:
-        # the fields the loop need not carry, derived as it would have
-        tr_y = xb[:-1] @ Ct + tr_v[:, None]
-        tr_xs = xb[:-1] - tr_xf[:, None]
-        tr_xc = tr_xs - tr_e
-        traces = tuple(
-            tuple(SimulationTrace(x=xb[:-1, g, r], y=tr_y[:, g, r],
-                                  xhat_s=tr_xs[:, g, r], xhat_c=tr_xc[:, g, r],
-                                  u=ub[:, g, r],
-                                  sigma=sb[:, g, r].astype(np.int64),
-                                  tau=tr_tau[:, g, r], e_filt=tr_e[:, g, r])
-                  for r in range(runs))
-            for g in range(group))
-    return rates, costs, traces
+    traces = None if blocks is None else blocks[0].per_run()
+    return sigma_count / window, cost_sum / window, traces
 
 
 def aggregate_runs(values: np.ndarray):

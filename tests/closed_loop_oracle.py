@@ -2,28 +2,48 @@
 axis: a named oracle for `etlqg.simulation.run_closed_loop_grid`.
 
 This is the engine's old body, kept verbatim apart from its name, the
-imports below, its covariance factors (psd_sqrt, as the engine's), the
-chunk size, which it reads from the engine module so
+imports below, its trace record (OracleTrace, which the engine no longer
+has), the timeout (`cfg.timeout`), its covariance factors (psd_sqrt, as
+the engine's), the chunk size, which it reads from the engine module so
 that a monkeypatched `_CHUNK_STEPS` reaches both, and its stage-cost line,
 which calls the engine's `simulation._quad` (in step order, so the cost
 keeps the bits of a per-step einsum). It carries every state as
 (group, runs, n), records traces run-major and forms y, xhat_s and xhat_c
-inside the loop. The engine must
-reproduce its rates, costs and every trace field bit for bit; see
-tests/test_simulation.py::TestOracle.
+inside the loop. The engine must reproduce its rates, costs and the five
+trace fields it records (sigma, tau, x, u, e_filt) bit for bit; see
+tests/test_simulation.py::TestOracle. The other three fields, which the
+engine does not record, are what tests/test_simulation.py::TestTraceInvariants
+checks against the filter and controller recursions.
 """
 
 from __future__ import annotations
 
 import contextlib
+from dataclasses import dataclass
 
 import numpy as np
 
 from etlqg import (ControlSynthesis, DivergenceError, ModelError,
-                   SchedulerParams, SimConfig, SimulationTrace,
-                   SteadyStateFilter, simulation)
+                   SchedulerParams, SimConfig, SteadyStateFilter, simulation)
 from etlqg.model import psd_sqrt
 from etlqg.simulation import _spawn_run_streams
+
+# The trace fields the engine records as well
+SHARED_FIELDS = ("sigma", "tau", "x", "u", "e_filt")
+
+
+@dataclass(frozen=True)
+class OracleTrace:
+    """Per-step records for one run; arrays indexed by step k."""
+
+    x: np.ndarray        # (horizon, n) true state x_k
+    y: np.ndarray        # (horizon, p) measurement y_k
+    xhat_s: np.ndarray   # (horizon, n) sensor filtered estimate
+    xhat_c: np.ndarray   # (horizon, n) controller estimate
+    u: np.ndarray        # (horizon, m) applied input
+    sigma: np.ndarray    # (horizon,) transmission indicator
+    tau: np.ndarray      # (horizon,) steps since last transmission
+    e_filt: np.ndarray   # (horizon, n) post-decision estimate gap
 
 
 def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
@@ -31,13 +51,13 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                                runs: range | None = None):
     """Simulate closed loops at each lambda of lams, in lockstep.
 
-    lams replaces cfg.params.lam; every other setting comes from cfg. runs,
-    a range inside range(cfg.runs) (all of it by default), selects the run
-    indices; column j is run runs[j]. Each run's random streams are shared
-    by all lambdas (common random numbers), so row g equals run_closed_loop
-    at lams[g] bitwise. Returns (rates,
-    costs, traces): (len(lams), len(runs)) arrays and, with
-    cfg.record_trace, one tuple of SimulationTrace per lambda (else None).
+    Every other setting comes from cfg. runs, a range inside
+    range(cfg.runs) (all of it by default), selects the run indices; column
+    j is run runs[j]. Each run's random streams are shared by all lambdas
+    (common random numbers), so row g equals run_closed_loop at lams[g]
+    bitwise. Returns (rates, costs, traces): (len(lams), len(runs)) arrays
+    and, with cfg.record_trace, one tuple of OracleTrace per lambda (else
+    None).
     A DivergenceError names the run by its index in range(cfg.runs).
     """
     if ctrl.L_inf is None:
@@ -54,7 +74,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     Q, R = model.Q, model.R
     K = filt.K_inf
     L = ctrl.L_inf
-    timeout = cfg.params.timeout
+    timeout = cfg.timeout
     lams = [SchedulerParams(lam, timeout).lam for lam in lams]
     lam = np.array(lams)[:, None]
     group, runs, horizon = len(lams), len(run_ids), cfg.horizon
@@ -145,10 +165,10 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     traces = None
     if cfg.record_trace:
         traces = tuple(
-            tuple(SimulationTrace(x=tr_x[g, r], y=tr_y[g, r], xhat_s=tr_xs[g, r],
-                                  xhat_c=tr_xc[g, r], u=tr_u[g, r],
-                                  sigma=tr_sig[g, r], tau=tr_tau[g, r],
-                                  e_filt=tr_e[g, r])
+            tuple(OracleTrace(x=tr_x[g, r], y=tr_y[g, r], xhat_s=tr_xs[g, r],
+                              xhat_c=tr_xc[g, r], u=tr_u[g, r],
+                              sigma=tr_sig[g, r], tau=tr_tau[g, r],
+                              e_filt=tr_e[g, r])
                   for r in range(runs))
             for g in range(group))
     return rates, costs, traces

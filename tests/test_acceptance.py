@@ -14,7 +14,6 @@ import numpy as np
 
 from etlqg import (
     ControlSynthesis,
-    SchedulerParams,
     SimConfig,
     aggregate_runs,
     conditional_error_cov,
@@ -83,9 +82,8 @@ def test_criterion_3_monte_carlo_agreement_grid():
     ctrl = control_steady_state(model)
     lams = [0.01, 0.1, 1.0, 10.0, 100.0]
     points = cost_tradeoff_curve(model, lams, BENCH_TIMEOUT, ss=filt, cs=ctrl)
-    cfg = SimConfig(model=model,
-                    params=SchedulerParams(lam=lams[0], timeout=BENCH_TIMEOUT),
-                    horizon=2000, runs=1000, seed=31415, burn_in=200)
+    cfg = SimConfig(model=model, timeout=BENCH_TIMEOUT, horizon=2000,
+                    runs=1000, seed=31415, burn_in=200)
     rates, costs, _ = run_closed_loop_grid(cfg, filt, ctrl, lams)
     worst_rate = worst_cost = 0.0
     for point, run_rates, run_costs in zip(points, rates, costs):
@@ -127,10 +125,9 @@ def test_criterion_5_scalar_conditional_frequencies():
     model = make_golden_model()
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
-    cfg = SimConfig(model=model, params=SchedulerParams(lam=0.5, timeout=2),
-                    horizon=10_200, runs=100, seed=27182, burn_in=200,
-                    record_trace=True)
-    _, _, traces = run_closed_loop(cfg, filt, ctrl)
+    cfg = SimConfig(model=model, timeout=2, horizon=10_200, runs=100,
+                    seed=27182, burn_in=200, record_trace=True)
+    _, _, traces = run_closed_loop(cfg, filt, ctrl, 0.5)
 
     hits = np.zeros(2)
     trials = np.zeros(2)
@@ -159,9 +156,8 @@ def test_criterion_6_conditional_error_covariances():
     model = make_benchmark_model()
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
-    params = SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT)
-    sigmas = conditional_error_cov(filt, model.A, [params.lam],
-                                   params.timeout)[0].sigmas
+    sigmas = conditional_error_cov(filt, model.A, [1.0],
+                                   BENCH_TIMEOUT)[0].sigmas
     assert np.all(sigmas[0] == 0.0)
 
     # 5 batches x 200 runs x 10000 post-burn steps = 1e7 samples, bounded memory
@@ -169,9 +165,10 @@ def test_criterion_6_conditional_error_covariances():
     counts = {i: 0 for i in (1, 2, 3)}
     zero_violations = 0
     for batch in range(5):
-        cfg = SimConfig(model=model, params=params, horizon=10_200, runs=200,
-                        seed=16180 + batch, burn_in=200, record_trace=True)
-        _, _, traces = run_closed_loop(cfg, filt, ctrl)
+        cfg = SimConfig(model=model, timeout=BENCH_TIMEOUT, horizon=10_200,
+                        runs=200, seed=16180 + batch, burn_in=200,
+                        record_trace=True)
+        _, _, traces = run_closed_loop(cfg, filt, ctrl, 1.0)
         for tr in traces:
             tau = tr.tau[cfg.burn_in:]
             e = tr.e_filt[cfg.burn_in:]
@@ -200,12 +197,11 @@ def test_criterion_7_schedule_control_independence():
     ctrl = control_steady_state(model)
     open_loop = ControlSynthesis(L_inf=np.zeros((1, 2)), S_inf=np.eye(2),
                                  M_inf=np.eye(2))
-    cfg = SimConfig(model=model,
-                    params=SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT),
-                    horizon=10_000, runs=10, seed=2718, burn_in=0,
-                    record_trace=True, divergence_limit=None)
-    _, _, closed = run_closed_loop(cfg, filt, ctrl)
-    _, _, opened = run_closed_loop(cfg, filt, open_loop)
+    cfg = SimConfig(model=model, timeout=BENCH_TIMEOUT, horizon=10_000,
+                    runs=10, seed=2718, burn_in=0, record_trace=True,
+                    divergence_limit=None)
+    _, _, closed = run_closed_loop(cfg, filt, ctrl, 1.0)
+    _, _, opened = run_closed_loop(cfg, filt, open_loop, 1.0)
     mismatches = sum(
         (not np.array_equal(a.sigma, b.sigma)) or (not np.array_equal(a.tau, b.tau))
         for a, b in zip(closed, opened))

@@ -8,6 +8,7 @@ all-ones model where every quantity collapses to golden-ratio algebra.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from etlqg import (
     stationary_distribution,
     transition_matrix,
 )
-from etlqg.analysis import chain_step
+from etlqg.analysis import LAMBDA_MAX, chain_step
 from etlqg.model import psd_sqrt
 
 from chain_oracle import (
@@ -416,6 +417,19 @@ class TestLambdaGrid:
             conditional_error_cov(bench_filter, bench_model.A,
                                   [1.0, 1e308, 2.0], timeout)
 
+    @pytest.mark.parametrize("lam", [float(np.nextafter(LAMBDA_MAX, np.inf)), 1e14,
+                                     1e100])
+    def test_lambda_above_ceiling_named(self, bench_model, bench_filter, lam):
+        # above LAMBDA_MAX sigma loses digits: lam tr sigma_1 should be 0.5
+        # here, and at 1e100 the pass returned 0.124 with no error
+        with pytest.raises(NumericalError, match=re.escape(f"lambda={lam!r}: above")):
+            conditional_error_cov(bench_filter, bench_model.A,
+                                  [1.0, lam, 2.0], 50)
+        cec, = conditional_error_cov(bench_filter, bench_model.A,
+                                     [LAMBDA_MAX], 50)
+        assert LAMBDA_MAX * np.trace(cec.sigmas[1]) == pytest.approx(
+            0.5, rel=1e-6)
+
 
 def mpmath_pass(A, Pi_eta, lam, timeout, dps=60):
     """The conditioning recursion in mpmath on the same float inputs."""
@@ -441,15 +455,16 @@ class TestMpmathReference:
     Both runs start from the same float A and Pi_eta, so the gap is the
     pass's own rounding. Bounds sit a few times above the worst measured
     relative error over the bundled and scalar models (T = 50) and 30
-    seeded random models (T = 8): sigma 3.7e-15, 3.4e-14 and 2.0e-8 and
-    p_i0 2.7e-15, 1.8e-15 and 2.6e-12 at lam = 1e-6, 1 and 1e6. At 1e6
-    the condition number of I + 2 lam N_k reaches about 4e8, so any
-    backward-stable solve loses about 8 digits of sigma there.
+    seeded random models (T = 8): sigma 3.7e-15, 3.4e-14, 2.0e-8 and
+    1.9e-7 and p_i0 2.7e-15, 1.8e-15, 2.6e-12 and 5.5e-12 at lam = 1e-6, 1,
+    1e6 and LAMBDA_MAX = 1e7. At 1e6 the condition number of I + 2 lam N_k
+    reaches about 4e8, so any backward-stable solve loses about 8 digits of
+    sigma there. At LAMBDA_MAX the bound is the ceiling's own: 1e-6.
     """
 
     @pytest.mark.parametrize("lam, sigma_rtol, p_rtol",
                              [(1e-6, 1e-14, 1e-14), (1.0, 1e-13, 1e-14),
-                              (1e6, 1e-7, 1e-11)])
+                              (1e6, 1e-7, 1e-11), (LAMBDA_MAX, 1e-6, 3e-11)])
     def test_pass_matches_mpmath(self, lam, sigma_rtol, p_rtol, bench_model,
                                  golden_model):
         cases = [(bench_model, 50), (golden_model, 50)]

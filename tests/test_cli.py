@@ -22,9 +22,7 @@ import etlqg
 from etlqg import (
     ConvergenceError,
     DivergenceError,
-    SchedulerParams,
     SimConfig,
-    SimulationTrace,
     SystemModel,
     aggregate_runs,
     control_steady_state,
@@ -37,6 +35,7 @@ from etlqg import (
 from etlqg import cli, simulation
 from etlqg.cli import TRADEOFF_HEADER, _trace_csv, main
 from etlqg.config import config_to_dict
+from etlqg.simulation import TraceBlock
 
 
 def base_config(out_dir, **overrides):
@@ -112,8 +111,7 @@ class TestRunCommand:
         ctrl = control_steady_state(cfg.model)
         points = cost_tradeoff_curve(cfg.model, cfg.lambda_grid, cfg.timeout,
                                      ss=filt, cs=ctrl)
-        sim_cfg = SimConfig(model=cfg.model,
-                            params=SchedulerParams(points[0].lam, cfg.timeout),
+        sim_cfg = SimConfig(model=cfg.model, timeout=cfg.timeout,
                             horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
                             burn_in=cfg.burn_in)
         rates, costs, _ = simulation.run_closed_loop_grid(
@@ -263,13 +261,11 @@ class TestTraceOutput:
 
         # 17 significant digits must reproduce the engine arrays bitwise
         cfg = load_config(cfg_path)
-        sim_cfg = SimConfig(model=cfg.model,
-                            params=SchedulerParams(lam=1.0, timeout=6),
-                            horizon=30, runs=2, seed=99, burn_in=5,
-                            record_trace=True)
+        sim_cfg = SimConfig(model=cfg.model, timeout=6, horizon=30, runs=2,
+                            seed=99, burn_in=5, record_trace=True)
         filt = kf_steady_state(cfg.model)
         ctrl = control_steady_state(cfg.model)
-        _, _, traces = run_closed_loop(sim_cfg, filt, ctrl)
+        _, _, traces = run_closed_loop(sim_cfg, filt, ctrl, 1.0)
         for k, line in enumerate(lines[1:]):
             cells = line.split(",")
             assert int(cells[0]) == k
@@ -309,11 +305,10 @@ def assert_same_text(got, want):
 
 
 def simulated_trace(model, horizon):
-    cfg = SimConfig(model=model, params=SchedulerParams(lam=1.0, timeout=6),
-                    horizon=horizon, runs=1, seed=5, burn_in=0,
-                    record_trace=True)
+    cfg = SimConfig(model=model, timeout=6, horizon=horizon, runs=1, seed=5,
+                    burn_in=0, record_trace=True)
     _, _, traces = run_closed_loop(cfg, kf_steady_state(model),
-                                   control_steady_state(model))
+                                   control_steady_state(model), 1.0)
     return traces[0]
 
 
@@ -329,9 +324,8 @@ class TestTraceWriter:
         specials = np.array([-0.0, 1e-300, 1e300, 0.1, np.nan, np.inf, -np.inf])
         horizon = 9
         cells = np.resize(specials, horizon * 5).reshape(horizon, 5)
-        trace = SimulationTrace(
-            x=cells[:, :2], y=cells[:, :1], xhat_s=cells[:, :2],
-            xhat_c=cells[:, :2], u=cells[:, 2:3], e_filt=cells[:, 3:],
+        trace = TraceBlock(
+            start=0, x=cells[:, :2], u=cells[:, 2:3], e_filt=cells[:, 3:],
             sigma=np.arange(horizon, dtype=np.int64) % 2,
             tau=np.arange(horizon, dtype=np.int64))
         text = _trace_csv(trace, 2, 1)
@@ -646,9 +640,8 @@ class TestSplitSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
 
         def slices(runs, lams, horizon):
-            sim_cfg = SimConfig(model=bench_model,
-                                params=SchedulerParams(lam=1.0, timeout=6),
-                                horizon=horizon, runs=runs, seed=1, burn_in=0)
+            sim_cfg = SimConfig(model=bench_model, timeout=6, horizon=horizon,
+                                runs=runs, seed=1, burn_in=0)
             return cli._run_slices(sim_cfg, lams)
 
         # the bundled sweep splits; narrow untraced does not

@@ -11,9 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etlqg import SimulationTrace
 from etlqg.cli import _trace_csv
 from etlqg.csvtext import format_rows
+from etlqg.simulation import TraceBlock
 
 from test_cli import assert_same_text, reference_trace_csv
 
@@ -57,9 +57,8 @@ class TestOneCellTrace:
            sigma=st.integers(0, 1))
     def test_any_double(self, value, tau, sigma):
         cell = np.array([[value]])
-        trace = SimulationTrace(x=cell, y=cell, xhat_s=cell, xhat_c=cell,
-                                u=-cell, e_filt=cell, sigma=np.array([sigma]),
-                                tau=np.array([tau]))
+        trace = TraceBlock(start=0, x=cell, u=-cell, e_filt=cell,
+                           sigma=np.array([sigma]), tau=np.array([tau]))
         assert _trace_csv(trace, 1, 1) == reference_trace_csv(trace, 1, 1)
 
 

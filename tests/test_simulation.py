@@ -17,9 +17,7 @@ from etlqg import (
     ConvergenceError,
     DivergenceError,
     ModelError,
-    SchedulerParams,
     SimConfig,
-    SimulationTrace,
     aggregate_runs,
     conditional_error_cov,
     control_steady_state,
@@ -31,15 +29,14 @@ from etlqg import (
     transition_matrix,
 )
 
-from closed_loop_oracle import reference_closed_loop_grid
+from closed_loop_oracle import SHARED_FIELDS, reference_closed_loop_grid
 from conftest import BENCH_TIMEOUT, random_valid_model
 
 
-def _cfg(model, lam=1.0, timeout=BENCH_TIMEOUT, **kw):
+def _cfg(model, timeout=BENCH_TIMEOUT, **kw):
     defaults = dict(horizon=2000, runs=8, seed=99, burn_in=200)
     defaults.update(kw)
-    return SimConfig(model=model, params=SchedulerParams(lam=lam, timeout=timeout),
-                     **defaults)
+    return SimConfig(model=model, timeout=timeout, **defaults)
 
 
 class TestSimConfig:
@@ -54,20 +51,23 @@ class TestSimConfig:
             {"burn_in": -1},
             {"burn_in": 2000},
             {"divergence_limit": 0.0},
+            {"timeout": 0},
+            {"timeout": -3},
+            {"timeout": 2.5},
+            {"timeout": True},
+            {"timeout": "10"},
         ],
     )
     def test_invalid_settings_rejected(self, bench_model, overrides):
-        kw = dict(horizon=2000, runs=4, seed=1, burn_in=200)
+        kw = dict(timeout=10, horizon=2000, runs=4, seed=1, burn_in=200)
         kw.update(overrides)
-        with pytest.raises(ModelError):
-            SimConfig(model=bench_model,
-                      params=SchedulerParams(lam=1.0, timeout=10), **kw)
+        name, = overrides
+        with pytest.raises(ModelError, match=f"^{name} must"):
+            SimConfig(model=bench_model, **kw)
 
     def test_valid_settings_accepted(self, bench_model):
-        cfg = SimConfig(model=bench_model,
-                        params=SchedulerParams(lam=1.0, timeout=10),
-                        horizon=10, runs=1, seed=0, burn_in=0,
-                        divergence_limit=None)
+        cfg = SimConfig(model=bench_model, timeout=10, horizon=10, runs=1,
+                        seed=0, burn_in=0, divergence_limit=None)
         assert cfg.horizon == 10
         assert cfg.divergence_limit is None
 
@@ -76,8 +76,8 @@ class TestDeterminism:
     def test_repeat_run_bitwise_identical(self, bench_model, bench_filter,
                                           bench_control):
         cfg = _cfg(bench_model, runs=4, horizon=600)
-        r1, c1, _ = run_closed_loop(cfg, bench_filter, bench_control)
-        r2, c2, _ = run_closed_loop(cfg, bench_filter, bench_control)
+        r1, c1, _ = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
+        r2, c2, _ = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(c1, c2)
 
@@ -86,9 +86,11 @@ class TestDeterminism:
         # per-run generators are consumed in fixed order, so the block size
         # used for pregeneration must be invisible in the results
         cfg = _cfg(bench_model, runs=2, horizon=50, burn_in=0, record_trace=True)
-        _, _, traces_default = run_closed_loop(cfg, bench_filter, bench_control)
+        _, _, traces_default = run_closed_loop(cfg, bench_filter,
+                                               bench_control, 1.0)
         monkeypatch.setattr(sim, "_CHUNK_STEPS", 7)
-        _, _, traces_small = run_closed_loop(cfg, bench_filter, bench_control)
+        _, _, traces_small = run_closed_loop(cfg, bench_filter, bench_control,
+                                             1.0)
         for a, b in zip(traces_default, traces_small):
             np.testing.assert_array_equal(a.x, b.x)
             np.testing.assert_array_equal(a.sigma, b.sigma)
@@ -97,8 +99,8 @@ class TestDeterminism:
     def test_different_seeds_differ(self, bench_model, bench_filter, bench_control):
         cfg_a = _cfg(bench_model, runs=2, horizon=400, seed=7)
         cfg_b = _cfg(bench_model, runs=2, horizon=400, seed=8)
-        ra, _, _ = run_closed_loop(cfg_a, bench_filter, bench_control)
-        rb, _, _ = run_closed_loop(cfg_b, bench_filter, bench_control)
+        ra, _, _ = run_closed_loop(cfg_a, bench_filter, bench_control, 1.0)
+        rb, _, _ = run_closed_loop(cfg_b, bench_filter, bench_control, 1.0)
         assert not np.array_equal(ra, rb)
 
 
@@ -116,15 +118,24 @@ class TestAggregateRuns:
 
 @pytest.fixture(scope="module")
 def traced(bench_model, bench_filter, bench_control):
+    """cfg, the engine's rates, costs and traces at lambda 1, and the oracle's
+    traces of the same runs, which also hold y, xhat_s and xhat_c."""
     cfg = _cfg(bench_model, runs=3, horizon=500, burn_in=0, record_trace=True)
-    rates, costs, traces = run_closed_loop(cfg, bench_filter, bench_control)
-    return cfg, rates, costs, traces
+    rates, costs, traces = run_closed_loop(cfg, bench_filter, bench_control,
+                                           1.0)
+    _, _, (oracle,) = reference_closed_loop_grid(cfg, bench_filter,
+                                                 bench_control, [1.0])
+    return cfg, rates, costs, traces, oracle
 
 
 class TestTraceInvariants:
+    """sigma, tau, rate and cost read the engine's traces; the estimates,
+    which the engine does not record, read the oracle's (TestOracle holds
+    the shared fields of the two to the same bits)."""
+
     def test_counter_and_indicator_consistency(self, traced):
-        cfg, _, _, traces = traced
-        timeout = cfg.params.timeout
+        cfg, _, _, traces, _ = traced
+        timeout = cfg.timeout
         for tr in traces:
             assert set(np.unique(tr.sigma)) <= {0, 1}
             assert tr.tau.max() <= timeout
@@ -135,8 +146,7 @@ class TestTraceInvariants:
             assert np.all(tr.sigma[1:][forced] == 1)
 
     def test_transmission_resets_controller_estimate(self, traced):
-        _, _, _, traces = traced
-        for tr in traces:
+        for tr in traced[4]:
             sent = tr.sigma == 1
             assert sent.any()
             np.testing.assert_array_equal(tr.xhat_c[sent], tr.xhat_s[sent])
@@ -144,8 +154,7 @@ class TestTraceInvariants:
             np.testing.assert_array_equal(tr.xhat_c, tr.xhat_s - tr.e_filt)
 
     def test_input_is_linear_feedback(self, traced, bench_control):
-        _, _, _, traces = traced
-        for tr in traces:
+        for tr in traced[4]:
             np.testing.assert_array_equal(tr.u, -(tr.xhat_c @ bench_control.L_inf.T))
 
     def test_sensor_estimate_follows_filter_recursion(self, traced, bench_model,
@@ -153,7 +162,7 @@ class TestTraceInvariants:
         # one-step replay from recorded quantities only
         A, B, C = bench_model.A, bench_model.B, bench_model.C
         K = bench_filter.K_inf
-        for tr in traced[3]:
+        for tr in traced[4]:
             pred = tr.xhat_s[:-1] @ A.T + tr.u[:-1] @ B.T
             innov = tr.y[1:] - pred @ C.T
             expected = pred + innov @ K.T
@@ -162,26 +171,26 @@ class TestTraceInvariants:
     def test_first_step_uses_prior_mean(self, traced, bench_model, bench_filter):
         C, K = bench_model.C, bench_filter.K_inf
         x0_mean = bench_model.x0_mean
-        for tr in traced[3]:
+        for tr in traced[4]:
             expected = x0_mean + (tr.y[0] - C @ x0_mean) @ K.T
             np.testing.assert_allclose(tr.xhat_s[0], expected, atol=1e-10)
 
     def test_controller_estimate_propagates_blindly_on_hold(self, traced,
                                                             bench_model):
         A, B = bench_model.A, bench_model.B
-        for tr in traced[3]:
+        for tr in traced[4]:
             hold = tr.sigma[1:] == 0
             expected = tr.xhat_c[:-1] @ A.T + tr.u[:-1] @ B.T
             np.testing.assert_allclose(tr.xhat_c[1:][hold], expected[hold],
                                        atol=1e-8)
 
     def test_rate_matches_indicator_mean(self, traced):
-        cfg, rates, _, traces = traced
+        cfg, rates, _, traces, _ = traced
         for r, tr in enumerate(traces):
             assert rates[r] == tr.sigma[cfg.burn_in:].mean()
 
     def test_cost_matches_stage_sums(self, traced, bench_model):
-        cfg, _, costs, traces = traced
+        cfg, _, costs, traces, _ = traced
         Q, R = bench_model.Q, bench_model.R
         for r, tr in enumerate(traces):
             stages = (np.einsum("ki,ij,kj->k", tr.x, Q, tr.x)
@@ -190,25 +199,25 @@ class TestTraceInvariants:
 
     def test_no_traces_by_default(self, bench_model, bench_filter, bench_control):
         cfg = _cfg(bench_model, runs=2, horizon=300)
-        _, _, traces = run_closed_loop(cfg, bench_filter, bench_control)
+        _, _, traces = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
         assert traces is None
 
 
-def _against_analysis(cfg, filt, ctrl):
-    """The analytic point at cfg's lambda, then the (mean, stderr) of the
-    simulated rates and of the costs: a row of the CLI sweep."""
-    point, = cost_tradeoff_curve(cfg.model, [cfg.params.lam],
-                                 cfg.params.timeout, ss=filt, cs=ctrl)
-    rates, costs, _ = run_closed_loop(cfg, filt, ctrl)
+def _against_analysis(cfg, filt, ctrl, lam):
+    """The analytic point at lam, then the (mean, stderr) of the simulated
+    rates and of the costs: a row of the CLI sweep."""
+    point, = cost_tradeoff_curve(cfg.model, [lam], cfg.timeout, ss=filt,
+                                 cs=ctrl)
+    rates, costs, _ = run_closed_loop(cfg, filt, ctrl, lam)
     return point, aggregate_runs(rates), aggregate_runs(costs)
 
 
 class TestAgainstAnalysis:
     def test_unit_sensitivity_agreement(self, bench_model, bench_filter,
                                         bench_control):
-        cfg = _cfg(bench_model, lam=1.0, runs=64, horizon=2000, seed=2024)
+        cfg = _cfg(bench_model, runs=64, horizon=2000, seed=2024)
         point, (rate, rate_se), (cost, cost_se) = _against_analysis(
-            cfg, bench_filter, bench_control)
+            cfg, bench_filter, bench_control, 1.0)
         assert abs(rate - point.rate) < 4 * rate_se
         assert abs(cost - point.cost) < 5 * cost_se
 
@@ -221,9 +230,9 @@ class TestAgainstAnalysis:
         sensitivity produces a materially higher transmission rate than the
         pure-timeout floor; the simulator must reproduce the analytic value.
         """
-        cfg = _cfg(bench_model, lam=1e-6, runs=64, horizon=2000, seed=2025)
+        cfg = _cfg(bench_model, runs=64, horizon=2000, seed=2025)
         point, (rate, rate_se), _ = _against_analysis(cfg, bench_filter,
-                                                      bench_control)
+                                                      bench_control, 1e-6)
         floor = 1.0 / (BENCH_TIMEOUT + 1)
         assert point.rate > 1.9 * floor
         assert 0.035 < point.rate < 0.042
@@ -231,9 +240,9 @@ class TestAgainstAnalysis:
 
     def test_extreme_sensitivity_sends_almost_always(self, bench_model,
                                                      bench_filter, bench_control):
-        cfg = _cfg(bench_model, lam=1e6, runs=8, horizon=2000)
+        cfg = _cfg(bench_model, runs=8, horizon=2000)
         point, (rate, _), _ = _against_analysis(cfg, bench_filter,
-                                                bench_control)
+                                                bench_control, 1e6)
         assert point.rate >= 0.999
         assert rate >= 0.99
 
@@ -242,11 +251,10 @@ class TestAgainstAnalysis:
         # lam underflows to a hold probability of exactly 1, so transmissions
         # happen exactly when the counter hits the timeout
         timeout = 9
-        cfg = SimConfig(model=golden_model,
-                        params=SchedulerParams(lam=1e-300, timeout=timeout),
-                        horizon=100, runs=2, seed=5, burn_in=0,
-                        record_trace=True)
-        _, _, traces = run_closed_loop(cfg, golden_filter, golden_control)
+        cfg = SimConfig(model=golden_model, timeout=timeout, horizon=100,
+                        runs=2, seed=5, burn_in=0, record_trace=True)
+        _, _, traces = run_closed_loop(cfg, golden_filter, golden_control,
+                                       1e-300)
         expected = (np.arange(100) % (timeout + 1)) == timeout
         for tr in traces:
             np.testing.assert_array_equal(tr.sigma.astype(bool), expected)
@@ -254,9 +262,9 @@ class TestAgainstAnalysis:
     def test_counter_occupancy_matches_stationary_distribution(
         self, bench_model, bench_filter, bench_control
     ):
-        cfg = _cfg(bench_model, lam=1.0, runs=4, horizon=50_000, seed=77,
+        cfg = _cfg(bench_model, runs=4, horizon=50_000, seed=77,
                    record_trace=True)
-        _, _, traces = run_closed_loop(cfg, bench_filter, bench_control)
+        _, _, traces = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
         taus = np.concatenate([tr.tau[cfg.burn_in:] for tr in traces])
         counts = np.bincount(taus, minlength=BENCH_TIMEOUT + 1)
         occupancy = counts / taus.size
@@ -276,9 +284,9 @@ class TestAgainstAnalysis:
         distribution; replaying the recorded counter sequence through the
         same table must land on the same value.
         """
-        cfg = _cfg(bench_model, lam=1.0, runs=8, horizon=25_000, seed=31,
+        cfg = _cfg(bench_model, runs=8, horizon=25_000, seed=31,
                    record_trace=True)
-        _, _, traces = run_closed_loop(cfg, bench_filter, bench_control)
+        _, _, traces = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
         ma = transition_matrix(conditional_error_cov(
             bench_filter, bench_model.A, [1.0], BENCH_TIMEOUT)[0])
         bd = infinite_horizon_cost(bench_control, bench_filter, ma,
@@ -297,12 +305,12 @@ class TestDivergenceGuard:
                                 M_inf=np.eye(2))
 
     def test_guard_raises_with_location(self, bench_model, bench_filter):
-        cfg = SimConfig(model=bench_model,
-                        params=SchedulerParams(lam=1e-12, timeout=BENCH_TIMEOUT),
+        cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=2000, runs=3, seed=11, burn_in=0,
                         divergence_limit=1e6)
         with pytest.raises(DivergenceError) as exc:
-            run_closed_loop(cfg, bench_filter, self._open_loop(bench_model))
+            run_closed_loop(cfg, bench_filter, self._open_loop(bench_model),
+                            1e-12)
         err = exc.value
         assert err.step > 0
         assert 0 <= err.run < 3
@@ -310,12 +318,11 @@ class TestDivergenceGuard:
         assert "diverged" in str(err)
 
     def test_guard_disabled_runs_to_completion(self, bench_model, bench_filter):
-        cfg = SimConfig(model=bench_model,
-                        params=SchedulerParams(lam=1e-12, timeout=BENCH_TIMEOUT),
+        cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=800, runs=2, seed=11, burn_in=0,
                         divergence_limit=None)
         rates, costs, _ = run_closed_loop(cfg, bench_filter,
-                                          self._open_loop(bench_model))
+                                          self._open_loop(bench_model), 1e-12)
         assert np.all(np.isfinite(rates))
         assert costs.shape == (2,)
 
@@ -323,7 +330,7 @@ class TestDivergenceGuard:
         cfg = _cfg(bench_model, runs=2, horizon=300)
         finite_only = riccati_backward(bench_model, 4)
         with pytest.raises(ModelError):
-            run_closed_loop(cfg, bench_filter, finite_only)
+            run_closed_loop(cfg, bench_filter, finite_only, 1.0)
 
     @pytest.mark.parametrize("open_loop,guard,lams",
                              [(True, 1e6, [0.5, 4.0]), (False, 15.0, [4.0, 0.01])])
@@ -334,16 +341,13 @@ class TestDivergenceGuard:
         # to the first grid point; closed loop under a low guard: lambda 0.01
         # crosses at step 17 and lambda 4.0 only at step 455
         ctrl = self._open_loop(bench_model) if open_loop else bench_control
-        cfg = SimConfig(model=bench_model,
-                        params=SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT),
+        cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=2000, runs=3, seed=11, burn_in=0,
                         divergence_limit=guard)
         singles = []
         for lam in lams:
-            one = dataclasses.replace(
-                cfg, params=SchedulerParams(lam=lam, timeout=BENCH_TIMEOUT))
             with pytest.raises(DivergenceError) as exc:
-                run_closed_loop(one, bench_filter, ctrl)
+                run_closed_loop(cfg, bench_filter, ctrl, lam)
             assert exc.value.lam == lam
             singles.append(exc.value)
         with pytest.raises(DivergenceError) as exc:
@@ -373,11 +377,9 @@ class TestScheduleControlSeparation:
                                      M_inf=np.eye(2))
         kw = dict(horizon=1000, runs=2, seed=313, burn_in=0,
                   record_trace=True, divergence_limit=None)
-        cfg = SimConfig(model=bench_model,
-                        params=SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT),
-                        **kw)
-        _, _, closed = run_closed_loop(cfg, bench_filter, bench_control)
-        _, _, opened = run_closed_loop(cfg, bench_filter, open_loop)
+        cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT, **kw)
+        _, _, closed = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
+        _, _, opened = run_closed_loop(cfg, bench_filter, open_loop, 1.0)
         for a, b in zip(closed, opened):
             np.testing.assert_array_equal(a.sigma, b.sigma)
             np.testing.assert_array_equal(a.tau, b.tau)
@@ -407,16 +409,14 @@ class TestLambdaGrid:
             costs.extend(c)
             traces.extend(t)
         for g, lam in enumerate(GRID):
-            one = dataclasses.replace(
-                cfg, params=SchedulerParams(lam=lam, timeout=BENCH_TIMEOUT))
-            r, c, t = run_closed_loop(one, bench_filter, bench_control)
+            r, c, t = run_closed_loop(cfg, bench_filter, bench_control, lam)
             np.testing.assert_array_equal(rates[g], r)
             np.testing.assert_array_equal(costs[g], c)
             assert len(traces[g]) == len(t) == runs
             for got, want in zip(traces[g], t):
-                for field in dataclasses.fields(SimulationTrace):
-                    np.testing.assert_array_equal(getattr(got, field.name),
-                                                  getattr(want, field.name))
+                for name in SHARED_FIELDS:
+                    np.testing.assert_array_equal(getattr(got, name),
+                                                  getattr(want, name))
 
     def test_groups_follow_the_trace_budget(self, bench_model):
         lams = [0.01 * 10**k for k in range(13)]
@@ -455,9 +455,9 @@ class TestRunSlices:
             for g in range(len(lams)):
                 assert len(t[g]) == b - a
                 for got, want in zip(t[g], traces[g][a:b]):
-                    for field in dataclasses.fields(SimulationTrace):
-                        np.testing.assert_array_equal(
-                            getattr(got, field.name), getattr(want, field.name))
+                    for name in SHARED_FIELDS:
+                        np.testing.assert_array_equal(getattr(got, name),
+                                                      getattr(want, name))
 
     @pytest.mark.parametrize("runs", [range(0), range(2, 9), range(0, 4, 2),
                                       range(-1, 2), [0, 1]])
@@ -470,8 +470,7 @@ class TestRunSlices:
 
     def test_guard_names_the_global_run(self, bench_model, bench_filter):
         open_loop = TestDivergenceGuard()._open_loop(bench_model)
-        cfg = SimConfig(model=bench_model,
-                        params=SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT),
+        cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=2000, runs=6, seed=11, burn_in=0,
                         divergence_limit=1e6)
         with pytest.raises(DivergenceError) as exc:
@@ -522,6 +521,8 @@ def _run_both(cfg, filt, ctrl, lams):
 
 
 def _assert_matches_oracle(got, want):
+    """Engine and oracle agree in rates, costs and the shared trace fields,
+    or raise the same DivergenceError."""
     if isinstance(want, DivergenceError):
         assert isinstance(got, DivergenceError)
         assert vars(got) == vars(want)
@@ -535,8 +536,8 @@ def _assert_matches_oracle(got, want):
     for row_got, row_want in zip(got[2], want[2]):
         assert len(row_got) == len(row_want)
         for a, b in zip(row_got, row_want):
-            for field in dataclasses.fields(SimulationTrace):
-                _assert_same_bits(getattr(a, field.name), getattr(b, field.name))
+            for name in SHARED_FIELDS:
+                _assert_same_bits(getattr(a, name), getattr(b, name))
 
 
 class TestOracle:
@@ -544,8 +545,8 @@ class TestOracle:
 
     reference_closed_loop_grid (tests/closed_loop_oracle.py) is the loop
     before the estimator left the lambda axis and the traces turned
-    time-major. Rates, costs and every trace field must keep their bytes,
-    -0.0 included.
+    time-major. Rates, costs and the trace fields the engine records must
+    keep their bytes, -0.0 included.
     """
 
     LAMS = {1: [1.0], 3: GRID, 13: [0.01 * 10**(k / 3) for k in range(13)]}
@@ -569,9 +570,7 @@ class TestOracle:
         for i in range(12):
             model = random_valid_model(rng)
             filt, ctrl = kf_steady_state(model), control_steady_state(model)
-            cfg = SimConfig(model=model,
-                            params=SchedulerParams(lam=1.0, timeout=7),
-                            horizon=157, runs=runs_cycle[i % 4], seed=i,
+            cfg = SimConfig(model=model, timeout=7, horizon=157, runs=runs_cycle[i % 4], seed=i,
                             burn_in=20 * (i % 2), record_trace=i % 3 != 2)
             with pytest.MonkeyPatch.context() as mp:
                 if i % 2:
@@ -651,8 +650,7 @@ class TestBlockGuard:
         # block, so with one block of 4000 steps it overflows, and no
         # RuntimeWarning may escape
         open_loop = TestDivergenceGuard()._open_loop(bench_model)
-        cfg = SimConfig(model=bench_model,
-                        params=SchedulerParams(lam=1.0, timeout=BENCH_TIMEOUT),
+        cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=4000, runs=2, seed=11, burn_in=0,
                         record_trace=block is not None)
         _, costs, _ = sim.run_closed_loop_grid(

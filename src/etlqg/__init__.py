@@ -10,9 +10,8 @@ seeded closed-loop simulator.
 from .errors import (ConfigError, ConvergenceError, DefinitenessError,
                      DivergenceError, EtlqgError, ModelError, NumericalError,
                      ValidationFailure)
-from .model import (SchedulerParams, SystemModel, ValidationCheck,
-                    ValidationReport, controllability_rank, observability_rank,
-                    validate_model)
+from .model import (SystemModel, ValidationCheck, ValidationReport,
+                    controllability_rank, observability_rank, validate_model)
 from .estimation import SteadyStateFilter, kf_steady_state
 from .analysis import (ConditionalErrorCov, MarkovAnalysis, analysis_record,
                        conditional_error_cov, stationary_distribution,
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "ConvergenceError", "DefinitenessError", "DivergenceError",
     "EtlqgError", "ModelError", "NumericalError", "ValidationFailure",
-    "SchedulerParams", "SystemModel", "ValidationCheck", "ValidationReport",
+    "SystemModel", "ValidationCheck", "ValidationReport",
     "controllability_rank", "observability_rank", "validate_model",
     "SteadyStateFilter", "kf_steady_state",
     "ConditionalErrorCov", "MarkovAnalysis", "analysis_record",

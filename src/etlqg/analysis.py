@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .estimation import SteadyStateFilter
-from .model import SchedulerParams, symmetrize
+from .model import scheduler_lambdas, symmetrize
 
 STATIONARY_CROSSCHECK_TOL = 1e-8
 # The largest lambda the pass accepts: the largest power of ten at which sigma
@@ -100,7 +100,7 @@ def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
     (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1. A lambda above LAMBDA_MAX, or one
     whose solve is singular or leaves [0, 1], raises NumericalError naming it.
     """
-    lams = [SchedulerParams(lam, timeout).lam for lam in lams]
+    lams = scheduler_lambdas(lams, timeout)
     for lam in lams:
         if lam > LAMBDA_MAX:
             raise NumericalError(

@@ -48,7 +48,7 @@ from .simulation import (SimConfig, TraceBlock, aggregate_runs,  # noqa: F401
 
 TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
                    "analytic_cost,empirical_cost,cost_stderr")
-# A sweep splits an untraced group's runs across worker processes only when
+# A sweep splits a group's runs across worker processes only when
 # that saves more than a worker's start: a spawn round trip (start, import
 # numpy and etlqg, return) took 0.40-0.46 s on a 2-vCPU host, where the
 # bundled-model sweep broke even near 8e6 lambda-run-steps (13 x 32 x 20000:
@@ -101,7 +101,7 @@ def _write_atomic(path: Path, *parts: str):
         fh.writelines(parts)
 
 
-def _trace_csv(trace, n: int, m: int) -> str:
+def _trace_csv(trace) -> str:
     """Trace CSV rows of steps trace.start, trace.start + 1, ... of one run.
 
     trace is one run of a TraceBlock (TraceBlock.per_run). The header comes
@@ -115,6 +115,7 @@ def _trace_csv(trace, n: int, m: int) -> str:
     start, rows = trace.start, trace.sigma.shape[0]
     header = ""
     if start == 0:
+        n, m = trace.x.shape[1], trace.u.shape[1]
         cols = (["k", "sigma", "tau"] + [f"x{i + 1}" for i in range(n)]
                 + [f"u{i + 1}" for i in range(m)] + [f"e{i + 1}" for i in range(n)])
         header = ",".join(cols) + "\n"
@@ -124,16 +125,16 @@ def _trace_csv(trace, n: int, m: int) -> str:
     return header + format_rows(ints, floats)
 
 
-def _format_block(block: TraceBlock, n: int, m: int):
+def _format_block(block: TraceBlock):
     """The trace CSV text of each run of block, lambda-major.
 
     A generator: one run's text is formatted at a time.
     """
-    return (_trace_csv(run, n, m) for row in block.per_run() for run in row)
+    return (_trace_csv(run) for row in block.per_run() for run in row)
 
 
 def _processes(sim_cfg: SimConfig, lams: int) -> int:
-    """Processes that share the runs of an untraced group of lams lambdas.
+    """Processes that share the runs of a group of lams lambdas.
 
     One per core, if the group reaches _SPLIT_MIN_RUN_STEPS and a spawned
     worker can start. numpy rounds a one-row matmul on another kernel than
@@ -171,59 +172,53 @@ def _worker_pool(workers: int):
                                mp_context=multiprocessing.get_context("spawn"))
 
 
-def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, group, runs: range):
-    """Rates and costs of one slice of an untraced group's runs.
+def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, group, runs: range,
+                    parts: list[str]):
+    """Rates and costs of one slice of a group's runs: the work a sweep gives
+    each process, in-process or in a spawned worker.
 
-    This is the work a sweep gives each process, in-process or in a spawned
-    worker.
+    parts are the .part trace files of the slice's runs, lambda-major (empty
+    when untraced). Each TraceBlock is formatted one run at a time once
+    simulated and each run's text appended to its file, so a process holds
+    one block and one run's text.
     """
-    return run_closed_loop_grid(sim_cfg, filt, ctrl, group, runs)[:2]
+    def on_block(block):
+        for part, text in zip(parts, _format_block(block)):
+            with open(part, "a", newline="") as fh:
+                fh.write(text)
+
+    return run_closed_loop_grid(sim_cfg, filt, ctrl, group, runs,
+                                on_block=on_block)[:2]
 
 
 def _simulate_group(pool, sim_cfg: SimConfig, filt, ctrl, group,
-                    slices: list[range]):
+                    slices: list[range], parts: list[str]):
     """Simulate slices[0] here and the other slices in pool; join in run order.
 
-    Returns the (rates, costs) of the whole untraced group. If slices
-    diverge, raises the error the unsplit grid raises: the earliest step,
-    then the largest |x|, then the first lambda, then the first run.
+    parts are the .part trace files of the group's runs, lambda-major (empty
+    when untraced); each slice appends to those of its own runs. Returns the
+    (rates, costs) of the whole group. If slices diverge, raises the error
+    the unsplit grid raises: the earliest step, then the largest |x|, then
+    the first lambda, then the first run.
     """
-    futures = [pool.submit(_simulate_slice, sim_cfg, filt, ctrl, group, runs)
-               for runs in slices[1:]]
-    parts, errors = [], []
-    for job in ([lambda: _simulate_slice(sim_cfg, filt, ctrl, group, slices[0])]
+    runs = slices[-1].stop  # the slices cover range(runs) in order
+    jobs = [(s, [part for g in range(len(group))
+                 for part in parts[g * runs + s.start:g * runs + s.stop]])
+            for s in slices]
+    futures = [pool.submit(_simulate_slice, sim_cfg, filt, ctrl, group, *job)
+               for job in jobs[1:]]
+    results, errors = [], []
+    for job in ([lambda: _simulate_slice(sim_cfg, filt, ctrl, group, *jobs[0])]
                 + [future.result for future in futures]):
         try:
-            parts.append(job())
+            results.append(job())
         except DivergenceError as exc:
             errors.append(exc)
     if errors:
         raise min(errors, key=lambda e: (e.step, -e.value, group.index(e.lam),
                                          e.run))
-    return (np.concatenate([part[0] for part in parts], axis=1),
-            np.concatenate([part[1] for part in parts], axis=1))
-
-
-def _simulate_traced(sim_cfg: SimConfig, filt, ctrl, group, paths):
-    """Simulate a traced group here, writing each run's trace CSV to its path.
-
-    paths are the trace files of the group's runs, lambda-major. Each
-    TraceBlock is formatted one run at a time once simulated, and each run's
-    text is appended to that run's .part file, so this process holds one
-    block and one run's text. Every file is replaced when the group ends;
-    on any error, as on a divergence, none is (see _replacing).
-    Returns the group's (rates, costs).
-    """
-    n, m, _ = sim_cfg.model.dims
-    with _replacing(paths) as parts:
-        def on_block(block):
-            for part, text in zip(parts, _format_block(block, n, m)):
-                with open(part, "a", newline="") as fh:
-                    fh.write(text)
-
-        rates, costs, _ = run_closed_loop_grid(sim_cfg, filt, ctrl, group,
-                                               on_block=on_block)
-    return rates, costs
+    return (np.concatenate([res[0] for res in results], axis=1),
+            np.concatenate([res[1] for res in results], axis=1))
 
 
 def _plot_script() -> str:
@@ -302,26 +297,23 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
 
     if with_simulation and cfg.runs > 0:
         # one lockstep simulation per group of lambdas, in grid order; the
-        # cores split an untraced group's runs
+        # cores split a large group's runs
         sim_cfg = SimConfig(model=model, timeout=cfg.timeout,
                             horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
                             record_trace=cfg.record_trace, burn_in=cfg.burn_in)
         start = 0
         for group in lambda_groups(sim_cfg, [pt.lam for pt in points]):
-            if sim_cfg.record_trace:
-                names = [f"trace_lam{pt.lam!r}_run{r:04d}.csv"
-                         for pt in points[start:start + len(group)]
-                         for r in range(cfg.runs)]
-                rates, costs = _simulate_traced(
-                    sim_cfg, filt, ctrl, group,
-                    [out_dir / name for name in names])
-                written.update(names)
-            else:
-                slices = _run_slices(sim_cfg, len(group))
-                with (_worker_pool(len(slices) - 1) if len(slices) > 1
-                      else contextlib.nullcontext()) as pool:
-                    rates, costs = _simulate_group(pool, sim_cfg, filt, ctrl,
-                                                   group, slices)
+            names = [f"trace_lam{pt.lam!r}_run{r:04d}.csv"
+                     for pt in points[start:start + len(group)]
+                     for r in range(cfg.runs)] if cfg.record_trace else []
+            slices = _run_slices(sim_cfg, len(group))
+            # the pool shuts down before any .part file is replaced or removed
+            with (_replacing([out_dir / name for name in names]) as parts,
+                  _worker_pool(len(slices) - 1) if len(slices) > 1
+                  else contextlib.nullcontext() as pool):
+                rates, costs = _simulate_group(pool, sim_cfg, filt, ctrl,
+                                               group, slices, parts)
+            written.update(names)
             for g in range(len(group)):
                 emit(points[start + g], rates[g], costs[g])
             start += len(group)

@@ -15,8 +15,8 @@ import numpy as np
 from .analysis import (MarkovAnalysis, chain_step, conditional_error_cov,
                        transition_matrix)
 from .errors import ModelError
-from .estimation import (ARE_MAX_ITER, ARE_TOL, SteadyStateFilter, filter_step,
-                         fixed_point, kf_steady_state)
+from .estimation import (SteadyStateFilter, filter_step, fixed_point,
+                         kf_steady_state)
 from .model import SystemModel, symmetrize
 
 
@@ -90,11 +90,10 @@ def riccati_backward(model: SystemModel, N: int) -> ControlSynthesis:
                             M_seq=tuple(reversed(M_rev)))
 
 
-def control_steady_state(model: SystemModel, tol: float = ARE_TOL,
-                         max_iterations: int = ARE_MAX_ITER) -> ControlSynthesis:
+def control_steady_state(model: SystemModel) -> ControlSynthesis:
     """Fixed point of the backward recursion, iterated from S = Q."""
     S, it = fixed_point(lambda S: _gain_step(S, model)[1], model.Q.copy(),
-                        "steady-state control iteration", tol, max_iterations)
+                        "steady-state control iteration")
     L, S_check, M = _gain_step(S, model)
     residual = float(np.max(np.abs(S_check - S)))
     return ControlSynthesis(S_inf=S, L_inf=L, M_inf=M,

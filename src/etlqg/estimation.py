@@ -57,23 +57,22 @@ def kalman_gain(P_pred: np.ndarray, model: SystemModel) -> np.ndarray:
     return np.linalg.solve(S, model.C @ P_pred).T
 
 
-def fixed_point(step, start: np.ndarray, label: str, tol: float = ARE_TOL,
-                max_iterations: int = ARE_MAX_ITER):
-    """Iterate X <- step(X) from start until |X_next - X|_inf < tol.
+def fixed_point(step, start: np.ndarray, label: str):
+    """Iterate X <- step(X) from start until |X_next - X|_inf < ARE_TOL.
 
-    Returns (X, iterations). Raises ConvergenceError(label, ...) at the cap,
-    or once ARE_STALL_WINDOW iterations in a row bring no new minimum of
-    |X_next - X|_inf: a stalled iteration hovers above tol and would
-    otherwise run to the cap.
+    Returns (X, iterations). Raises ConvergenceError(label, ...) at the cap
+    ARE_MAX_ITER, or once ARE_STALL_WINDOW iterations in a row bring no new
+    minimum of |X_next - X|_inf: a stalled iteration hovers above ARE_TOL
+    and would otherwise run to the cap.
     """
     X = start
     delta = best = np.inf
     it = best_it = 0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, ARE_MAX_ITER + 1):
         X_next = step(X)
         delta = float(np.max(np.abs(X_next - X)))
         X = X_next
-        if delta < tol:
+        if delta < ARE_TOL:
             return X, it
         if delta < best:
             best, best_it = delta, it
@@ -93,16 +92,15 @@ def filter_step(P_pred: np.ndarray, model: SystemModel):
     return P_filt, symmetrize(model.A @ P_filt @ model.A.T + model.W)
 
 
-def kf_steady_state(model: SystemModel, tol: float = ARE_TOL,
-                    max_iterations: int = ARE_MAX_ITER) -> SteadyStateFilter:
+def kf_steady_state(model: SystemModel) -> SteadyStateFilter:
     """Iterate the predicted-covariance recursion from X0 to its fixed point.
 
-    Convergence is |P_next - P|_inf < tol. Returns the steady gain, the
+    Convergence is |P_next - P|_inf < ARE_TOL. Returns the steady gain, the
     updated covariance F_inf and the correction covariance Pi_eta along with
     iteration diagnostics. Raises ConvergenceError when the cap is hit.
     """
     P, it = fixed_point(lambda P: filter_step(P, model)[1], model.X0.copy(),
-                        "steady-state filter iteration", tol, max_iterations)
+                        "steady-state filter iteration")
     P_filt, P_next = filter_step(P, model)
     K = kalman_gain(P, model)
     return SteadyStateFilter(P_inf=P, K_inf=K, F_inf=symmetrize(P_filt),

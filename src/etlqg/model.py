@@ -147,29 +147,22 @@ class SystemModel:
         )
 
 
-@dataclass(frozen=True)
-class SchedulerParams:
-    """Trigger sensitivity and timeout of the transmission scheduler.
+def scheduler_lambdas(lams, timeout) -> list[float]:
+    """The trigger sensitivities lams as floats, checked with the timeout.
 
-    lam: positive scalar weight on the squared comparison error inside the
-         non-transmit probability exp(-lam * |e|^2).
-    timeout: hard upper bound on consecutive non-transmissions.
+    Each lambda is a positive finite scalar weight on the squared comparison
+    error inside the non-transmit probability exp(-lam * |e|^2); timeout,
+    the hard upper bound on consecutive non-transmissions, an integer >= 1.
     """
-
-    lam: float
-    timeout: int
-
-    def __post_init__(self):
-        lam = float(self.lam)
+    if not isinstance(timeout, (int, np.integer)) or isinstance(timeout, bool):
+        raise ModelError(f"timeout must be an integer, got {timeout!r}")
+    if timeout < 1:
+        raise ModelError(f"timeout must be >= 1, got {timeout}")
+    lams = [float(lam) for lam in lams]
+    for lam in lams:
         if not np.isfinite(lam) or lam <= 0:
-            raise ModelError(f"lam must be a positive finite scalar, got {self.lam!r}")
-        timeout = self.timeout
-        if not isinstance(timeout, (int, np.integer)) or isinstance(timeout, bool):
-            raise ModelError(f"timeout must be an integer, got {self.timeout!r}")
-        if timeout < 1:
-            raise ModelError(f"timeout must be >= 1, got {timeout}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "timeout", int(timeout))
+            raise ModelError(f"lam must be a positive finite scalar, got {lam!r}")
+    return lams
 
 
 def controllability_rank(A: np.ndarray, B: np.ndarray) -> int:

@@ -44,7 +44,7 @@ import numpy as np
 from .control import ControlSynthesis
 from .errors import DivergenceError, ModelError
 from .estimation import SteadyStateFilter
-from .model import SchedulerParams, SystemModel, psd_sqrt
+from .model import SystemModel, psd_sqrt, scheduler_lambdas
 
 DEFAULT_BURN_IN = 200
 DIVERGENCE_LIMIT = 1e12
@@ -53,7 +53,7 @@ _CHUNK_STEPS = 256
 _BLOCK_BYTES = 2 * 2**20
 # Steps per TraceBlock handed to run_closed_loop_grid's on_block.
 _TRACE_BLOCK_STEPS = 2048
-# Trace budget of one run_closed_loop_grid call, counted in units of
+# Trace budget of one streamed TraceBlock, counted in units of
 # 8 * (4n + p + m + 2) bytes per run-step and lambda (see lambda_groups).
 TRACE_BUDGET_BYTES = 64 * 2**20
 
@@ -67,7 +67,6 @@ class SimConfig:
     seed: int
     record_trace: bool = False
     burn_in: int = DEFAULT_BURN_IN
-    divergence_limit: float | None = DIVERGENCE_LIMIT
 
     def __post_init__(self):
         for name in ("timeout", "horizon", "runs", "seed", "burn_in"):
@@ -81,8 +80,6 @@ class SimConfig:
         if not 0 <= self.burn_in < self.horizon:
             raise ModelError(
                 f"burn_in must lie in [0, horizon), got {self.burn_in}")
-        if self.divergence_limit is not None and not self.divergence_limit > 0:
-            raise ModelError("divergence_limit must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -127,14 +124,16 @@ def lambda_groups(cfg: SimConfig, lams) -> list[list[float]]:
     """Split a lambda grid into consecutive groups for run_closed_loop_grid.
 
     Without traces the group is the whole grid. With cfg.record_trace a group
-    holds as many lambdas as fit their traces into TRACE_BUDGET_BYTES, and at
-    least one.
+    holds as many lambdas as fit one TraceBlock of their traces (at most
+    _TRACE_BLOCK_STEPS steps, as on_block receives them) into
+    TRACE_BUDGET_BYTES, and at least one.
     """
     lams = [float(lam) for lam in lams]
     size = len(lams)
     if cfg.record_trace:
         n, m, p = cfg.model.dims
-        per_lam = cfg.runs * cfg.horizon * 8 * (4 * n + p + m + 2)
+        steps = min(cfg.horizon, _TRACE_BLOCK_STEPS)
+        per_lam = cfg.runs * steps * 8 * (4 * n + p + m + 2)
         size = TRACE_BUDGET_BYTES // per_lam
     size = max(1, size)
     return [lams[i:i + size] for i in range(0, len(lams), size)]
@@ -179,7 +178,7 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     instead, and traces is None.
 
     A DivergenceError names the first step whose largest |x| passes
-    cfg.divergence_limit, and the run by its index in range(cfg.runs); the
+    DIVERGENCE_LIMIT, and the run by its index in range(cfg.runs); the
     loop runs on to the end of its block, which never reaches on_block.
     """
     if ctrl.L_inf is None:
@@ -196,7 +195,7 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     Kt = filt.K_inf.T
     Lt = ctrl.L_inf.T
     timeout = cfg.timeout
-    lams = [SchedulerParams(lam, timeout).lam for lam in lams]
+    lams = scheduler_lambdas(lams, timeout)
     neg_lam = -np.array(lams)[:, None]
     group, runs, horizon = len(lams), len(run_ids), cfg.horizon
     burn_in = cfg.burn_in
@@ -275,15 +274,14 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                 x = np.add(x @ At + u @ Bt, w, out=xb[i + 1])
                 xt_pred = xt_filt @ At + w
 
-            if cfg.divergence_limit is not None:
-                peak = np.abs(xb[1:steps + 1])
-                worst = peak.reshape(steps, -1).max(axis=1)
-                crossed = np.flatnonzero(worst > cfg.divergence_limit)
-                if crossed.size:
-                    i = crossed[0]
-                    g, r, _ = np.unravel_index(peak[i].argmax(), peak[i].shape)
-                    raise DivergenceError(step=first + i + 1, run=run_ids[r],
-                                          value=float(worst[i]), lam=lams[g])
+            peak = np.abs(xb[1:steps + 1])
+            worst = peak.reshape(steps, -1).max(axis=1)
+            crossed = np.flatnonzero(worst > DIVERGENCE_LIMIT)
+            if crossed.size:
+                i = crossed[0]
+                g, r, _ = np.unravel_index(peak[i].argmax(), peak[i].shape)
+                raise DivergenceError(step=first + i + 1, run=run_ids[r],
+                                      value=float(worst[i]), lam=lams[g])
             lo = max(burn_in - first, 0)  # the first row after burn-in
             sigma_count += sb[lo:steps].sum(axis=0)
             stage = _quad(xb[lo:steps], model.Q) + _quad(ub[lo:steps], model.R)

@@ -4,12 +4,12 @@ axis: a named oracle for `etlqg.simulation.run_closed_loop_grid`.
 This is the engine's old body, kept verbatim apart from its name, the
 imports below, its trace record (OracleTrace, which the engine no longer
 has), the timeout (`cfg.timeout`), its covariance factors (psd_sqrt, as
-the engine's), the chunk size, which it reads from the engine module so
-that a monkeypatched `_CHUNK_STEPS` reaches both, and its stage-cost line,
-which calls the engine's `simulation._quad` (in step order, so the cost
-keeps the bits of a per-step einsum). It carries every state as
-(group, runs, n), records traces run-major and forms y, xhat_s and xhat_c
-inside the loop. The engine must reproduce its rates, costs and the five
+the engine's), the chunk size and the divergence guard, which it reads from
+the engine module at call time so that a monkeypatched `_CHUNK_STEPS` or
+`DIVERGENCE_LIMIT` reaches both, and its stage-cost line, which calls the
+engine's `simulation._quad` (in step order, so the cost keeps the bits of a
+per-step einsum). It carries every state as (group, runs, n), records
+traces run-major and forms y, xhat_s and xhat_c inside the loop. The engine must reproduce its rates, costs and the five
 trace fields it records (sigma, tau, x, u, e_filt) bit for bit; see
 tests/test_simulation.py::TestOracle. The other three fields, which the
 engine does not record, are what tests/test_simulation.py::TestTraceInvariants
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from etlqg import (ControlSynthesis, DivergenceError, ModelError,
-                   SchedulerParams, SimConfig, SteadyStateFilter, simulation)
-from etlqg.model import psd_sqrt
+from etlqg import (ControlSynthesis, DivergenceError, ModelError, SimConfig,
+                   SteadyStateFilter, simulation)
+from etlqg.model import psd_sqrt, scheduler_lambdas
 from etlqg.simulation import _spawn_run_streams
 
 # The trace fields the engine records as well
@@ -75,7 +75,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     K = filt.K_inf
     L = ctrl.L_inf
     timeout = cfg.timeout
-    lams = [SchedulerParams(lam, timeout).lam for lam in lams]
+    lams = scheduler_lambdas(lams, timeout)
     lam = np.array(lams)[:, None]
     group, runs, horizon = len(lams), len(run_ids), cfg.horizon
 
@@ -105,9 +105,9 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
         tr_tau = np.empty((group, runs, horizon), dtype=np.int64)
         tr_e = np.empty((group, runs, horizon, n))
 
-    guard = cfg.divergence_limit
+    guard = simulation.DIVERGENCE_LIMIT
     errctx = (np.errstate(over="ignore", invalid="ignore")
-              if guard is None else contextlib.nullcontext())
+              if guard == np.inf else contextlib.nullcontext())
 
     with errctx:
         k = 0
@@ -150,7 +150,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                     tr_e[:, :, k] = e_filt
                 x = x @ A.T + u @ B.T + w
                 xt_pred = xt_filt @ A.T + w
-                if guard is not None:
+                if guard != np.inf:
                     peak = np.abs(x)
                     worst = float(peak.max())
                     if worst > guard:

@@ -191,15 +191,16 @@ def test_criterion_6_conditional_error_covariances():
     assert ok, line
 
 
-def test_criterion_7_schedule_control_independence():
+def test_criterion_7_schedule_control_independence(monkeypatch):
+    # the open loop runs to the end, past the divergence guard
+    monkeypatch.setattr("etlqg.simulation.DIVERGENCE_LIMIT", np.inf)
     model = make_benchmark_model()
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
     open_loop = ControlSynthesis(L_inf=np.zeros((1, 2)), S_inf=np.eye(2),
                                  M_inf=np.eye(2))
     cfg = SimConfig(model=model, timeout=BENCH_TIMEOUT, horizon=10_000,
-                    runs=10, seed=2718, burn_in=0, record_trace=True,
-                    divergence_limit=None)
+                    runs=10, seed=2718, burn_in=0, record_trace=True)
     _, _, closed = run_closed_loop(cfg, filt, ctrl, 1.0)
     _, _, opened = run_closed_loop(cfg, filt, open_loop, 1.0)
     mismatches = sum(

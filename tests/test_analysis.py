@@ -24,7 +24,7 @@ from etlqg import (
     stationary_distribution,
     transition_matrix,
 )
-from etlqg.analysis import LAMBDA_MAX, chain_step
+from etlqg.analysis import LAMBDA_MAX, _solve_grid, chain_step
 from etlqg.model import psd_sqrt
 
 from chain_oracle import (
@@ -429,6 +429,16 @@ class TestLambdaGrid:
                                      [LAMBDA_MAX], 50)
         assert LAMBDA_MAX * np.trace(cec.sigmas[1]) == pytest.approx(
             0.5, rel=1e-6)
+
+    def test_singular_solve_named(self):
+        # below LAMBDA_MAX, I + 2 lam N is singular only at an exact zero
+        # pivot, so the batch is built by hand: the batched solve fails as a
+        # whole, and the retry names the lambda whose matrix is singular
+        M = np.stack([np.eye(2), np.zeros((2, 2))])
+        B = np.stack([np.eye(2), np.eye(2)])
+        with pytest.raises(NumericalError, match=re.escape(
+                "lambda=2.0: I + 2 lambda N is singular at age 3: ")):
+            _solve_grid(M, B, [1.0, 2.0], 3)
 
 
 def mpmath_pass(A, Pi_eta, lam, timeout, dps=60):

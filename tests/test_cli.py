@@ -317,7 +317,7 @@ class TestTraceWriter:
         model = load_config(default_config_path()).model
         # longer than one block of rows, with a partial last block
         trace = simulated_trace(model, 4500)
-        assert_same_text(_trace_csv(trace, 2, 1), reference_trace_csv(trace, 2, 1))
+        assert_same_text(_trace_csv(trace), reference_trace_csv(trace, 2, 1))
 
     def test_special_values(self):
         # nan and inf reach a trace when the divergence guard is off
@@ -328,7 +328,7 @@ class TestTraceWriter:
             start=0, x=cells[:, :2], u=cells[:, 2:3], e_filt=cells[:, 3:],
             sigma=np.arange(horizon, dtype=np.int64) % 2,
             tau=np.arange(horizon, dtype=np.int64))
-        text = _trace_csv(trace, 2, 1)
+        text = _trace_csv(trace)
         assert_same_text(text, reference_trace_csv(trace, 2, 1))
         assert "-0," in text and "nan" in text and "-inf" in text
 
@@ -340,7 +340,7 @@ class TestTraceWriter:
             W=np.eye(3), V=np.eye(2), Q=np.eye(3), Qf=np.eye(3), R=np.eye(2),
             x0_mean=np.zeros(3), X0=np.eye(3))
         trace = simulated_trace(model, 40)
-        text = _trace_csv(trace, 3, 2)
+        text = _trace_csv(trace)
         assert_same_text(text, reference_trace_csv(trace, 3, 2))
         lines = text.splitlines()
         assert lines[0] == "k,sigma,tau,x1,x2,x3,u1,u2,e1,e2,e3"
@@ -528,8 +528,8 @@ class TestSolverFailureExit:
     @pytest.mark.parametrize("command", ["analyze-only", "run"])
     def test_singular_conditioning_solve_exits_3(self, tmp_path, capsys,
                                                  command):
-        # at 1e306, 2 lambda N overflows inside the batched LU, which numpy
-        # reports as a singular matrix for the whole grid
+        # 1e306 lies above LAMBDA_MAX, so the pass exits on that check before
+        # any solve; test_analysis.py reaches the singular-solve error
         out = tmp_path / "out"
         doc = base_config(out, scheduler={"timeout": 6,
                                           "lambda_grid": [1.0, 1e306]})
@@ -555,7 +555,8 @@ class TestSolverFailureExit:
 class TestSplitSweep:
     """A sweep split across worker processes writes the in-process bytes.
 
-    Only untraced groups split; a traced one runs in this process.
+    Traced groups split as untraced ones do: each process appends to the
+    trace files of its own runs.
     """
 
     @staticmethod
@@ -589,14 +590,14 @@ class TestSplitSweep:
     @pytest.mark.parametrize("runs,budget", [(4, None), (6, 1)])
     def test_outputs_byte_identical_to_in_process(self, tmp_path, monkeypatch,
                                                   runs, budget):
-        # budget 1: one lambda per group, three groups, none on a pool
+        # budget 1: one lambda per group, three groups, each on a pool
         if budget is not None:
             monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", budget)
         cfg = self._config(tmp_path, runs)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
         pools = self._split(monkeypatch)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "split")]) == 0
-        assert pools == []
+        assert pools == [1] * (3 if budget else 1)
         serial = self._artifacts(tmp_path / "serial")
         split = self._artifacts(tmp_path / "split")
         assert len([n for n in split if n.startswith("trace_")]) == 3 * runs
@@ -613,13 +614,12 @@ class TestSplitSweep:
         cfg = self._config(tmp_path, runs=4, horizon=400)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 3
         want = capsys.readouterr().err
-        # the first crossing lies in runs 2 and 3: the second slice, had the
-        # group split its runs in two
+        # the first crossing lies in runs 2 and 3: the worker's slice
         assert re.search(r"lambda 0\.5, run [23]\)", want)
         pools = self._split(monkeypatch)
         out = tmp_path / "split"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 3
-        assert pools == []
+        assert pools == [1]
         assert capsys.readouterr().err == want
         assert not list(out.glob("trace_*.csv"))
         assert not list(out.glob("*.part"))
@@ -704,7 +704,7 @@ class TestSplitSweep:
                    4: (7, 4, 3e12, 2.0), 6: (7, 7, 3e12, 0.5),
                    8: (7, 8, 3e12, 0.5)}
 
-        def diverge(sim_cfg, filt, ctrl, group, runs, lazy=False):
+        def diverge(sim_cfg, filt, ctrl, group, runs, parts):
             step, run, value, lam = reports[runs.start]
             raise DivergenceError(step=step, run=run, value=value, lam=lam)
 
@@ -721,14 +721,14 @@ class TestSplitSweep:
         slices = [range(a, a + 2) for a in range(0, 10, 2)]
         with pytest.raises(DivergenceError) as exc:
             cli._simulate_group(InlinePool(), None, None, None,
-                                [0.5, 2.0, 8.0], slices)
+                                [0.5, 2.0, 8.0], slices, [])
         assert (exc.value.step, exc.value.run) == (7, 7)
 
 
 class TestStreamedTraces:
-    """A traced group simulates once, in this process, even where an untraced
-    one would split its runs; each run's trace is appended to its file block
-    by block, and the sweep writes the bytes of whole traces."""
+    """Each run's trace is appended to its file block by block, by whichever
+    process simulates the run, and the sweep writes the bytes of whole
+    traces. Blocks are counted in this process only."""
 
     @staticmethod
     def _streamed(monkeypatch, rows=None):
@@ -738,9 +738,9 @@ class TestStreamedTraces:
         blocks = []
         real = cli._format_block
 
-        def counted(block, n, m):
+        def counted(block):
             blocks.append(block.start)
-            return real(block, n, m)
+            return real(block)
 
         monkeypatch.setattr(cli, "_format_block", counted)
         return TestSplitSweep._split(monkeypatch), blocks
@@ -756,8 +756,9 @@ class TestStreamedTraces:
         return main(["run", str(cfg), "--out-dir", str(out)]), out
 
     def test_partial_last_block(self, tmp_path, monkeypatch):
-        # 2500 steps: a block of 2048, then one of 452
-        code, serial = self._sweep(tmp_path, "serial", runs=2, horizon=2500)
+        # 2500 steps: a block of 2048, then one of 452; runs 2 and 3 in a
+        # worker
+        code, serial = self._sweep(tmp_path, "serial", runs=4, horizon=2500)
         assert code == 0
         want = TestSplitSweep._artifacts(serial)
         # a leftover trace of the same name is replaced
@@ -765,25 +766,26 @@ class TestStreamedTraces:
         streamed.mkdir()
         (streamed / "trace_lam0.5_run0000.csv").write_text("stale\n")
         pools, blocks = self._streamed(monkeypatch)
-        code, _ = self._sweep(tmp_path, "streamed", runs=2, horizon=2500)
+        code, _ = self._sweep(tmp_path, "streamed", runs=4, horizon=2500)
         assert code == 0
-        assert pools == [] and blocks == [0, 2048]
+        assert pools == [1] and blocks == [0, 2048]
         got = TestSplitSweep._artifacts(streamed)
-        assert len([n for n in got if n.startswith("trace_")]) == 6
+        assert len([n for n in got if n.startswith("trace_")]) == 12
         assert got == want
 
-        # a formatting error in the second block propagates; the files of
-        # the run before stay whole, and no .part file is left
+        # a formatting error in this process's second block propagates once
+        # the worker is done; the files of the run before stay whole, and no
+        # .part file is left
         real = cli._format_block
 
-        def fail_second(block, n, m):
+        def fail_second(block):
             if block.start:
                 raise RuntimeError("format failed")
-            return real(block, n, m)
+            return real(block)
 
         monkeypatch.setattr(cli, "_format_block", fail_second)
         with pytest.raises(RuntimeError, match="format failed"):
-            self._sweep(tmp_path, "streamed", runs=2, horizon=2500)
+            self._sweep(tmp_path, "streamed", runs=4, horizon=2500)
         assert not list(streamed.glob("*.part"))
         assert TestSplitSweep._artifacts(streamed) == want
 
@@ -798,13 +800,14 @@ class TestStreamedTraces:
         assert code == 3
         want = capsys.readouterr().err
         assert "diverged" in want
-        # appended: blocks of 16 rows reach the .part files before the
-        # crossing; else the crossing comes within the first block
+        # appended: blocks of 16 rows reach this process's .part files before
+        # the crossing; else the crossing comes within the first block. The
+        # first crossing lies in the worker's slice (TestSplitSweep)
         pools, blocks = self._streamed(monkeypatch, rows=16 if appended else None)
         code, out = self._sweep(tmp_path, "streamed", runs=4, horizon=400)
         assert code == 3
         assert capsys.readouterr().err == want
-        assert pools == []
+        assert pools == [1]
         assert (len(blocks) >= 2) if appended else blocks == []
         assert not list(out.glob("trace_*.csv"))
         assert not list(out.glob("*.part"))

@@ -160,9 +160,10 @@ class TestControlSteadyState:
         )
         assert np.linalg.eigvalsh(bench_control.M_inf).min() >= -1e-12
 
-    def test_iteration_cap_raises(self, bench_model):
+    def test_iteration_cap_raises(self, bench_model, monkeypatch):
+        monkeypatch.setattr("etlqg.estimation.ARE_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as exc:
-            control_steady_state(bench_model, max_iterations=3)
+            control_steady_state(bench_model)
         assert "steady-state control iteration" in str(exc.value)
 
 

@@ -59,7 +59,7 @@ class TestOneCellTrace:
         cell = np.array([[value]])
         trace = TraceBlock(start=0, x=cell, u=-cell, e_filt=cell,
                            sigma=np.array([sigma]), tau=np.array([tau]))
-        assert _trace_csv(trace, 1, 1) == reference_trace_csv(trace, 1, 1)
+        assert _trace_csv(trace) == reference_trace_csv(trace, 1, 1)
 
 
 class TestAgainstPercent:

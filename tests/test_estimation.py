@@ -81,25 +81,25 @@ class TestSteadyState:
             bench_model.A.T, bench_model.C.T, bench_model.W, bench_model.V)
         assert np.allclose(bench_filter.P_inf, P, rtol=1e-9)
 
-    def test_iteration_cap_raises(self, bench_model):
+    def test_iteration_cap_raises(self, bench_model, monkeypatch):
+        monkeypatch.setattr(estimation, "ARE_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as err:
-            kf_steady_state(bench_model, max_iterations=3)
+            kf_steady_state(bench_model)
         assert "steady-state filter iteration" in str(err.value)
         assert err.value.residual > 0
 
 
-def fixed_point_to_the_cap(step, start, label, tol=ARE_TOL,
-                           max_iterations=ARE_MAX_ITER):
-    """fixed_point without its stall window: it stops at tol or the cap."""
+def fixed_point_to_the_cap(step, start, label):
+    """fixed_point without its stall window: it stops at ARE_TOL or the cap."""
     X = start
     delta = np.inf
-    for it in range(1, max_iterations + 1):
+    for it in range(1, ARE_MAX_ITER + 1):
         X_next = step(X)
         delta = float(np.max(np.abs(X_next - X)))
         X = X_next
-        if delta < tol:
+        if delta < ARE_TOL:
             return X, it
-    raise ConvergenceError(label, delta, max_iterations)
+    raise ConvergenceError(label, delta, ARE_MAX_ITER)
 
 
 def _solves(model):

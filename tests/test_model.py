@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from etlqg import (DefinitenessError, ModelError, SchedulerParams, SystemModel,
+from etlqg import (DefinitenessError, ModelError, SystemModel,
                    control_steady_state, controllability_rank, kf_steady_state,
                    observability_rank, validate_model)
-from etlqg.model import psd_sqrt, symmetrize
+from etlqg.model import psd_sqrt, scheduler_lambdas, symmetrize
 
 from conftest import make_benchmark_model, make_golden_model, random_valid_model
 
@@ -78,18 +78,19 @@ class TestSystemModel:
 
 class TestSchedulerParams:
     def test_valid(self):
-        params = SchedulerParams(lam=0.5, timeout=50)
-        assert params.lam == 0.5 and params.timeout == 50
+        assert scheduler_lambdas([0.5, 2], timeout=50) == [0.5, 2.0]
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
     def test_bad_lambda(self, lam):
-        with pytest.raises(ModelError):
-            SchedulerParams(lam=lam, timeout=10)
+        with pytest.raises(ModelError, match="^lam must"):
+            scheduler_lambdas([1.0, lam], timeout=10)
 
     @pytest.mark.parametrize("timeout", [0, -3, 2.5, True])
     def test_bad_timeout(self, timeout):
-        with pytest.raises(ModelError):
-            SchedulerParams(lam=1.0, timeout=timeout)
+        # checked for an empty grid too
+        for lams in ([1.0], []):
+            with pytest.raises(ModelError, match="^timeout must"):
+                scheduler_lambdas(lams, timeout)
 
 
 class TestRankChecks:

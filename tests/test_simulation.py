@@ -50,7 +50,6 @@ class TestSimConfig:
             {"seed": -1},
             {"burn_in": -1},
             {"burn_in": 2000},
-            {"divergence_limit": 0.0},
             {"timeout": 0},
             {"timeout": -3},
             {"timeout": 2.5},
@@ -67,9 +66,8 @@ class TestSimConfig:
 
     def test_valid_settings_accepted(self, bench_model):
         cfg = SimConfig(model=bench_model, timeout=10, horizon=10, runs=1,
-                        seed=0, burn_in=0, divergence_limit=None)
+                        seed=0, burn_in=0)
         assert cfg.horizon == 10
-        assert cfg.divergence_limit is None
 
 
 class TestDeterminism:
@@ -304,10 +302,11 @@ class TestDivergenceGuard:
         return ControlSynthesis(L_inf=np.zeros((1, 2)), S_inf=np.eye(2),
                                 M_inf=np.eye(2))
 
-    def test_guard_raises_with_location(self, bench_model, bench_filter):
+    def test_guard_raises_with_location(self, bench_model, bench_filter,
+                                        monkeypatch):
+        monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", 1e6)
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
-                        horizon=2000, runs=3, seed=11, burn_in=0,
-                        divergence_limit=1e6)
+                        horizon=2000, runs=3, seed=11, burn_in=0)
         with pytest.raises(DivergenceError) as exc:
             run_closed_loop(cfg, bench_filter, self._open_loop(bench_model),
                             1e-12)
@@ -317,10 +316,11 @@ class TestDivergenceGuard:
         assert err.value > 1e6
         assert "diverged" in str(err)
 
-    def test_guard_disabled_runs_to_completion(self, bench_model, bench_filter):
+    def test_guard_disabled_runs_to_completion(self, bench_model, bench_filter,
+                                               monkeypatch):
+        monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", np.inf)
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
-                        horizon=800, runs=2, seed=11, burn_in=0,
-                        divergence_limit=None)
+                        horizon=800, runs=2, seed=11, burn_in=0)
         rates, costs, _ = run_closed_loop(cfg, bench_filter,
                                           self._open_loop(bench_model), 1e-12)
         assert np.all(np.isfinite(rates))
@@ -335,15 +335,15 @@ class TestDivergenceGuard:
     @pytest.mark.parametrize("open_loop,guard,lams",
                              [(True, 1e6, [0.5, 4.0]), (False, 15.0, [4.0, 0.01])])
     def test_grid_reports_first_crossing_and_its_lambda(
-            self, bench_model, bench_filter, bench_control, open_loop, guard,
-            lams):
+            self, bench_model, bench_filter, bench_control, monkeypatch,
+            open_loop, guard, lams):
         # open loop: every lambda row carries the same state, so the tie goes
         # to the first grid point; closed loop under a low guard: lambda 0.01
         # crosses at step 17 and lambda 4.0 only at step 455
+        monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", guard)
         ctrl = self._open_loop(bench_model) if open_loop else bench_control
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
-                        horizon=2000, runs=3, seed=11, burn_in=0,
-                        divergence_limit=guard)
+                        horizon=2000, runs=3, seed=11, burn_in=0)
         singles = []
         for lam in lams:
             with pytest.raises(DivergenceError) as exc:
@@ -367,16 +367,17 @@ class TestDivergenceGuard:
 class TestScheduleControlSeparation:
     def test_schedule_is_bitwise_independent_of_feedback(self, bench_model,
                                                          bench_filter,
-                                                         bench_control):
+                                                         bench_control,
+                                                         monkeypatch):
         """The trigger path never reads the state or the input.
 
         Swapping the feedback gain for zero (open loop) must leave the
         transmission pattern bitwise unchanged under the same seed.
         """
+        monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", np.inf)
         open_loop = ControlSynthesis(L_inf=np.zeros((1, 2)), S_inf=np.eye(2),
                                      M_inf=np.eye(2))
-        kw = dict(horizon=1000, runs=2, seed=313, burn_in=0,
-                  record_trace=True, divergence_limit=None)
+        kw = dict(horizon=1000, runs=2, seed=313, burn_in=0, record_trace=True)
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT, **kw)
         _, _, closed = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
         _, _, opened = run_closed_loop(cfg, bench_filter, open_loop, 1.0)
@@ -425,9 +426,10 @@ class TestLambdaGrid:
         # 13 words per run-step with n=2, m=p=1: 208 MB per lambda here
         bundled = dataclasses.replace(plain, record_trace=True)
         assert sim.lambda_groups(bundled, lams) == [[lam] for lam in lams]
-        # and 16.6 MB per lambda here, so four fit in 64 MiB
+        # a streamed block holds 2048 steps: 1.7 MB per lambda here, so all
+        # 13 fit in 64 MiB
         narrow = _cfg(bench_model, runs=8, horizon=20000, record_trace=True)
-        assert [len(g) for g in sim.lambda_groups(narrow, lams)] == [4, 4, 4, 1]
+        assert [len(g) for g in sim.lambda_groups(narrow, lams)] == [13]
 
 
 class TestRunSlices:
@@ -468,11 +470,12 @@ class TestRunSlices:
             sim.run_closed_loop_grid(cfg, bench_filter, bench_control, [1.0],
                                      runs)
 
-    def test_guard_names_the_global_run(self, bench_model, bench_filter):
+    def test_guard_names_the_global_run(self, bench_model, bench_filter,
+                                        monkeypatch):
+        monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", 1e6)
         open_loop = TestDivergenceGuard()._open_loop(bench_model)
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
-                        horizon=2000, runs=6, seed=11, burn_in=0,
-                        divergence_limit=1e6)
+                        horizon=2000, runs=6, seed=11, burn_in=0)
         with pytest.raises(DivergenceError) as exc:
             sim.run_closed_loop_grid(cfg, bench_filter, open_loop, [0.5, 4.0])
         full = exc.value
@@ -653,9 +656,11 @@ class TestBlockGuard:
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=4000, runs=2, seed=11, burn_in=0,
                         record_trace=block is not None)
-        _, costs, _ = sim.run_closed_loop_grid(
-            dataclasses.replace(cfg, divergence_limit=None, record_trace=False),
-            bench_filter, open_loop, [1.0])
+        with monkeypatch.context() as mp:
+            mp.setattr(sim, "DIVERGENCE_LIMIT", np.inf)
+            _, costs, _ = sim.run_closed_loop_grid(
+                dataclasses.replace(cfg, record_trace=False), bench_filter,
+                open_loop, [1.0])
         assert not np.isfinite(costs).any()
         assert sim._BLOCK_BYTES // (8 * 4 * 2) >= cfg.horizon
         if block is not None:

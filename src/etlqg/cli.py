@@ -10,9 +10,10 @@ Artifacts (under the output directory, written atomically):
   analysis_<lam>.json   per-lambda chain analysis and cost breakdown (repr(lam))
   manifest.json         full config echo (re-ingestable as a config) + tool info
   plot.gp               optional gnuplot script (emit_plot_data / --plot-script)
-  trace_*.csv           optional per-run step traces (simulation.record_trace)
-A finished sweep removes the artifacts of an earlier one that it did not
-write; files with other names stay.
+  trace_*.csv           optional per-run step traces (record_trace)
+A sweep that fails in analysis or simulation writes nothing. A finished
+sweep removes the artifacts of an earlier one that it did not write; files
+with other names stay.
 
 Exit codes: 0 success, 1 invalid config, 2 model validation failure,
 3 numerical non-convergence or divergence.
@@ -188,7 +189,7 @@ def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, group, runs: range,
                 fh.write(text)
 
     return run_closed_loop_grid(sim_cfg, filt, ctrl, group, runs,
-                                on_block=on_block)[:2]
+                                on_block=on_block if parts else None)
 
 
 def _simulate_group(pool, sim_cfg: SimConfig, filt, ctrl, group,
@@ -297,26 +298,31 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
 
     if with_simulation and cfg.runs > 0:
         # one lockstep simulation per group of lambdas, in grid order; the
-        # cores split a large group's runs
+        # cores split a large group's runs. The traces replace their files
+        # only once every group is done
         sim_cfg = SimConfig(model=model, timeout=cfg.timeout,
                             horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
-                            record_trace=cfg.record_trace, burn_in=cfg.burn_in)
-        start = 0
-        for group in lambda_groups(sim_cfg, [pt.lam for pt in points]):
-            names = [f"trace_lam{pt.lam!r}_run{r:04d}.csv"
-                     for pt in points[start:start + len(group)]
-                     for r in range(cfg.runs)] if cfg.record_trace else []
-            slices = _run_slices(sim_cfg, len(group))
-            # the pool shuts down before any .part file is replaced or removed
-            with (_replacing([out_dir / name for name in names]) as parts,
-                  _worker_pool(len(slices) - 1) if len(slices) > 1
-                  else contextlib.nullcontext() as pool):
-                rates, costs = _simulate_group(pool, sim_cfg, filt, ctrl,
-                                               group, slices, parts)
-            written.update(names)
-            for g in range(len(group)):
-                emit(points[start + g], rates[g], costs[g])
-            start += len(group)
+                            burn_in=cfg.burn_in)
+        lams = [pt.lam for pt in points]
+        groups = lambda_groups(sim_cfg, lams) if cfg.record_trace else [lams]
+        names = [f"trace_lam{lam!r}_run{r:04d}.csv" for lam in lams
+                 for r in range(cfg.runs)] if cfg.record_trace else []
+        rates, costs = [], []
+        with _replacing([out_dir / name for name in names]) as parts:
+            for group in groups:
+                slices = _run_slices(sim_cfg, len(group))
+                start = len(rates) * cfg.runs  # the group's first .part file
+                # workers finish before any .part file is replaced or removed
+                with (_worker_pool(len(slices) - 1) if len(slices) > 1
+                      else contextlib.nullcontext() as pool):
+                    group_rates, group_costs = _simulate_group(
+                        pool, sim_cfg, filt, ctrl, group, slices,
+                        parts[start:start + len(group) * cfg.runs])
+                rates.extend(group_rates)
+                costs.extend(group_costs)
+        written.update(names)
+        for point, run_rates, run_costs in zip(points, rates, costs):
+            emit(point, run_rates, run_costs)
     else:
         for point in points:
             emit(point)

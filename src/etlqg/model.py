@@ -224,12 +224,6 @@ def validate_model(model: SystemModel) -> ValidationReport:
     n, m, p = model.dims
     checks: list[ValidationCheck] = []
 
-    for name in ("W", "V", "Q", "Qf", "R", "X0"):
-        M = getattr(model, name)
-        asym = float(np.max(np.abs(M - M.T)))
-        checks.append(ValidationCheck(
-            f"symmetry({name})", asym <= SYMMETRY_TOL, asym,
-            f"max |M - M^T| <= {SYMMETRY_TOL:g}"))
     for name in ("W", "Q", "Qf", "X0"):
         ev = _min_eig(getattr(model, name))
         checks.append(ValidationCheck(

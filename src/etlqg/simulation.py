@@ -16,9 +16,10 @@ and broadcast like the draws. A step runs only the estimator, trigger and
 plant recurrences, writing x, u and sigma into time-major block buffers,
 (steps, group, runs, .); the divergence guard, the transmission count and
 the stage cost are reduced once per block, the cost in step order from the
-running sum, so it has the bits of a per-step sum. A traced block's buffers,
-with tau and e_filt recorded per step, are its TraceBlock: the columns of a
-trace CSV.
+running sum, so it has the bits of a per-step sum. Only given an on_block
+hook, the loop runs in blocks of _TRACE_BLOCK_STEPS steps and also records
+tau and e_filt per step: each block's buffers are a TraceBlock, the columns
+of a trace CSV, handed to on_block.
 
 RNG layout: run r's seed is SeedSequence(seed, spawn_key=(r,)), the r-th
 child that SeedSequence(seed).spawn would give; each run spawns four
@@ -53,8 +54,9 @@ _CHUNK_STEPS = 256
 _BLOCK_BYTES = 2 * 2**20
 # Steps per TraceBlock handed to run_closed_loop_grid's on_block.
 _TRACE_BLOCK_STEPS = 2048
-# Trace budget of one streamed TraceBlock, counted in units of
-# 8 * (4n + p + m + 2) bytes per run-step and lambda (see lambda_groups).
+# Trace budget of one TraceBlock in units of 8 * (4n + p + m + 2) bytes per
+# run-step and lambda (see lambda_groups): conservative, as a TraceBlock
+# holds 8 * (2n + m + 2) bytes and one bool per run-step and lambda.
 TRACE_BUDGET_BYTES = 64 * 2**20
 
 
@@ -65,7 +67,6 @@ class SimConfig:
     horizon: int
     runs: int
     seed: int
-    record_trace: bool = False
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
@@ -121,34 +122,32 @@ def _spawn_run_streams(seed: int, runs: range):
 
 
 def lambda_groups(cfg: SimConfig, lams) -> list[list[float]]:
-    """Split a lambda grid into consecutive groups for run_closed_loop_grid.
+    """Split a lambda grid into consecutive groups for traced
+    run_closed_loop_grid calls.
 
-    Without traces the group is the whole grid. With cfg.record_trace a group
-    holds as many lambdas as fit one TraceBlock of their traces (at most
-    _TRACE_BLOCK_STEPS steps, as on_block receives them) into
+    A group holds as many lambdas as fit one TraceBlock of their traces (at
+    most _TRACE_BLOCK_STEPS steps, as on_block receives them) into
     TRACE_BUDGET_BYTES, and at least one.
     """
     lams = [float(lam) for lam in lams]
-    size = len(lams)
-    if cfg.record_trace:
-        n, m, p = cfg.model.dims
-        steps = min(cfg.horizon, _TRACE_BLOCK_STEPS)
-        per_lam = cfg.runs * steps * 8 * (4 * n + p + m + 2)
-        size = TRACE_BUDGET_BYTES // per_lam
-    size = max(1, size)
+    n, m, p = cfg.model.dims
+    steps = min(cfg.horizon, _TRACE_BLOCK_STEPS)
+    per_lam = cfg.runs * steps * 8 * (4 * n + p + m + 2)
+    size = max(1, TRACE_BUDGET_BYTES // per_lam)
     return [lams[i:i + size] for i in range(0, len(lams), size)]
 
 
 def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
-                    ctrl: ControlSynthesis, lam: float):
+                    ctrl: ControlSynthesis, lam: float, on_block=None):
     """Simulate cfg.runs independent closed loops at lam.
 
-    Returns (rates, costs, traces): per-run empirical transmission rate and
-    running-average stage cost over the post-burn-in window, and a tuple of
-    one-run TraceBlocks (or None unless cfg.record_trace).
+    Returns (rates, costs): per-run empirical transmission rate and
+    running-average stage cost over the post-burn-in window. on_block, if
+    given, receives the TraceBlocks of run_closed_loop_grid.
     """
-    rates, costs, traces = run_closed_loop_grid(cfg, filt, ctrl, [lam])
-    return rates[0], costs[0], None if traces is None else traces[0]
+    rates, costs = run_closed_loop_grid(cfg, filt, ctrl, [lam],
+                                        on_block=on_block)
+    return rates[0], costs[0]
 
 
 def _quad(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -170,12 +169,10 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     run indices; column j is run runs[j], bitwise as in the full call for
     slices of at least 2 runs (see the module notes). Each run's random
     streams are shared by all lambdas (common random numbers), so row g
-    equals run_closed_loop at lams[g] bitwise. Returns (rates, costs,
-    traces): (len(lams), len(runs)) arrays and, with cfg.record_trace, the
-    per_run() of one TraceBlock of the whole horizon (else None). With
-    cfg.record_trace and on_block, each TraceBlock of _TRACE_BLOCK_STEPS
-    steps (fewer in the last) goes to on_block(block) once simulated
-    instead, and traces is None.
+    equals run_closed_loop at lams[g] bitwise. Returns (rates, costs), two
+    (len(lams), len(runs)) arrays. With on_block, each TraceBlock of
+    _TRACE_BLOCK_STEPS steps (fewer in the last) goes to on_block(block)
+    once simulated.
 
     A DivergenceError names the first step whose largest |x| passes
     DIVERGENCE_LIMIT, and the run by its index in range(cfg.runs); the
@@ -216,12 +213,8 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     sigma_count = np.zeros((group, runs), dtype=np.int64)
     cost_sum = np.zeros((group, runs))
 
-    record = cfg.record_trace
-    blocks = None
-    if record and on_block is None:  # keep one block of the whole horizon
-        blocks = []
-        on_block = blocks.append
-    rows = (horizon if blocks is not None else _TRACE_BLOCK_STEPS if record
+    record = on_block is not None
+    rows = (_TRACE_BLOCK_STEPS if record
             else max(1, _BLOCK_BYTES // (8 * (n + m + 1) * group * runs)))
 
     chunk_end = 0
@@ -291,8 +284,7 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                                     xb[:-1], ub, tr_e))
 
     window = horizon - burn_in
-    traces = None if blocks is None else blocks[0].per_run()
-    return sigma_count / window, cost_sum / window, traces
+    return sigma_count / window, cost_sum / window
 
 
 def aggregate_runs(values: np.ndarray):

@@ -3,17 +3,19 @@ axis: a named oracle for `etlqg.simulation.run_closed_loop_grid`.
 
 This is the engine's old body, kept verbatim apart from its name, the
 imports below, its trace record (OracleTrace, which the engine no longer
-has), the timeout (`cfg.timeout`), its covariance factors (psd_sqrt, as
-the engine's), the chunk size and the divergence guard, which it reads from
-the engine module at call time so that a monkeypatched `_CHUNK_STEPS` or
-`DIVERGENCE_LIMIT` reaches both, and its stage-cost line, which calls the
-engine's `simulation._quad` (in step order, so the cost keeps the bits of a
-per-step einsum). It carries every state as (group, runs, n), records
-traces run-major and forms y, xhat_s and xhat_c inside the loop. The engine must reproduce its rates, costs and the five
-trace fields it records (sigma, tau, x, u, e_filt) bit for bit; see
-tests/test_simulation.py::TestOracle. The other three fields, which the
-engine does not record, are what tests/test_simulation.py::TestTraceInvariants
-checks against the filter and controller recursions.
+has, kept when its own `record` argument is set), the timeout
+(`cfg.timeout`), its covariance factors (psd_sqrt, as the engine's), the
+chunk size and the divergence guard, which it reads from the engine module
+at call time so that a monkeypatched `_CHUNK_STEPS` or `DIVERGENCE_LIMIT`
+reaches both, and its stage-cost line, which calls the engine's
+`simulation._quad` (in step order, so the cost keeps the bits of a per-step
+einsum). It carries every state as (group, runs, n), records traces
+run-major and forms y, xhat_s and xhat_c inside the loop. The engine must
+reproduce its rates, costs and the five trace fields it records (sigma,
+tau, x, u, e_filt) bit for bit; see tests/test_simulation.py::TestOracle.
+The other three fields, which the engine does not record, are what
+tests/test_simulation.py::TestTraceInvariants checks against the filter and
+controller recursions.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class OracleTrace:
 
 def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                                ctrl: ControlSynthesis, lams,
-                               runs: range | None = None):
+                               runs: range | None = None,
+                               record: bool = False):
     """Simulate closed loops at each lambda of lams, in lockstep.
 
     Every other setting comes from cfg. runs, a range inside
@@ -56,8 +59,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     j is run runs[j]. Each run's random streams are shared by all lambdas
     (common random numbers), so row g equals run_closed_loop at lams[g]
     bitwise. Returns (rates, costs, traces): (len(lams), len(runs)) arrays
-    and, with cfg.record_trace, one tuple of OracleTrace per lambda (else
-    None).
+    and, with record, one tuple of OracleTrace per lambda (else None).
     A DivergenceError names the run by its index in range(cfg.runs).
     """
     if ctrl.L_inf is None:
@@ -95,7 +97,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     sigma_count = np.zeros((group, runs), dtype=np.int64)
     cost_sum = np.zeros((group, runs))
 
-    if cfg.record_trace:
+    if record:
         tr_x = np.empty((group, runs, horizon, n))
         tr_y = np.empty((group, runs, horizon, p))
         tr_xs = np.empty((group, runs, horizon, n))
@@ -139,7 +141,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                 if k >= cfg.burn_in:
                     sigma_count += sigma
                     cost_sum += simulation._quad(x, Q) + simulation._quad(u, R)
-                if cfg.record_trace:
+                if record:
                     tr_x[:, :, k] = x
                     tr_y[:, :, k] = x @ C.T + v
                     tr_xs[:, :, k] = x - xt_filt
@@ -163,7 +165,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     rates = sigma_count / window
     costs = cost_sum / window
     traces = None
-    if cfg.record_trace:
+    if record:
         traces = tuple(
             tuple(OracleTrace(x=tr_x[g, r], y=tr_y[g, r], xhat_s=tr_xs[g, r],
                               xhat_c=tr_xc[g, r], u=tr_u[g, r],

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from etlqg import (SystemModel, control_steady_state, kf_steady_state)
+from etlqg.simulation import TraceBlock, run_closed_loop_grid
 
 PHI = 1.618033988749895          # positive root of p^2 = p + 1
 GOLDEN_GAIN = 0.6180339887498949  # phi / (phi + 1) = phi - 1
@@ -145,3 +146,23 @@ def random_valid_model(rng: np.random.Generator, n_max: int = 4) -> SystemModel:
     return SystemModel(A=A, B=B, C=C, W=spd(n), V=spd(p), Q=spd(n),
                       Qf=spd(n), R=spd(m), x0_mean=rng.standard_normal(n),
                       X0=spd(n))
+
+
+def traced_grid(cfg, filt, ctrl, lams, runs=None):
+    """run_closed_loop_grid with its TraceBlocks joined over the horizon.
+
+    Returns (rates, costs, traces), traces the per_run() of one TraceBlock of
+    every step: one tuple of one-run TraceBlocks per lambda.
+    """
+    columns = {name: [] for name in ("sigma", "tau", "x", "u", "e_filt")}
+
+    def on_block(block):
+        for name, parts in columns.items():
+            parts.append(getattr(block, name))
+
+    rates, costs = run_closed_loop_grid(cfg, filt, ctrl, lams, runs,
+                                        on_block=on_block)
+    # one column at a time, so that a joined column's blocks are freed
+    whole = TraceBlock(0, *(np.concatenate(columns.pop(name))
+                            for name in list(columns)))
+    return rates, costs, whole.per_run()

@@ -21,7 +21,6 @@ from etlqg import (
     cost_tradeoff_curve,
     infinite_horizon_cost,
     kf_steady_state,
-    run_closed_loop,
     transition_matrix,
     validate_model,
 )
@@ -37,6 +36,7 @@ from conftest import (
     make_golden_model,
     make_limit_model,
     random_valid_model,
+    traced_grid,
 )
 
 
@@ -84,7 +84,7 @@ def test_criterion_3_monte_carlo_agreement_grid():
     points = cost_tradeoff_curve(model, lams, BENCH_TIMEOUT, ss=filt, cs=ctrl)
     cfg = SimConfig(model=model, timeout=BENCH_TIMEOUT, horizon=2000,
                     runs=1000, seed=31415, burn_in=200)
-    rates, costs, _ = run_closed_loop_grid(cfg, filt, ctrl, lams)
+    rates, costs = run_closed_loop_grid(cfg, filt, ctrl, lams)
     worst_rate = worst_cost = 0.0
     for point, run_rates, run_costs in zip(points, rates, costs):
         emp_rate, _ = aggregate_runs(run_rates)
@@ -126,8 +126,8 @@ def test_criterion_5_scalar_conditional_frequencies():
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
     cfg = SimConfig(model=model, timeout=2, horizon=10_200, runs=100,
-                    seed=27182, burn_in=200, record_trace=True)
-    _, _, traces = run_closed_loop(cfg, filt, ctrl, 0.5)
+                    seed=27182, burn_in=200)
+    _, _, (traces,) = traced_grid(cfg, filt, ctrl, [0.5])
 
     hits = np.zeros(2)
     trials = np.zeros(2)
@@ -166,9 +166,8 @@ def test_criterion_6_conditional_error_covariances():
     zero_violations = 0
     for batch in range(5):
         cfg = SimConfig(model=model, timeout=BENCH_TIMEOUT, horizon=10_200,
-                        runs=200, seed=16180 + batch, burn_in=200,
-                        record_trace=True)
-        _, _, traces = run_closed_loop(cfg, filt, ctrl, 1.0)
+                        runs=200, seed=16180 + batch, burn_in=200)
+        _, _, (traces,) = traced_grid(cfg, filt, ctrl, [1.0])
         for tr in traces:
             tau = tr.tau[cfg.burn_in:]
             e = tr.e_filt[cfg.burn_in:]
@@ -200,9 +199,9 @@ def test_criterion_7_schedule_control_independence(monkeypatch):
     open_loop = ControlSynthesis(L_inf=np.zeros((1, 2)), S_inf=np.eye(2),
                                  M_inf=np.eye(2))
     cfg = SimConfig(model=model, timeout=BENCH_TIMEOUT, horizon=10_000,
-                    runs=10, seed=2718, burn_in=0, record_trace=True)
-    _, _, closed = run_closed_loop(cfg, filt, ctrl, 1.0)
-    _, _, opened = run_closed_loop(cfg, filt, open_loop, 1.0)
+                    runs=10, seed=2718, burn_in=0)
+    _, _, (closed,) = traced_grid(cfg, filt, ctrl, [1.0])
+    _, _, (opened,) = traced_grid(cfg, filt, open_loop, [1.0])
     mismatches = sum(
         (not np.array_equal(a.sigma, b.sigma)) or (not np.array_equal(a.tau, b.tau))
         for a, b in zip(closed, opened))

@@ -30,12 +30,13 @@ from etlqg import (
     default_config_path,
     kf_steady_state,
     load_config,
-    run_closed_loop,
 )
 from etlqg import cli, simulation
 from etlqg.cli import TRADEOFF_HEADER, _trace_csv, main
 from etlqg.config import config_to_dict
 from etlqg.simulation import TraceBlock
+
+from conftest import traced_grid
 
 
 def base_config(out_dir, **overrides):
@@ -114,7 +115,7 @@ class TestRunCommand:
         sim_cfg = SimConfig(model=cfg.model, timeout=cfg.timeout,
                             horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
                             burn_in=cfg.burn_in)
-        rates, costs, _ = simulation.run_closed_loop_grid(
+        rates, costs = simulation.run_closed_loop_grid(
             sim_cfg, filt, ctrl, cfg.lambda_grid)
         rows = read_rows(out)
         assert len(rows) == len(points) == 2
@@ -262,10 +263,10 @@ class TestTraceOutput:
         # 17 significant digits must reproduce the engine arrays bitwise
         cfg = load_config(cfg_path)
         sim_cfg = SimConfig(model=cfg.model, timeout=6, horizon=30, runs=2,
-                            seed=99, burn_in=5, record_trace=True)
+                            seed=99, burn_in=5)
         filt = kf_steady_state(cfg.model)
         ctrl = control_steady_state(cfg.model)
-        _, _, traces = run_closed_loop(sim_cfg, filt, ctrl, 1.0)
+        _, _, (traces,) = traced_grid(sim_cfg, filt, ctrl, [1.0])
         for k, line in enumerate(lines[1:]):
             cells = line.split(",")
             assert int(cells[0]) == k
@@ -306,10 +307,10 @@ def assert_same_text(got, want):
 
 def simulated_trace(model, horizon):
     cfg = SimConfig(model=model, timeout=6, horizon=horizon, runs=1, seed=5,
-                    burn_in=0, record_trace=True)
-    _, _, traces = run_closed_loop(cfg, kf_steady_state(model),
-                                   control_steady_state(model), 1.0)
-    return traces[0]
+                    burn_in=0)
+    _, _, ((trace,),) = traced_grid(cfg, kf_steady_state(model),
+                                    control_steady_state(model), [1.0])
+    return trace
 
 
 class TestTraceWriter:
@@ -897,6 +898,27 @@ class TestRerun:
         assert self._run(tmp_path, runs=2, record_trace=False,
                          horizon=400) == 3
         assert "diverged" in capsys.readouterr().err
+        assert self._files(out) == before
+
+    def test_failed_traced_rerun_keeps_every_file(self, tmp_path, monkeypatch,
+                                                  capsys):
+        # one lambda per group; seed 2 stays inside this guard, and seed 1
+        # first crosses it at lambda 10.0, in the second group, after the
+        # first group's traces are simulated
+        monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", 1)
+        monkeypatch.setattr(simulation, "DIVERGENCE_LIMIT", 14.66)
+        out = tmp_path / "out"
+        doc = config_to_dict(load_config(default_config_path()))
+        doc["scheduler"]["lambda_grid"] = [1.0, 10.0]
+        doc["simulation"].update(runs=4, horizon=600, record_trace=True)
+        doc["output"]["directory"] = str(out)
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", str(cfg), "--seed", "2"]) == 0
+        before = self._files(out)
+        assert len([name for name in before if name.startswith("trace_")]) == 8
+        assert main(["run", str(cfg), "--seed", "1"]) == 3
+        assert "(lambda 10.0, run " in capsys.readouterr().err
+        assert not list(out.glob("*.part"))
         assert self._files(out) == before
 
 

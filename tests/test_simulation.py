@@ -5,7 +5,6 @@ traces against the defining recursions or compare seeded empirical
 statistics with the closed-form analysis layer.
 """
 
-import dataclasses
 import pickle
 
 import numpy as np
@@ -30,7 +29,7 @@ from etlqg import (
 )
 
 from closed_loop_oracle import SHARED_FIELDS, reference_closed_loop_grid
-from conftest import BENCH_TIMEOUT, random_valid_model
+from conftest import BENCH_TIMEOUT, random_valid_model, traced_grid
 
 
 def _cfg(model, timeout=BENCH_TIMEOUT, **kw):
@@ -74,8 +73,8 @@ class TestDeterminism:
     def test_repeat_run_bitwise_identical(self, bench_model, bench_filter,
                                           bench_control):
         cfg = _cfg(bench_model, runs=4, horizon=600)
-        r1, c1, _ = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
-        r2, c2, _ = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
+        r1, c1 = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
+        r2, c2 = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(c1, c2)
 
@@ -83,12 +82,12 @@ class TestDeterminism:
                                                    bench_control, monkeypatch):
         # per-run generators are consumed in fixed order, so the block size
         # used for pregeneration must be invisible in the results
-        cfg = _cfg(bench_model, runs=2, horizon=50, burn_in=0, record_trace=True)
-        _, _, traces_default = run_closed_loop(cfg, bench_filter,
-                                               bench_control, 1.0)
+        cfg = _cfg(bench_model, runs=2, horizon=50, burn_in=0)
+        _, _, (traces_default,) = traced_grid(cfg, bench_filter,
+                                              bench_control, [1.0])
         monkeypatch.setattr(sim, "_CHUNK_STEPS", 7)
-        _, _, traces_small = run_closed_loop(cfg, bench_filter, bench_control,
-                                             1.0)
+        _, _, (traces_small,) = traced_grid(cfg, bench_filter, bench_control,
+                                            [1.0])
         for a, b in zip(traces_default, traces_small):
             np.testing.assert_array_equal(a.x, b.x)
             np.testing.assert_array_equal(a.sigma, b.sigma)
@@ -97,8 +96,8 @@ class TestDeterminism:
     def test_different_seeds_differ(self, bench_model, bench_filter, bench_control):
         cfg_a = _cfg(bench_model, runs=2, horizon=400, seed=7)
         cfg_b = _cfg(bench_model, runs=2, horizon=400, seed=8)
-        ra, _, _ = run_closed_loop(cfg_a, bench_filter, bench_control, 1.0)
-        rb, _, _ = run_closed_loop(cfg_b, bench_filter, bench_control, 1.0)
+        ra, _ = run_closed_loop(cfg_a, bench_filter, bench_control, 1.0)
+        rb, _ = run_closed_loop(cfg_b, bench_filter, bench_control, 1.0)
         assert not np.array_equal(ra, rb)
 
 
@@ -118,11 +117,12 @@ class TestAggregateRuns:
 def traced(bench_model, bench_filter, bench_control):
     """cfg, the engine's rates, costs and traces at lambda 1, and the oracle's
     traces of the same runs, which also hold y, xhat_s and xhat_c."""
-    cfg = _cfg(bench_model, runs=3, horizon=500, burn_in=0, record_trace=True)
-    rates, costs, traces = run_closed_loop(cfg, bench_filter, bench_control,
-                                           1.0)
+    cfg = _cfg(bench_model, runs=3, horizon=500, burn_in=0)
+    (rates,), (costs,), (traces,) = traced_grid(cfg, bench_filter,
+                                                bench_control, [1.0])
     _, _, (oracle,) = reference_closed_loop_grid(cfg, bench_filter,
-                                                 bench_control, [1.0])
+                                                 bench_control, [1.0],
+                                                 record=True)
     return cfg, rates, costs, traces, oracle
 
 
@@ -196,9 +196,17 @@ class TestTraceInvariants:
             assert costs[r] == pytest.approx(stages[cfg.burn_in:].mean(), rel=1e-12)
 
     def test_no_traces_by_default(self, bench_model, bench_filter, bench_control):
+        # without on_block nothing is recorded: a (rates, costs) pair; with
+        # it, the same pair, and the blocks go to on_block
         cfg = _cfg(bench_model, runs=2, horizon=300)
-        _, _, traces = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
-        assert traces is None
+        rates, costs = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
+        assert rates.shape == costs.shape == (2,)
+        blocks = []
+        got = run_closed_loop(cfg, bench_filter, bench_control, 1.0,
+                              on_block=blocks.append)
+        np.testing.assert_array_equal(got[0], rates)
+        np.testing.assert_array_equal(got[1], costs)
+        assert [block.sigma.shape for block in blocks] == [(300, 1, 2)]
 
 
 def _against_analysis(cfg, filt, ctrl, lam):
@@ -206,7 +214,7 @@ def _against_analysis(cfg, filt, ctrl, lam):
     rates and of the costs: a row of the CLI sweep."""
     point, = cost_tradeoff_curve(cfg.model, [lam], cfg.timeout, ss=filt,
                                  cs=ctrl)
-    rates, costs, _ = run_closed_loop(cfg, filt, ctrl, lam)
+    rates, costs = run_closed_loop(cfg, filt, ctrl, lam)
     return point, aggregate_runs(rates), aggregate_runs(costs)
 
 
@@ -250,9 +258,9 @@ class TestAgainstAnalysis:
         # happen exactly when the counter hits the timeout
         timeout = 9
         cfg = SimConfig(model=golden_model, timeout=timeout, horizon=100,
-                        runs=2, seed=5, burn_in=0, record_trace=True)
-        _, _, traces = run_closed_loop(cfg, golden_filter, golden_control,
-                                       1e-300)
+                        runs=2, seed=5, burn_in=0)
+        _, _, (traces,) = traced_grid(cfg, golden_filter, golden_control,
+                                      [1e-300])
         expected = (np.arange(100) % (timeout + 1)) == timeout
         for tr in traces:
             np.testing.assert_array_equal(tr.sigma.astype(bool), expected)
@@ -260,9 +268,8 @@ class TestAgainstAnalysis:
     def test_counter_occupancy_matches_stationary_distribution(
         self, bench_model, bench_filter, bench_control
     ):
-        cfg = _cfg(bench_model, runs=4, horizon=50_000, seed=77,
-                   record_trace=True)
-        _, _, traces = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
+        cfg = _cfg(bench_model, runs=4, horizon=50_000, seed=77)
+        _, _, (traces,) = traced_grid(cfg, bench_filter, bench_control, [1.0])
         taus = np.concatenate([tr.tau[cfg.burn_in:] for tr in traces])
         counts = np.bincount(taus, minlength=BENCH_TIMEOUT + 1)
         occupancy = counts / taus.size
@@ -282,9 +289,8 @@ class TestAgainstAnalysis:
         distribution; replaying the recorded counter sequence through the
         same table must land on the same value.
         """
-        cfg = _cfg(bench_model, runs=8, horizon=25_000, seed=31,
-                   record_trace=True)
-        _, _, traces = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
+        cfg = _cfg(bench_model, runs=8, horizon=25_000, seed=31)
+        _, _, (traces,) = traced_grid(cfg, bench_filter, bench_control, [1.0])
         ma = transition_matrix(conditional_error_cov(
             bench_filter, bench_model.A, [1.0], BENCH_TIMEOUT)[0])
         bd = infinite_horizon_cost(bench_control, bench_filter, ma,
@@ -321,8 +327,8 @@ class TestDivergenceGuard:
         monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", np.inf)
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=800, runs=2, seed=11, burn_in=0)
-        rates, costs, _ = run_closed_loop(cfg, bench_filter,
-                                          self._open_loop(bench_model), 1e-12)
+        rates, costs = run_closed_loop(cfg, bench_filter,
+                                       self._open_loop(bench_model), 1e-12)
         assert np.all(np.isfinite(rates))
         assert costs.shape == (2,)
 
@@ -377,10 +383,10 @@ class TestScheduleControlSeparation:
         monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", np.inf)
         open_loop = ControlSynthesis(L_inf=np.zeros((1, 2)), S_inf=np.eye(2),
                                      M_inf=np.eye(2))
-        kw = dict(horizon=1000, runs=2, seed=313, burn_in=0, record_trace=True)
-        cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT, **kw)
-        _, _, closed = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
-        _, _, opened = run_closed_loop(cfg, bench_filter, open_loop, 1.0)
+        cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
+                        horizon=1000, runs=2, seed=313, burn_in=0)
+        _, _, (closed,) = traced_grid(cfg, bench_filter, bench_control, [1.0])
+        _, _, (opened,) = traced_grid(cfg, bench_filter, open_loop, [1.0])
         for a, b in zip(closed, opened):
             np.testing.assert_array_equal(a.sigma, b.sigma)
             np.testing.assert_array_equal(a.tau, b.tau)
@@ -398,19 +404,18 @@ class TestLambdaGrid:
                                             bench_control, monkeypatch, runs,
                                             budget, sizes):
         monkeypatch.setattr(sim, "TRACE_BUDGET_BYTES", budget)
-        cfg = _cfg(bench_model, runs=runs, horizon=300, burn_in=20,
-                   record_trace=True)
+        cfg = _cfg(bench_model, runs=runs, horizon=300, burn_in=20)
         groups = sim.lambda_groups(cfg, GRID)
         assert [len(g) for g in groups] == sizes
         rates, costs, traces = [], [], []
         for group in groups:
-            r, c, t = sim.run_closed_loop_grid(cfg, bench_filter, bench_control,
-                                               group)
+            r, c, t = traced_grid(cfg, bench_filter, bench_control, group)
             rates.extend(r)
             costs.extend(c)
             traces.extend(t)
         for g, lam in enumerate(GRID):
-            r, c, t = run_closed_loop(cfg, bench_filter, bench_control, lam)
+            (r,), (c,), (t,) = traced_grid(cfg, bench_filter, bench_control,
+                                           [lam])
             np.testing.assert_array_equal(rates[g], r)
             np.testing.assert_array_equal(costs[g], c)
             assert len(traces[g]) == len(t) == runs
@@ -421,14 +426,12 @@ class TestLambdaGrid:
 
     def test_groups_follow_the_trace_budget(self, bench_model):
         lams = [0.01 * 10**k for k in range(13)]
-        plain = _cfg(bench_model, runs=1000, horizon=2000)
-        assert sim.lambda_groups(plain, lams) == [lams]
         # 13 words per run-step with n=2, m=p=1: 208 MB per lambda here
-        bundled = dataclasses.replace(plain, record_trace=True)
+        bundled = _cfg(bench_model, runs=1000, horizon=2000)
         assert sim.lambda_groups(bundled, lams) == [[lam] for lam in lams]
-        # a streamed block holds 2048 steps: 1.7 MB per lambda here, so all
-        # 13 fit in 64 MiB
-        narrow = _cfg(bench_model, runs=8, horizon=20000, record_trace=True)
+        # a block holds 2048 steps: 1.7 MB per lambda here, so all 13 fit in
+        # 64 MiB
+        narrow = _cfg(bench_model, runs=8, horizon=20000)
         assert [len(g) for g in sim.lambda_groups(narrow, lams)] == [13]
 
 
@@ -444,13 +447,12 @@ class TestRunSlices:
                                              ([1.0], [0, 2, 4, 6])])
     def test_slices_equal_columns_of_full_call(self, bench_model, bench_filter,
                                                 bench_control, lams, bounds):
-        cfg = _cfg(bench_model, runs=7, horizon=300, burn_in=20,
-                   record_trace=True)
-        rates, costs, traces = sim.run_closed_loop_grid(cfg, bench_filter,
-                                                        bench_control, lams)
+        cfg = _cfg(bench_model, runs=7, horizon=300, burn_in=20)
+        rates, costs, traces = traced_grid(cfg, bench_filter, bench_control,
+                                           lams)
         for a, b in zip(bounds, bounds[1:]):
-            r, c, t = sim.run_closed_loop_grid(cfg, bench_filter, bench_control,
-                                               lams, range(a, b))
+            r, c, t = traced_grid(cfg, bench_filter, bench_control, lams,
+                                  range(a, b))
             assert r.shape == c.shape == (len(lams), b - a)
             np.testing.assert_array_equal(r, rates[:, a:b])
             np.testing.assert_array_equal(c, costs[:, a:b])
@@ -512,12 +514,19 @@ def _assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def _run_both(cfg, filt, ctrl, lams):
-    """(engine, oracle) results, or their DivergenceErrors."""
+def _run_both(cfg, filt, ctrl, lams, record):
+    """(engine, oracle) results, or their DivergenceErrors; the engine's
+    traces are traced_grid's, or None unless record."""
+    def engine():
+        if record:
+            return traced_grid(cfg, filt, ctrl, lams)
+        return (*sim.run_closed_loop_grid(cfg, filt, ctrl, lams), None)
+
     out = []
-    for fn in (sim.run_closed_loop_grid, reference_closed_loop_grid):
+    for fn in (engine, lambda: reference_closed_loop_grid(
+            cfg, filt, ctrl, lams, record=record)):
         try:
-            out.append(fn(cfg, filt, ctrl, lams))
+            out.append(fn())
         except DivergenceError as exc:
             out.append(exc)
     return out
@@ -561,10 +570,9 @@ class TestOracle:
                            monkeypatch, runs, group, burn_in, chunk):
         if chunk is not None:
             monkeypatch.setattr(sim, "_CHUNK_STEPS", chunk)
-        cfg = _cfg(bench_model, runs=runs, horizon=300, burn_in=burn_in,
-                   record_trace=True)
+        cfg = _cfg(bench_model, runs=runs, horizon=300, burn_in=burn_in)
         got, want = _run_both(cfg, bench_filter, bench_control,
-                              self.LAMS[group])
+                              self.LAMS[group], record=True)
         _assert_matches_oracle(got, want)
 
     def test_random_models(self):
@@ -573,12 +581,15 @@ class TestOracle:
         for i in range(12):
             model = random_valid_model(rng)
             filt, ctrl = kf_steady_state(model), control_steady_state(model)
-            cfg = SimConfig(model=model, timeout=7, horizon=157, runs=runs_cycle[i % 4], seed=i,
-                            burn_in=20 * (i % 2), record_trace=i % 3 != 2)
+            cfg = SimConfig(model=model, timeout=7, horizon=157,
+                            runs=runs_cycle[i % 4], seed=i,
+                            burn_in=20 * (i % 2))
             with pytest.MonkeyPatch.context() as mp:
                 if i % 2:
                     mp.setattr(sim, "_CHUNK_STEPS", 7)
-                got, want = _run_both(cfg, filt, ctrl, self.LAMS[[1, 3, 13][i % 3]])
+                got, want = _run_both(cfg, filt, ctrl,
+                                      self.LAMS[[1, 3, 13][i % 3]],
+                                      record=i % 3 != 2)
             _assert_matches_oracle(got, want)
 
     @pytest.mark.parametrize("runs,group,block", [(1, 1, 2048), (2, 3, 2048),
@@ -587,14 +598,13 @@ class TestOracle:
                              monkeypatch, runs, group, block):
         # 2100 steps: a partial chunk of 256 and a partial block of 2048
         monkeypatch.setattr(sim, "_TRACE_BLOCK_STEPS", block)
-        cfg = _cfg(bench_model, runs=runs, horizon=2100, burn_in=20,
-                   record_trace=True)
+        cfg = _cfg(bench_model, runs=runs, horizon=2100, burn_in=20)
         lams = self.LAMS[group]
         blocks = []
-        rates, costs, traces = sim.run_closed_loop_grid(
+        rates, costs = sim.run_closed_loop_grid(
             cfg, bench_filter, bench_control, lams, on_block=blocks.append)
-        assert traces is None
-        want = reference_closed_loop_grid(cfg, bench_filter, bench_control, lams)
+        want = reference_closed_loop_grid(cfg, bench_filter, bench_control, lams,
+                                          record=True)
         _assert_same_bits(rates, want[0])
         _assert_same_bits(costs, want[1])
         starts = list(range(0, 2100, block))
@@ -631,9 +641,9 @@ class TestStageCost:
                                                    bench_filter, bench_control):
         # a 1-lambda, 2-run grid is the shape where einsum sums pairwise
         cfg = _cfg(bench_model, runs=2, horizon=2000, burn_in=20, seed=7)
-        rates, costs, _ = sim.run_closed_loop_grid(cfg, bench_filter,
-                                                   bench_control, [10.0])
-        grid_rates, grid_costs, _ = sim.run_closed_loop_grid(
+        rates, costs = sim.run_closed_loop_grid(cfg, bench_filter,
+                                                bench_control, [10.0])
+        grid_rates, grid_costs = sim.run_closed_loop_grid(
             cfg, bench_filter, bench_control, GRID)
         _assert_same_bits(rates[0], grid_rates[2])
         _assert_same_bits(costs[0], grid_costs[2])
@@ -654,21 +664,20 @@ class TestBlockGuard:
         # RuntimeWarning may escape
         open_loop = TestDivergenceGuard()._open_loop(bench_model)
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
-                        horizon=4000, runs=2, seed=11, burn_in=0,
-                        record_trace=block is not None)
+                        horizon=4000, runs=2, seed=11, burn_in=0)
         with monkeypatch.context() as mp:
             mp.setattr(sim, "DIVERGENCE_LIMIT", np.inf)
-            _, costs, _ = sim.run_closed_loop_grid(
-                dataclasses.replace(cfg, record_trace=False), bench_filter,
-                open_loop, [1.0])
+            _, costs = sim.run_closed_loop_grid(cfg, bench_filter, open_loop,
+                                                [1.0])
         assert not np.isfinite(costs).any()
         assert sim._BLOCK_BYTES // (8 * 4 * 2) >= cfg.horizon
         if block is not None:
             monkeypatch.setattr(sim, "_TRACE_BLOCK_STEPS", block)
         blocks = []
         with pytest.raises(DivergenceError) as exc:
-            sim.run_closed_loop_grid(cfg, bench_filter, open_loop, [1.0],
-                                     on_block=blocks.append)
+            sim.run_closed_loop_grid(
+                cfg, bench_filter, open_loop, [1.0],
+                on_block=None if block is None else blocks.append)
         with pytest.raises(DivergenceError) as want:
             reference_closed_loop_grid(cfg, bench_filter, open_loop, [1.0])
         assert vars(exc.value) == vars(want.value)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -45,13 +46,14 @@ from .model import validate_model
 # run_closed_loop is not called here, but bench/traced_cli.py wraps it
 # under this module's name
 from .simulation import (SimConfig, TraceBlock, aggregate_runs,  # noqa: F401
-                         lambda_groups, run_closed_loop, run_closed_loop_grid)
+                         run_closed_loop, run_closed_loop_grid,
+                         trace_chunk_runs)
 
 TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
                    "analytic_cost,empirical_cost,cost_stderr")
-# A sweep splits a group's runs across worker processes only when
-# that saves more than a worker's start: a spawn round trip (start, import
-# numpy and etlqg, return) took 0.40-0.46 s on a 2-vCPU host, where the
+# A sweep splits its runs across worker processes only when that saves more
+# than a worker's start: a spawn round trip (start, import numpy and etlqg,
+# return) took 0.40-0.46 s on a 2-vCPU host, where the
 # bundled-model sweep broke even near 8e6 lambda-run-steps (13 x 32 x 20000:
 # 2.9 s either way; 13 x 64 x 20000: 4.8 s -> 3.8 s). The tier-1 CLI tests
 # and the small CI smoke run stay in-process.
@@ -135,15 +137,10 @@ def _format_block(block: TraceBlock):
 
 
 def _processes(sim_cfg: SimConfig, lams: int) -> int:
-    """Processes that share the runs of a group of lams lambdas.
-
-    One per core, if the group reaches _SPLIT_MIN_RUN_STEPS and a spawned
-    worker can start. numpy rounds a one-row matmul on another kernel than
-    the full grid's, so every slice keeps at least 2 runs; then the joined
-    slices equal the unsplit grid bitwise.
-    """
-    runs = sim_cfg.runs
-    if lams * runs * sim_cfg.horizon < _SPLIT_MIN_RUN_STEPS:
+    """Processes that share the runs of a sweep of lams lambdas: one per
+    core, if the sweep reaches _SPLIT_MIN_RUN_STEPS and a spawned worker can
+    start."""
+    if lams * sim_cfg.runs * sim_cfg.horizon < _SPLIT_MIN_RUN_STEPS:
         return 1
     # spawn starts each worker by running __main__'s file again, unless it
     # ran as a module; a script read from stdin ('<stdin>') has no file
@@ -152,15 +149,45 @@ def _processes(sim_cfg: SimConfig, lams: int) -> int:
     if (getattr(main, "__spec__", None) is None and path is not None
             and not os.path.isfile(path)):
         return 1
-    cores = len(os.sched_getaffinity(0))
-    return max(1, min(cores, runs // 2))
+    return len(os.sched_getaffinity(0))
 
 
-def _run_slices(sim_cfg: SimConfig, lams: int) -> list[range]:
-    """Contiguous slices of range(runs), one per process simulating a group."""
-    runs = sim_cfg.runs
-    k = _processes(sim_cfg, lams)
-    return [range(i * runs // k, (i + 1) * runs // k) for i in range(k)]
+def _split(runs: range, k: int, parts: list[str]) -> list[tuple[range, list]]:
+    """Cut runs into at most k contiguous ranges, in order and as even as
+    possible, each paired with its runs' share of parts.
+
+    parts are the .part trace files of runs, lambda-major (empty when
+    untraced), and so are each range's. numpy rounds a one-row matmul on
+    another kernel than the full grid's, so every range keeps at least 2
+    runs (1 if runs has 1); then the joined ranges equal the uncut grid
+    bitwise.
+    """
+    width = len(runs)
+    k = max(1, min(k, width // 2))
+    cuts = [i * width // k for i in range(k + 1)]
+    return [(runs[a:b], [part for g in range(len(parts) // width)
+                         for part in parts[g * width + a:g * width + b]])
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def _join(jobs, lams):
+    """Run jobs, thunks giving the (rates, costs) of consecutive ranges of
+    runs over lams, and join their results in run order.
+
+    Every job runs, so that if some diverge, the error raised is the uncut
+    grid's: the earliest step, then the largest |x|, then the first lambda,
+    then the first run.
+    """
+    results, errors = [], []
+    for job in jobs:
+        try:
+            results.append(job())
+        except DivergenceError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda e: (e.step, -e.value, lams.index(e.lam),
+                                         e.run))
+    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*results))
 
 
 def _worker_pool(workers: int):
@@ -173,53 +200,30 @@ def _worker_pool(workers: int):
                                mp_context=multiprocessing.get_context("spawn"))
 
 
-def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, group, runs: range,
+def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, lams, runs: range,
                     parts: list[str]):
-    """Rates and costs of one slice of a group's runs: the work a sweep gives
-    each process, in-process or in a spawned worker.
+    """Rates and costs of one slice of runs over the whole grid: the work a
+    sweep gives each process, in-process or in a spawned worker.
 
     parts are the .part trace files of the slice's runs, lambda-major (empty
-    when untraced). Each TraceBlock is formatted one run at a time once
-    simulated and each run's text appended to its file, so a process holds
-    one block and one run's text.
+    when untraced). A traced slice runs in chunks of runs whose TraceBlock
+    fits the trace budget, but for _split's 2-run floor. Each block is
+    formatted one run at a time once simulated and each run's text appended
+    to its file, so a process holds one block and one run's text.
     """
-    def on_block(block):
-        for part, text in zip(parts, _format_block(block)):
-            with open(part, "a", newline="") as fh:
-                fh.write(text)
+    def simulate(chunk: range, chunk_parts: list[str]):
+        def on_block(block):
+            for part, text in zip(chunk_parts, _format_block(block)):
+                with open(part, "a", newline="") as fh:
+                    fh.write(text)
 
-    return run_closed_loop_grid(sim_cfg, filt, ctrl, group, runs,
-                                on_block=on_block if parts else None)
+        return run_closed_loop_grid(sim_cfg, filt, ctrl, lams, chunk,
+                                    on_block=on_block if chunk_parts else None)
 
-
-def _simulate_group(pool, sim_cfg: SimConfig, filt, ctrl, group,
-                    slices: list[range], parts: list[str]):
-    """Simulate slices[0] here and the other slices in pool; join in run order.
-
-    parts are the .part trace files of the group's runs, lambda-major (empty
-    when untraced); each slice appends to those of its own runs. Returns the
-    (rates, costs) of the whole group. If slices diverge, raises the error
-    the unsplit grid raises: the earliest step, then the largest |x|, then
-    the first lambda, then the first run.
-    """
-    runs = slices[-1].stop  # the slices cover range(runs) in order
-    jobs = [(s, [part for g in range(len(group))
-                 for part in parts[g * runs + s.start:g * runs + s.stop]])
-            for s in slices]
-    futures = [pool.submit(_simulate_slice, sim_cfg, filt, ctrl, group, *job)
-               for job in jobs[1:]]
-    results, errors = [], []
-    for job in ([lambda: _simulate_slice(sim_cfg, filt, ctrl, group, *jobs[0])]
-                + [future.result for future in futures]):
-        try:
-            results.append(job())
-        except DivergenceError as exc:
-            errors.append(exc)
-    if errors:
-        raise min(errors, key=lambda e: (e.step, -e.value, group.index(e.lam),
-                                         e.run))
-    return (np.concatenate([res[0] for res in results], axis=1),
-            np.concatenate([res[1] for res in results], axis=1))
+    fit = max(2, trace_chunk_runs(sim_cfg, len(lams)))
+    chunks = -(-len(runs) // fit) if parts else 1
+    return _join([functools.partial(simulate, *chunk)
+                  for chunk in _split(runs, chunks, parts)], lams)
 
 
 def _plot_script() -> str:
@@ -271,7 +275,11 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
                                  ss=filt, cs=ctrl)
     # made only now, so that a sweep failing in analysis leaves nothing
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.directory: cannot create {out_dir}: "
+                          f"{exc.strerror}") from exc
 
     rows = []
     written = set()
@@ -297,29 +305,26 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
         print(line)
 
     if with_simulation and cfg.runs > 0:
-        # one lockstep simulation per group of lambdas, in grid order; the
-        # cores split a large group's runs. The traces replace their files
-        # only once every group is done
+        # one lockstep simulation of the whole grid, its runs cut into
+        # slices, one per process; the traces replace their files only once
+        # every run is done
         sim_cfg = SimConfig(model=model, timeout=cfg.timeout,
                             horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
                             burn_in=cfg.burn_in)
         lams = [pt.lam for pt in points]
-        groups = lambda_groups(sim_cfg, lams) if cfg.record_trace else [lams]
         names = [f"trace_lam{lam!r}_run{r:04d}.csv" for lam in lams
                  for r in range(cfg.runs)] if cfg.record_trace else []
-        rates, costs = [], []
         with _replacing([out_dir / name for name in names]) as parts:
-            for group in groups:
-                slices = _run_slices(sim_cfg, len(group))
-                start = len(rates) * cfg.runs  # the group's first .part file
-                # workers finish before any .part file is replaced or removed
-                with (_worker_pool(len(slices) - 1) if len(slices) > 1
-                      else contextlib.nullcontext() as pool):
-                    group_rates, group_costs = _simulate_group(
-                        pool, sim_cfg, filt, ctrl, group, slices,
-                        parts[start:start + len(group) * cfg.runs])
-                rates.extend(group_rates)
-                costs.extend(group_costs)
+            slices = _split(range(cfg.runs), _processes(sim_cfg, len(lams)),
+                            parts)
+            simulate = functools.partial(_simulate_slice, sim_cfg, filt, ctrl,
+                                         lams)
+            # workers finish before any .part file is replaced or removed
+            with (_worker_pool(len(slices) - 1) if len(slices) > 1
+                  else contextlib.nullcontext()) as pool:
+                futures = [pool.submit(simulate, *job) for job in slices[1:]]
+                rates, costs = _join([functools.partial(simulate, *slices[0])]
+                                     + [f.result for f in futures], lams)
         written.update(names)
         for point, run_rates, run_costs in zip(points, rates, costs):
             emit(point, run_rates, run_costs)

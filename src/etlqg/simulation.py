@@ -8,13 +8,13 @@ sigma sequence is bitwise independent of the control law. The plant state is
 still simulated exactly (x' = Ax + Bu + w) for cost evaluation.
 
 A lambda grid runs in lockstep through one step loop: the trigger and plant
-state carry a leading lambda axis, shape (group, runs, n), and lambda enters
+state carry a leading lambda axis, shape (lambdas, runs, n), and lambda enters
 only through the hold probability exp(-lambda * |e|^2). The estimator (the
 prediction error, its correction eta and the filtered error) depends on
 neither lambda nor the trigger, so it is carried once per run, (runs, n),
 and broadcast like the draws. A step runs only the estimator, trigger and
 plant recurrences, writing x, u and sigma into time-major block buffers,
-(steps, group, runs, .); the divergence guard, the transmission count and
+(steps, lambdas, runs, .); the divergence guard, the transmission count and
 the stage cost are reduced once per block, the cost in step order from the
 running sum, so it has the bits of a per-step sum. Only given an on_block
 hook, the loop runs in blocks of _TRACE_BLOCK_STEPS steps and also records
@@ -28,9 +28,9 @@ state, trigger uniforms). A run's streams depend on its index alone, so a
 slice of runs simulated on its own equals the same columns of the full run
 bitwise, and slices may run in separate processes; that holds for slices of
 at least 2 runs, as numpy rounds a one-row matmul on another kernel. Each
-run's four streams are shared by every lambda of a group: their draws are
+run's four streams are shared by every lambda of a grid: their draws are
 made once, for the runs, and broadcast over the lambda axis, so a run at a
-given lambda sees the same numbers in any group and a group equals separate
+given lambda sees the same numbers in any grid and a grid equals separate
 single-lambda runs bitwise. Draws are pregenerated in fixed-size step chunks
 per stream, which leaves every stream's order identical to stepwise
 consumption.
@@ -54,10 +54,9 @@ _CHUNK_STEPS = 256
 _BLOCK_BYTES = 2 * 2**20
 # Steps per TraceBlock handed to run_closed_loop_grid's on_block.
 _TRACE_BLOCK_STEPS = 2048
-# Trace budget of one TraceBlock in units of 8 * (4n + p + m + 2) bytes per
-# run-step and lambda (see lambda_groups): conservative, as a TraceBlock
-# holds 8 * (2n + m + 2) bytes and one bool per run-step and lambda.
-TRACE_BUDGET_BYTES = 64 * 2**20
+# Bytes of one TraceBlock, which the CLI cuts a traced sweep's runs to fit
+# (see trace_chunk_runs).
+TRACE_BUDGET_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TraceBlock:
-    """Steps start .. start + len(sigma) - 1 of every run of a lambda group.
+    """Steps start .. start + len(sigma) - 1 of every run and lambda of a grid.
 
     The columns of a trace CSV, time-major: the transmission indicator sigma
-    and the counter tau (steps, group, runs), the state x and the estimate
-    gap e_filt (steps, group, runs, n), the input u (steps, group, runs, m).
+    and the counter tau (steps, lambdas, runs), the state x and the estimate
+    gap e_filt (steps, lambdas, runs, n), the input u
+    (steps, lambdas, runs, m).
     """
 
     start: int
@@ -121,20 +121,13 @@ def _spawn_run_streams(seed: int, runs: range):
     return quads
 
 
-def lambda_groups(cfg: SimConfig, lams) -> list[list[float]]:
-    """Split a lambda grid into consecutive groups for traced
-    run_closed_loop_grid calls.
-
-    A group holds as many lambdas as fit one TraceBlock of their traces (at
-    most _TRACE_BLOCK_STEPS steps, as on_block receives them) into
-    TRACE_BUDGET_BYTES, and at least one.
-    """
-    lams = [float(lam) for lam in lams]
-    n, m, p = cfg.model.dims
+def trace_chunk_runs(cfg: SimConfig, lams: int) -> int:
+    """Runs whose TraceBlock at lams lambdas fits TRACE_BUDGET_BYTES (0 if
+    not one run's does): per run-step and lambda a block holds
+    8 * (2n + m + 2) bytes and the bool its sigma is cast from."""
+    n, m, _ = cfg.model.dims
     steps = min(cfg.horizon, _TRACE_BLOCK_STEPS)
-    per_lam = cfg.runs * steps * 8 * (4 * n + p + m + 2)
-    size = max(1, TRACE_BUDGET_BYTES // per_lam)
-    return [lams[i:i + size] for i in range(0, len(lams), size)]
+    return TRACE_BUDGET_BYTES // (lams * steps * (8 * (2 * n + m + 2) + 1))
 
 
 def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
@@ -248,7 +241,7 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
                     chunk_start, chunk_end = k, k + span
 
                 # (runs, .) estimator and draws broadcast over the
-                # (group, runs, .) trigger and plant state
+                # (lambdas, runs, .) trigger and plant state
                 j = k - chunk_start
                 v = v_block[j]
                 w = w_block[j]

@@ -4,7 +4,6 @@ Each test drives `main` with a config written into tmp_path and inspects
 exit codes, stdout/stderr and the artifact files.
 """
 
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -475,6 +474,22 @@ class TestConfigErrors:
                 in capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
 
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["a_file", "under_a_file"])
+    def test_unusable_out_dir(self, tmp_path, capsys, under):
+        # --out-dir names a file, or a path under one: exit 1, the field
+        # named, and nothing written
+        cfg = write_config(tmp_path, base_config(tmp_path / "unused"))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "out" if under else blocker
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid config: output.directory: cannot create {out}: " in err
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "blocker", "config.yaml"]
+
     @pytest.mark.parametrize("field, old, new", [
         ("scheduler.lambda_grid", "{min: 0.01, max: 100.0, count: 13}",
          "[true, 2.0]"),
@@ -556,13 +571,13 @@ class TestSolverFailureExit:
 class TestSplitSweep:
     """A sweep split across worker processes writes the in-process bytes.
 
-    Traced groups split as untraced ones do: each process appends to the
+    Traced sweeps split as untraced ones do: each process appends to the
     trace files of its own runs.
     """
 
     @staticmethod
     def _split(monkeypatch):
-        # every group splits, across two processes
+        # every sweep splits, across two processes
         monkeypatch.setattr(cli, "_SPLIT_MIN_RUN_STEPS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         pools = []
@@ -591,14 +606,15 @@ class TestSplitSweep:
     @pytest.mark.parametrize("runs,budget", [(4, None), (6, 1)])
     def test_outputs_byte_identical_to_in_process(self, tmp_path, monkeypatch,
                                                   runs, budget):
-        # budget 1: one lambda per group, three groups, each on a pool
+        # budget 1: this process's slice of 3 runs is one chunk, the least
+        # its 2-run floor allows
         if budget is not None:
             monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", budget)
         cfg = self._config(tmp_path, runs)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
         pools = self._split(monkeypatch)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "split")]) == 0
-        assert pools == [1] * (3 if budget else 1)
+        assert pools == [1]
         serial = self._artifacts(tmp_path / "serial")
         split = self._artifacts(tmp_path / "split")
         assert len([n for n in split if n.startswith("trace_")]) == 3 * runs
@@ -643,7 +659,8 @@ class TestSplitSweep:
         def slices(runs, lams, horizon):
             sim_cfg = SimConfig(model=bench_model, timeout=6, horizon=horizon,
                                 runs=runs, seed=1, burn_in=0)
-            return cli._run_slices(sim_cfg, lams)
+            return [s for s, _ in cli._split(
+                range(runs), cli._processes(sim_cfg, lams), [])]
 
         # the bundled sweep splits; narrow untraced does not
         assert slices(1000, 13, 2000) == [range(i * 125, (i + 1) * 125)
@@ -698,31 +715,17 @@ class TestSplitSweep:
         assert (self._artifacts(tmp_path / "stdin")
                 == self._artifacts(tmp_path / "serial"))
 
-    def test_merged_divergence_report_follows_the_unsplit_rule(self,
-                                                              monkeypatch):
+    def test_merged_divergence_report_follows_the_unsplit_rule(self):
         # earliest step, then largest |x|, then first lambda, then first run
-        reports = {0: (9, 1, 9e12, 0.5), 2: (7, 3, 2e12, 0.5),
-                   4: (7, 4, 3e12, 2.0), 6: (7, 7, 3e12, 0.5),
-                   8: (7, 8, 3e12, 0.5)}
+        reports = [(9, 1, 9e12, 0.5), (7, 3, 2e12, 0.5), (7, 4, 3e12, 2.0),
+                   (7, 7, 3e12, 0.5), (7, 8, 3e12, 0.5)]
 
-        def diverge(sim_cfg, filt, ctrl, group, runs, parts):
-            step, run, value, lam = reports[runs.start]
+        def diverge(step, run, value, lam):
             raise DivergenceError(step=step, run=run, value=value, lam=lam)
 
-        class InlinePool:
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                try:
-                    future.set_result(fn(*args))
-                except DivergenceError as exc:
-                    future.set_exception(exc)
-                return future
-
-        monkeypatch.setattr(cli, "_simulate_slice", diverge)
-        slices = [range(a, a + 2) for a in range(0, 10, 2)]
+        jobs = [lambda report=report: diverge(*report) for report in reports]
         with pytest.raises(DivergenceError) as exc:
-            cli._simulate_group(InlinePool(), None, None, None,
-                                [0.5, 2.0, 8.0], slices, [])
+            cli._join(jobs, [0.5, 2.0, 8.0])
         assert (exc.value.step, exc.value.run) == (7, 7)
 
 
@@ -733,7 +736,7 @@ class TestStreamedTraces:
 
     @staticmethod
     def _streamed(monkeypatch, rows=None):
-        # every group would split, across two processes; count the blocks
+        # every sweep would split, across two processes; count the blocks
         if rows is not None:
             monkeypatch.setattr(simulation, "_TRACE_BLOCK_STEPS", rows)
         blocks = []
@@ -832,6 +835,83 @@ class TestStreamedTraces:
         assert list(out.iterdir()) == []
 
 
+class TestChunkedTraces:
+    """A traced slice runs in chunks of runs whose trace blocks fit
+    simulation.TRACE_BUDGET_BYTES, and writes the bytes of one chunk."""
+
+    @staticmethod
+    def _chunked(monkeypatch):
+        # the runs of each run_closed_loop_grid call, with the bytes of each
+        # TraceBlock it hands on_block
+        calls = []
+        real = cli.run_closed_loop_grid
+
+        def counted(sim_cfg, filt, ctrl, lams, runs, on_block):
+            blocks = []
+            calls.append((runs, blocks))
+
+            def hook(block):
+                blocks.append(sum(a.nbytes for a in (
+                    block.sigma, block.tau, block.x, block.u, block.e_filt)))
+                on_block(block)
+
+            return real(sim_cfg, filt, ctrl, lams, runs, on_block=hook)
+
+        monkeypatch.setattr(cli, "run_closed_loop_grid", counted)
+        return calls
+
+    @staticmethod
+    def _run_bytes(lams, horizon):
+        # a TraceBlock per run: int64 sigma and tau, n = 2 states, m = 1
+        # input and n = 2 estimate gaps of float64, and the bool buffer
+        # sigma is cast from
+        return lams * horizon * (8 * (2 + 2 + 1 + 2) + 1)
+
+    @pytest.mark.parametrize("runs,fit,chunks", [
+        (10, 3.5, [2, 3, 2, 3]),  # one lambda's 10 runs outgrow the budget
+        (5, 0, [2, 3]),           # nothing fits: the 2-run floor
+        (1, 0, [1]),
+    ])
+    def test_blocks_fit_the_budget(self, tmp_path, monkeypatch, runs, fit,
+                                   chunks):
+        code, whole = TestStreamedTraces._sweep(tmp_path, "whole", runs=runs,
+                                                horizon=300)
+        assert code == 0
+        budget = max(1, int(fit * self._run_bytes(3, 300)))
+        monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", budget)
+        calls = self._chunked(monkeypatch)
+        code, out = TestStreamedTraces._sweep(tmp_path, "chunked", runs=runs,
+                                              horizon=300)
+        assert code == 0
+        assert [len(r) for r, _ in calls] == chunks
+        assert [r for runs, _ in calls for r in runs] == list(range(runs))
+        for runs, blocks in calls:
+            assert len(blocks) == 1
+            # a block outgrows the budget only at the 2-run floor
+            assert blocks[0] <= budget or (fit < 2 and len(runs) <= 3)
+        assert (TestSplitSweep._artifacts(out)
+                == TestSplitSweep._artifacts(whole))
+
+    def test_earliest_crossing_in_a_later_chunk(self, tmp_path, monkeypatch,
+                                                capsys):
+        # zero feedback leaves the unstable plant to cross the guard; seed
+        # 7's runs 0 and 1 cross at step 146, runs 2 and 3 at step 138
+        real = cli.control_steady_state
+        monkeypatch.setattr(cli, "control_steady_state", lambda model: (
+            dataclasses.replace(real(model), L_inf=np.zeros((1, 2)))))
+        cfg = TestSplitSweep._config(tmp_path, runs=4, horizon=400)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "whole")]) == 3
+        want = capsys.readouterr().err
+        assert re.search(r"lambda 0\.5, run [23]\)", want)
+        monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", 1)
+        calls = self._chunked(monkeypatch)
+        out = tmp_path / "chunked"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 3
+        assert [runs for runs, _ in calls] == [range(0, 2), range(2, 4)]
+        assert capsys.readouterr().err == want
+        assert list(out.iterdir()) == []
+
+
 class TestArtifactModes:
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])
@@ -902,9 +982,9 @@ class TestRerun:
 
     def test_failed_traced_rerun_keeps_every_file(self, tmp_path, monkeypatch,
                                                   capsys):
-        # one lambda per group; seed 2 stays inside this guard, and seed 1
-        # first crosses it at lambda 10.0, in the second group, after the
-        # first group's traces are simulated
+        # chunks of 2 runs; seed 2 stays inside this guard, and seed 1 first
+        # crosses it at lambda 10.0 in run 2, in the second chunk, after the
+        # first chunk's traces are written
         monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", 1)
         monkeypatch.setattr(simulation, "DIVERGENCE_LIMIT", 14.66)
         out = tmp_path / "out"

@@ -5,18 +5,18 @@ Subcommands:
   analyze-only <config> analytic sweep only (fast path)
   validate <config>     parse config, build model, print the validation report
 
-Artifacts (under the output directory, written atomically):
+Artifacts (under the output directory, published together):
   tradeoff.csv          one row per lambda: analytic and empirical rate/cost
   analysis_<lam>.json   per-lambda chain analysis and cost breakdown (repr(lam))
   manifest.json         full config echo (re-ingestable as a config) + tool info
   plot.gp               optional gnuplot script (emit_plot_data / --plot-script)
   trace_*.csv           optional per-run step traces (record_trace)
-A sweep that fails in analysis or simulation writes nothing. A finished
-sweep removes the artifacts of an earlier one that it did not write; files
-with other names stay.
+A sweep that fails in analysis, simulation or writing writes nothing. A
+finished sweep removes the artifacts of an earlier one that it did not
+write; files with other names stay.
 
-Exit codes: 0 success, 1 invalid config, 2 model validation failure,
-3 numerical non-convergence or divergence.
+Exit codes: 0 success, 1 invalid config or unwritable output, 2 model
+validation failure, 3 numerical non-convergence or divergence.
 """
 
 from __future__ import annotations
@@ -72,11 +72,14 @@ def _fmt(value) -> str:
 
 @contextlib.contextmanager
 def _replacing(paths):
-    """Yield a fresh .part file name beside each of paths.
+    """Yield a fresh, empty .part file name beside each of paths.
 
-    When the block ends, each .part file replaces its path; on any error
-    they are all removed. tempfile names them, so a stale .part file or one
-    of a concurrent run is never written, and given open()'s mode.
+    When the block ends, the .part files replace their paths in order; on
+    an error in the block they are all removed and no path is touched. The
+    loop of os.replace calls is not atomic as a set: an error or crash
+    inside it leaves the earlier paths replaced. tempfile names each
+    '<path>.<random>.part', so a stale one or one of a concurrent run is
+    never written, and gives it open()'s mode.
     """
     umask = os.umask(0o022)
     os.umask(umask)
@@ -98,10 +101,20 @@ def _replacing(paths):
         raise
 
 
-def _write_atomic(path: Path, *parts: str):
-    """Write the concatenated parts to path atomically."""
-    with _replacing([path]) as (part,), open(part, "w", newline="") as fh:
-        fh.writelines(parts)
+def _append(part: str, *texts: str):
+    """Append texts to part, the .part file of an artifact in a _replacing
+    span: the span makes the writes atomic, as it replaces the artifact
+    only once every artifact is written. An OSError names part, even a
+    write's."""
+    try:
+        with open(part, "a", newline="") as fh:
+            fh.writelines(texts)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, part) from exc
+
+
+# writes a whole artifact; bench/traced_cli.py counts the calls by this name
+_write_atomic = _append
 
 
 def _trace_csv(trace) -> str:
@@ -214,8 +227,7 @@ def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, lams, runs: range,
     def simulate(chunk: range, chunk_parts: list[str]):
         def on_block(block):
             for part, text in zip(chunk_parts, _format_block(block)):
-                with open(part, "a", newline="") as fh:
-                    fh.write(text)
+                _append(part, text)
 
         return run_closed_loop_grid(sim_cfg, filt, ctrl, lams, chunk,
                                     on_block=on_block if chunk_parts else None)
@@ -258,14 +270,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
-def _write_manifest(cfg: ExperimentConfig, out_dir: Path):
-    manifest = config_to_dict(cfg)
-    manifest["generated_by"] = "etlqg"
-    manifest["tool_version"] = __version__
-    _write_atomic(out_dir / "manifest.json",
-                  json.dumps(manifest, indent=2) + "\n")
-
-
 def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
     validate_and_report(cfg)
     model = cfg.model
@@ -273,6 +277,20 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
     ctrl = control_steady_state(model)
     points = cost_tradeoff_curve(model, cfg.lambda_grid, cfg.timeout,
                                  ss=filt, cs=ctrl)
+    lams = [pt.lam for pt in points]
+    simulate = with_simulation and cfg.runs > 0
+    # every artifact, in the order the span replaces them: manifest.json
+    # last, so a present manifest means the rest of the set is in place
+    names = [f"trace_lam{lam!r}_run{r:04d}.csv" for lam in lams
+             for r in range(cfg.runs)] if simulate and cfg.record_trace else []
+    traces = len(names)
+    if "json" in cfg.formats:
+        names += [f"analysis_{lam!r}.json" for lam in lams]
+    if "csv" in cfg.formats:
+        names.append("tradeoff.csv")
+    if cfg.emit_plot_data:
+        names.append("plot.gp")
+    names.append("manifest.json")
     # made only now, so that a sweep failing in analysis leaves nothing
     out_dir = Path(cfg.out_dir)
     try:
@@ -281,70 +299,67 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
         raise ConfigError(f"output.directory: cannot create {out_dir}: "
                           f"{exc.strerror}") from exc
 
-    rows = []
-    written = set()
-
-    def emit(point, rates=None, costs=None):
-        emp_rate = rate_se = emp_cost = cost_se = None
-        if rates is not None:
-            emp_rate, rate_se = aggregate_runs(rates)
-            emp_cost, cost_se = aggregate_runs(costs)
-        rows.append((point.lam, point.rate, emp_rate, rate_se,
-                     point.cost, emp_cost, cost_se))
-
-        if "json" in cfg.formats:
-            record = analysis_record(point.markov)
-            record["cost"] = dataclasses.asdict(point.breakdown)
-            name = f"analysis_{point.lam!r}.json"
-            _write_atomic(out_dir / name, json.dumps(record, indent=2) + "\n")
-            written.add(name)
-
-        line = f"lambda={point.lam:g} rate={point.rate:.6f} cost={point.cost:.6f}"
-        if emp_rate is not None:
-            line += f" emp_rate={emp_rate:.6f} emp_cost={emp_cost:.6f}"
-        print(line)
-
-    if with_simulation and cfg.runs > 0:
-        # one lockstep simulation of the whole grid, its runs cut into
-        # slices, one per process; the traces replace their files only once
-        # every run is done
-        sim_cfg = SimConfig(model=model, timeout=cfg.timeout,
-                            horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
-                            burn_in=cfg.burn_in)
-        lams = [pt.lam for pt in points]
-        names = [f"trace_lam{lam!r}_run{r:04d}.csv" for lam in lams
-                 for r in range(cfg.runs)] if cfg.record_trace else []
+    try:
         with _replacing([out_dir / name for name in names]) as parts:
-            slices = _split(range(cfg.runs), _processes(sim_cfg, len(lams)),
-                            parts)
-            simulate = functools.partial(_simulate_slice, sim_cfg, filt, ctrl,
-                                         lams)
-            # workers finish before any .part file is replaced or removed
-            with (_worker_pool(len(slices) - 1) if len(slices) > 1
-                  else contextlib.nullcontext()) as pool:
-                futures = [pool.submit(simulate, *job) for job in slices[1:]]
-                rates, costs = _join([functools.partial(simulate, *slices[0])]
-                                     + [f.result for f in futures], lams)
-        written.update(names)
-        for point, run_rates, run_costs in zip(points, rates, costs):
-            emit(point, run_rates, run_costs)
-    else:
-        for point in points:
-            emit(point)
+            staged = dict(zip(names, parts))
+            if simulate:
+                # one lockstep simulation of the whole grid, its runs cut
+                # into slices, one per process
+                sim_cfg = SimConfig(model=model, timeout=cfg.timeout,
+                                    horizon=cfg.horizon, runs=cfg.runs,
+                                    seed=cfg.seed, burn_in=cfg.burn_in)
+                slices = _split(range(cfg.runs),
+                                _processes(sim_cfg, len(lams)), parts[:traces])
+                job = functools.partial(_simulate_slice, sim_cfg, filt, ctrl,
+                                        lams)
+                # workers finish before any .part file is replaced or removed
+                with (_worker_pool(len(slices) - 1) if len(slices) > 1
+                      else contextlib.nullcontext()) as pool:
+                    futures = [pool.submit(job, *sl) for sl in slices[1:]]
+                    rates, costs = _join([functools.partial(job, *slices[0])]
+                                         + [f.result for f in futures], lams)
+            else:
+                rates = costs = [None] * len(points)
 
-    if "csv" in cfg.formats:
-        csv_lines = [TRADEOFF_HEADER]
-        for row in rows:
-            csv_lines.append(",".join(_fmt(cell) for cell in row))
-        _write_atomic(out_dir / "tradeoff.csv", "\n".join(csv_lines) + "\n")
-        written.add("tradeoff.csv")
-    if cfg.emit_plot_data:
-        _write_atomic(out_dir / "plot.gp", _plot_script())
-        written.add("plot.gp")
-    _write_manifest(cfg, out_dir)
+            csv_lines = [TRADEOFF_HEADER]
+            for point, run_rates, run_costs in zip(points, rates, costs):
+                emp_rate = rate_se = emp_cost = cost_se = None
+                if run_rates is not None:
+                    emp_rate, rate_se = aggregate_runs(run_rates)
+                    emp_cost, cost_se = aggregate_runs(run_costs)
+                csv_lines.append(",".join(_fmt(cell) for cell in (
+                    point.lam, point.rate, emp_rate, rate_se, point.cost,
+                    emp_cost, cost_se)))
+                if "json" in cfg.formats:
+                    record = analysis_record(point.markov)
+                    record["cost"] = dataclasses.asdict(point.breakdown)
+                    _write_atomic(staged[f"analysis_{point.lam!r}.json"],
+                                  json.dumps(record, indent=2) + "\n")
+                line = (f"lambda={point.lam:g} rate={point.rate:.6f} "
+                        f"cost={point.cost:.6f}")
+                if emp_rate is not None:
+                    line += f" emp_rate={emp_rate:.6f} emp_cost={emp_cost:.6f}"
+                print(line)
+
+            if "csv" in cfg.formats:
+                _write_atomic(staged["tradeoff.csv"],
+                              "\n".join(csv_lines) + "\n")
+            if cfg.emit_plot_data:
+                _write_atomic(staged["plot.gp"], _plot_script())
+            manifest = config_to_dict(cfg)
+            manifest["generated_by"] = "etlqg"
+            manifest["tool_version"] = __version__
+            _write_atomic(staged["manifest.json"],
+                          json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:
+        # the span has removed every .part file; name the artifact whose
+        # .part file, '<artifact>.<random>.part', or replacement failed
+        failed = re.sub(r"\.\w+\.part$", "", str(exc.filename or out_dir))
+        raise ConfigError(f"output.directory: cannot write {failed}: "
+                          f"{exc.strerror}") from exc
     # then no artifact of an earlier sweep into out_dir is left
     for path in out_dir.iterdir():
-        if (path.name not in written and _ARTIFACT.fullmatch(path.name)
+        if (path.name not in staged and _ARTIFACT.fullmatch(path.name)
                 and path.is_file()):
             path.unlink()
     print(f"artifacts written to {out_dir}")

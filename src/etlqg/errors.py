@@ -30,20 +30,25 @@ class ConvergenceError(EtlqgError):
 
     solver:   human-readable solver name
     residual: last observed residual
+    relative: residual over the iterate's largest entry, if known
     """
 
-    def __init__(self, solver: str, residual: float, iterations: int):
+    def __init__(self, solver: str, residual: float, iterations: int,
+                 relative: float | None = None):
         self.solver = solver
         self.residual = residual
         self.iterations = iterations
+        self.relative = relative
+        rel = "" if relative is None else f", {relative:.3e} relative"
         super().__init__(
             f"{solver} did not converge after {iterations} iterations "
-            f"(residual {residual:.3e})"
+            f"(residual {residual:.3e}{rel})"
         )
 
     def __reduce__(self):
         # rebuild from the fields, so the error survives a process boundary
-        return type(self), (self.solver, self.residual, self.iterations)
+        return type(self), (self.solver, self.residual, self.iterations,
+                            self.relative)
 
 
 class NumericalError(EtlqgError):

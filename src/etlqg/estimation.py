@@ -21,6 +21,9 @@ ARE_MAX_ITER = 10**6
 # one went up to 58776 iterations between minima, its residual hovering
 # near 1e-4, and took about 45 s to reach ARE_MAX_ITER.
 ARE_STALL_WINDOW = 1000
+# Rounding noise, a few eps |X|_inf, can keep a step above ARE_TOL once |X|
+# is in the thousands: a stall below ARE_REL_TOL |X|_inf is at the float floor.
+ARE_REL_TOL = 1e-14
 INNOVATION_COND_LIMIT = 1e12
 
 
@@ -60,10 +63,11 @@ def kalman_gain(P_pred: np.ndarray, model: SystemModel) -> np.ndarray:
 def fixed_point(step, start: np.ndarray, label: str):
     """Iterate X <- step(X) from start until |X_next - X|_inf < ARE_TOL.
 
-    Returns (X, iterations). Raises ConvergenceError(label, ...) at the cap
-    ARE_MAX_ITER, or once ARE_STALL_WINDOW iterations in a row bring no new
-    minimum of |X_next - X|_inf: a stalled iteration hovers above ARE_TOL
-    and would otherwise run to the cap.
+    Returns (X, iterations). Once ARE_STALL_WINDOW iterations in a row
+    bring no new minimum of |X_next - X|_inf, the iteration has stalled: it
+    hovers above ARE_TOL and would otherwise run to the cap ARE_MAX_ITER. A
+    stall at the float floor, below ARE_REL_TOL |X|_inf, returns X; any
+    other stall, or the cap, raises ConvergenceError(label, ...).
     """
     X = start
     delta = best = np.inf
@@ -78,7 +82,10 @@ def fixed_point(step, start: np.ndarray, label: str):
             best, best_it = delta, it
         elif it - best_it >= ARE_STALL_WINDOW:
             break
-    raise ConvergenceError(label, delta, it)
+    scale = float(np.max(np.abs(X)))
+    if best < ARE_REL_TOL * scale:
+        return X, it
+    raise ConvergenceError(label, delta, it, delta / scale)
 
 
 def filter_step(P_pred: np.ndarray, model: SystemModel):
@@ -95,9 +102,9 @@ def filter_step(P_pred: np.ndarray, model: SystemModel):
 def kf_steady_state(model: SystemModel) -> SteadyStateFilter:
     """Iterate the predicted-covariance recursion from X0 to its fixed point.
 
-    Convergence is |P_next - P|_inf < ARE_TOL. Returns the steady gain, the
-    updated covariance F_inf and the correction covariance Pi_eta along with
-    iteration diagnostics. Raises ConvergenceError when the cap is hit.
+    Convergence is fixed_point's. Returns the steady gain, the updated
+    covariance F_inf and the correction covariance Pi_eta along with
+    iteration diagnostics. Raises fixed_point's ConvergenceError.
     """
     P, it = fixed_point(lambda P: filter_step(P, model)[1], model.X0.copy(),
                         "steady-state filter iteration")

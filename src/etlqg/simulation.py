@@ -266,7 +266,7 @@ def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
             if crossed.size:
                 i = crossed[0]
                 g, r, _ = np.unravel_index(peak[i].argmax(), peak[i].shape)
-                raise DivergenceError(step=first + i + 1, run=run_ids[r],
+                raise DivergenceError(step=int(first + i + 1), run=run_ids[r],
                                       value=float(worst[i]), lam=lams[g])
             lo = max(burn_in - first, 0)  # the first row after burn-in
             sigma_count += sb[lo:steps].sum(axis=0)

@@ -5,13 +5,16 @@ exit codes, stdout/stderr and the artifact files.
 """
 
 import dataclasses
+import errno
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+import tempfile
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -1000,6 +1003,117 @@ class TestRerun:
         assert "(lambda 10.0, run " in capsys.readouterr().err
         assert not list(out.glob("*.part"))
         assert self._files(out) == before
+
+
+class TestPublishStep:
+    """A sweep replaces its artifacts only once every one is written. A
+    failed write exits 1 naming the artifact, and leaves the directory's
+    files as they were."""
+
+    @staticmethod
+    def _config(tmp_path, grid, record_trace=False):
+        doc = base_config(tmp_path / "out",
+                          scheduler={"timeout": 6, "lambda_grid": grid})
+        doc["simulation"] = {"runs": 4, "horizon": 60, "seed": 7,
+                             "burn_in": 10, "record_trace": record_trace}
+        return str(write_config(tmp_path, doc, name=f"config{len(grid)}.yaml"))
+
+    @staticmethod
+    def _no_space_at(monkeypatch, name):
+        # a full disk fails a write, whose OSError names no file
+        def failing_open(file, *args, **kwargs):
+            if re.fullmatch(re.escape(name) + r"\.\w+\.part",
+                            os.path.basename(file)):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+
+    @staticmethod
+    def _assert_failed(capsys, out, name, before, code=errno.ENOSPC):
+        err = capsys.readouterr().err
+        assert (f"output.directory: cannot write {out / name}: "
+                f"{os.strerror(code)}") in err
+        assert "Traceback" not in err
+        assert TestRerun._files(out) == before  # no .part file either
+
+    @pytest.mark.parametrize("name", ["analysis_4.0.json", "tradeoff.csv",
+                                      "plot.gp", "manifest.json"])
+    def test_failed_analyze_only_rerun_keeps_every_file(
+            self, tmp_path, monkeypatch, capsys, name):
+        out = tmp_path / "out"
+        assert main(["analyze-only", self._config(tmp_path, [0.5, 2.0])]) == 0
+        before = TestRerun._files(out)
+        self._no_space_at(monkeypatch, name)
+        # a different grid, and a plot script the earlier sweep did not write
+        assert main(["analyze-only", self._config(tmp_path, [0.5, 4.0]),
+                     "--plot-script"]) == 1
+        self._assert_failed(capsys, out, name, before)
+
+    @pytest.mark.parametrize("name", [
+        "trace_lam2.0_run0003.csv", "analysis_0.5.json", "tradeoff.csv",
+        "plot.gp", "manifest.json"])
+    def test_failed_traced_rerun_keeps_every_file(self, tmp_path, monkeypatch,
+                                                  capsys, name):
+        out = tmp_path / "out"
+        cfg = self._config(tmp_path, [0.5, 2.0], record_trace=True)
+        assert main(["run", cfg, "--seed", "2"]) == 0
+        before = TestRerun._files(out)
+        assert len([n for n in before if n.startswith("trace_")]) == 8
+        self._no_space_at(monkeypatch, name)
+        assert main(["run", cfg, "--seed", "1", "--plot-script"]) == 1
+        self._assert_failed(capsys, out, name, before)
+
+    def test_failed_append_in_a_worker_slice(self, tmp_path, monkeypatch,
+                                             capsys):
+        # runs 2 and 3 go to the pool, here one thread that shares this
+        # process's failing open(); its error comes back by future.result()
+        out = tmp_path / "out"
+        cfg = self._config(tmp_path, [0.5, 2.0], record_trace=True)
+        assert main(["run", cfg, "--seed", "2"]) == 0
+        before = TestRerun._files(out)
+        TestSplitSweep._split(monkeypatch)
+        pools = []
+        monkeypatch.setattr(cli, "_worker_pool", lambda workers: (
+            pools.append(workers) or ThreadPoolExecutor(workers)))
+        self._no_space_at(monkeypatch, "trace_lam0.5_run0003.csv")
+        assert main(["run", cfg, "--seed", "1"]) == 1
+        assert pools == [1]
+        self._assert_failed(capsys, out, "trace_lam0.5_run0003.csv", before)
+
+    def test_manifest_is_replaced_last(self, tmp_path, monkeypatch):
+        replaced = []
+        real = os.replace
+
+        def recorded(part, path):
+            replaced.append(os.path.basename(path))
+            real(part, path)
+
+        monkeypatch.setattr(os, "replace", recorded)
+        cfg = self._config(tmp_path, [0.5, 2.0], record_trace=True)
+        assert main(["run", cfg, "--plot-script"]) == 0
+        assert replaced == [
+            f"trace_lam{lam!r}_run{r:04d}.csv" for lam in (0.5, 2.0)
+            for r in range(4)] + ["analysis_0.5.json", "analysis_2.0.json",
+                                  "tradeoff.csv", "plot.gp", "manifest.json"]
+
+    def test_unwritable_directory(self, tmp_path, monkeypatch, capsys):
+        # as mkstemp fails in a directory the user may not write: the
+        # .part files made before it are removed
+        out = tmp_path / "out"
+        assert main(["analyze-only", self._config(tmp_path, [0.5, 2.0])]) == 0
+        before = TestRerun._files(out)
+        real = tempfile.mkstemp
+
+        def denied(dir, prefix, suffix):
+            if prefix == "tradeoff.csv.":
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                      os.path.join(dir, prefix + "x1" + suffix))
+            return real(dir=dir, prefix=prefix, suffix=suffix)
+
+        monkeypatch.setattr(tempfile, "mkstemp", denied)
+        assert main(["analyze-only", self._config(tmp_path, [0.5, 4.0])]) == 1
+        self._assert_failed(capsys, out, "tradeoff.csv", before, errno.EACCES)
 
 
 class TestTracedCli:

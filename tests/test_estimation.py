@@ -145,6 +145,35 @@ class TestStalledFixedPoint:
                         assert getattr(a, name) == value
 
 
+class TestFloatFloorStop:
+    """With |X| in the thousands, a step's rounding noise stays above
+    ARE_TOL; such a stall has still reached the fixed point."""
+
+    @staticmethod
+    def _draw(index):
+        rng = np.random.default_rng(20261018)
+        return [random_valid_model(rng, n_max=10) for _ in range(index + 1)][index]
+
+    @pytest.mark.parametrize("index,solver", [
+        (66, "control"), (77, "control"), (104, "control"), (130, "filter"),
+        (169, "control"), (174, "filter"), (174, "control")])
+    def test_stall_at_the_float_floor_matches_scipy(self, index, solver):
+        m = self._draw(index)
+        if solver == "filter":
+            X = kf_steady_state(m).P_inf
+            ref = scipy.linalg.solve_discrete_are(m.A.T, m.C.T, m.W, m.V)
+        else:
+            X = control_steady_state(m).S_inf
+            ref = scipy.linalg.solve_discrete_are(m.A, m.B, m.Q, m.R)
+        assert np.max(np.abs(X - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_stall_above_the_floor_names_its_relative_step(self):
+        with pytest.raises(ConvergenceError) as err:
+            kf_steady_state(self._draw(6))
+        assert err.value.relative > estimation.ARE_REL_TOL
+        assert f"{err.value.relative:.3e} relative" in str(err.value)
+
+
 def _filter_error_paths(model, ss, chains, steps, seed):
     """Simulate the steady-state filter error; returns (xt_pred, eta) arrays
     of shape (chains, steps, n)."""

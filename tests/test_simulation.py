@@ -5,6 +5,7 @@ traces against the defining recursions or compare seeded empirical
 statistics with the closed-form analysis layer.
 """
 
+import json
 import pickle
 
 import numpy as np
@@ -321,6 +322,21 @@ class TestDivergenceGuard:
         assert 0 <= err.run < 3
         assert err.value > 1e6
         assert "diverged" in str(err)
+
+    def test_error_fields_are_python_scalars(self, bench_model, bench_filter,
+                                             monkeypatch):
+        # the step comes from numpy's index of the crossing; a JSON record
+        # of the error needs every field as a Python number
+        monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", 1e6)
+        cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
+                        horizon=2000, runs=2, seed=7, burn_in=0)
+        with pytest.raises(DivergenceError) as exc:
+            sim.run_closed_loop_grid(cfg, bench_filter,
+                                     self._open_loop(bench_model), [0.5, 4.0])
+        fields = vars(exc.value)
+        assert {name: type(value) for name, value in fields.items()} == {
+            "step": int, "run": int, "value": float, "lam": float}
+        assert json.loads(json.dumps(fields)) == fields
 
     def test_guard_disabled_runs_to_completion(self, bench_model, bench_filter,
                                                monkeypatch):

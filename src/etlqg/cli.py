@@ -71,15 +71,24 @@ def _fmt(value) -> str:
 
 
 @contextlib.contextmanager
+def _naming(path: str):
+    """Re-raise an OSError of the block as one that names path."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+@contextlib.contextmanager
 def _replacing(paths):
     """Yield a fresh, empty .part file name beside each of paths.
 
     When the block ends, the .part files replace their paths in order; on
     an error in the block they are all removed and no path is touched. The
-    loop of os.replace calls is not atomic as a set: an error or crash
-    inside it leaves the earlier paths replaced. tempfile names each
-    '<path>.<random>.part', so a stale one or one of a concurrent run is
-    never written, and gives it open()'s mode.
+    os.replace loop is not atomic as a set: an error or crash in it leaves
+    the earlier paths replaced. tempfile names each '<path>.<random>.part',
+    never a stale or concurrent run's, and it gets open()'s mode. Every
+    OSError the span raises itself names a file.
     """
     umask = os.umask(0o022)
     os.umask(umask)
@@ -88,9 +97,10 @@ def _replacing(paths):
         for path in paths:
             fd, part = tempfile.mkstemp(dir=path.parent,
                                         prefix=path.name + ".", suffix=".part")
-            os.fchmod(fd, 0o666 & ~umask)  # mkstemp's is owner-only
-            os.close(fd)
             parts.append(part)
+            with _naming(part):
+                os.close(fd)
+            os.chmod(part, 0o666 & ~umask)  # mkstemp's is owner-only
         yield parts
         for part, path in zip(parts, paths):
             os.replace(part, path)
@@ -104,13 +114,9 @@ def _replacing(paths):
 def _append(part: str, *texts: str):
     """Append texts to part, the .part file of an artifact in a _replacing
     span: the span makes the writes atomic, as it replaces the artifact
-    only once every artifact is written. An OSError names part, even a
-    write's."""
-    try:
-        with open(part, "a", newline="") as fh:
-            fh.writelines(texts)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, part) from exc
+    only once every artifact is written. An OSError names part."""
+    with _naming(part), open(part, "a", newline="") as fh:
+        fh.writelines(texts)
 
 
 # writes a whole artifact; bench/traced_cli.py counts the calls by this name
@@ -279,18 +285,26 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
                                  ss=filt, cs=ctrl)
     lams = [pt.lam for pt in points]
     simulate = with_simulation and cfg.runs > 0
-    # every artifact, in the order the span replaces them: manifest.json
-    # last, so a present manifest means the rest of the set is in place
-    names = [f"trace_lam{lam!r}_run{r:04d}.csv" for lam in lams
-             for r in range(cfg.runs)] if simulate and cfg.record_trace else []
-    traces = len(names)
+    traces = [f"trace_lam{lam!r}_run{r:04d}.csv" for lam in lams
+              for r in range(cfg.runs)] if simulate and cfg.record_trace else []
+    # the other artifacts' texts, replaced after the traces in this order:
+    # manifest.json last, so a present manifest means the set is in place
+    texts = {}
     if "json" in cfg.formats:
-        names += [f"analysis_{lam!r}.json" for lam in lams]
+        for point in points:
+            record = analysis_record(point.markov)
+            record["cost"] = dataclasses.asdict(point.breakdown)
+            texts[f"analysis_{point.lam!r}.json"] = json.dumps(
+                record, indent=2) + "\n"
     if "csv" in cfg.formats:
-        names.append("tradeoff.csv")
+        texts["tradeoff.csv"] = None  # filled in once simulated
     if cfg.emit_plot_data:
-        names.append("plot.gp")
-    names.append("manifest.json")
+        texts["plot.gp"] = _plot_script()
+    manifest = config_to_dict(cfg)
+    manifest["generated_by"] = "etlqg"
+    manifest["tool_version"] = __version__
+    texts["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+    names = traces + list(texts)
     # made only now, so that a sweep failing in analysis leaves nothing
     out_dir = Path(cfg.out_dir)
     try:
@@ -301,15 +315,14 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
 
     try:
         with _replacing([out_dir / name for name in names]) as parts:
-            staged = dict(zip(names, parts))
             if simulate:
                 # one lockstep simulation of the whole grid, its runs cut
                 # into slices, one per process
                 sim_cfg = SimConfig(model=model, timeout=cfg.timeout,
                                     horizon=cfg.horizon, runs=cfg.runs,
                                     seed=cfg.seed, burn_in=cfg.burn_in)
-                slices = _split(range(cfg.runs),
-                                _processes(sim_cfg, len(lams)), parts[:traces])
+                slices = _split(range(cfg.runs), _processes(sim_cfg, len(lams)),
+                                parts[:len(traces)])
                 job = functools.partial(_simulate_slice, sim_cfg, filt, ctrl,
                                         lams)
                 # workers finish before any .part file is replaced or removed
@@ -330,36 +343,27 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
                 csv_lines.append(",".join(_fmt(cell) for cell in (
                     point.lam, point.rate, emp_rate, rate_se, point.cost,
                     emp_cost, cost_se)))
-                if "json" in cfg.formats:
-                    record = analysis_record(point.markov)
-                    record["cost"] = dataclasses.asdict(point.breakdown)
-                    _write_atomic(staged[f"analysis_{point.lam!r}.json"],
-                                  json.dumps(record, indent=2) + "\n")
                 line = (f"lambda={point.lam:g} rate={point.rate:.6f} "
                         f"cost={point.cost:.6f}")
                 if emp_rate is not None:
                     line += f" emp_rate={emp_rate:.6f} emp_cost={emp_cost:.6f}"
                 print(line)
-
-            if "csv" in cfg.formats:
-                _write_atomic(staged["tradeoff.csv"],
-                              "\n".join(csv_lines) + "\n")
-            if cfg.emit_plot_data:
-                _write_atomic(staged["plot.gp"], _plot_script())
-            manifest = config_to_dict(cfg)
-            manifest["generated_by"] = "etlqg"
-            manifest["tool_version"] = __version__
-            _write_atomic(staged["manifest.json"],
-                          json.dumps(manifest, indent=2) + "\n")
+            if "tradeoff.csv" in texts:
+                texts["tradeoff.csv"] = "\n".join(csv_lines) + "\n"
+            for part, text in zip(parts[len(traces):], texts.values()):
+                _write_atomic(part, text)
     except OSError as exc:
+        if exc.filename is None:
+            raise  # not a write: no artifact to name
         # the span has removed every .part file; name the artifact whose
         # .part file, '<artifact>.<random>.part', or replacement failed
-        failed = re.sub(r"\.\w+\.part$", "", str(exc.filename or out_dir))
+        failed = re.sub(r"\.\w+\.part$", "", str(exc.filename))
         raise ConfigError(f"output.directory: cannot write {failed}: "
                           f"{exc.strerror}") from exc
     # then no artifact of an earlier sweep into out_dir is left
+    kept = set(names)
     for path in out_dir.iterdir():
-        if (path.name not in staged and _ARTIFACT.fullmatch(path.name)
+        if (path.name not in kept and _ARTIFACT.fullmatch(path.name)
                 and path.is_file()):
             path.unlink()
     print(f"artifacts written to {out_dir}")

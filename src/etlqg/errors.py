@@ -26,23 +26,22 @@ class ValidationFailure(EtlqgError):
 
 
 class ConvergenceError(EtlqgError):
-    """An iterative solver hit its iteration cap.
+    """An iterative solver stalled or hit its iteration cap.
 
     solver:   human-readable solver name
     residual: last observed residual
-    relative: residual over the iterate's largest entry, if known
+    relative: residual over the last iterate's largest entry
     """
 
     def __init__(self, solver: str, residual: float, iterations: int,
-                 relative: float | None = None):
+                 relative: float):
         self.solver = solver
         self.residual = residual
         self.iterations = iterations
         self.relative = relative
-        rel = "" if relative is None else f", {relative:.3e} relative"
         super().__init__(
             f"{solver} did not converge after {iterations} iterations "
-            f"(residual {residual:.3e}{rel})"
+            f"(residual {residual:.3e}, {relative:.3e} relative)"
         )
 
     def __reduce__(self):

@@ -66,10 +66,11 @@ def fixed_point(step, start: np.ndarray, label: str):
     Returns (X, iterations). Once ARE_STALL_WINDOW iterations in a row
     bring no new minimum of |X_next - X|_inf, the iteration has stalled: it
     hovers above ARE_TOL and would otherwise run to the cap ARE_MAX_ITER. A
-    stall at the float floor, below ARE_REL_TOL |X|_inf, returns X; any
-    other stall, or the cap, raises ConvergenceError(label, ...).
+    stall whose least step was at the float floor, below ARE_REL_TOL times
+    the |X_next|_inf of that step, returns that step's X_next; any other
+    stall, or the cap, raises ConvergenceError(label, ...).
     """
-    X = start
+    X = best_X = start
     delta = best = np.inf
     it = best_it = 0
     for it in range(1, ARE_MAX_ITER + 1):
@@ -79,13 +80,13 @@ def fixed_point(step, start: np.ndarray, label: str):
         if delta < ARE_TOL:
             return X, it
         if delta < best:
-            best, best_it = delta, it
+            best, best_it, best_X = delta, it, X
         elif it - best_it >= ARE_STALL_WINDOW:
             break
-    scale = float(np.max(np.abs(X)))
-    if best < ARE_REL_TOL * scale:
-        return X, it
-    raise ConvergenceError(label, delta, it, delta / scale)
+    if best < ARE_REL_TOL * np.max(np.abs(best_X)):
+        return best_X, best_it
+    raise ConvergenceError(label, delta, it,
+                           float(delta / np.max(np.abs(X))))
 
 
 def filter_step(P_pred: np.ndarray, model: SystemModel):

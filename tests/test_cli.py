@@ -561,7 +561,7 @@ class TestSolverFailureExit:
     def test_nonconvergence_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(model, *a, **kw):
             raise ConvergenceError("steady-state filter iteration",
-                                   residual=0.5, iterations=7)
+                                   residual=0.5, iterations=7, relative=0.25)
 
         monkeypatch.setattr("etlqg.cli.kf_steady_state", broken)
         cfg = write_config(tmp_path, base_config(tmp_path / "out"))
@@ -1114,6 +1114,52 @@ class TestPublishStep:
         monkeypatch.setattr(tempfile, "mkstemp", denied)
         assert main(["analyze-only", self._config(tmp_path, [0.5, 4.0])]) == 1
         self._assert_failed(capsys, out, "tradeoff.csv", before, errno.EACCES)
+
+    def test_failed_close_names_its_artifact(self, tmp_path, monkeypatch,
+                                             capsys):
+        # closing a new .part file's descriptor raises an OSError naming no
+        # file
+        out = tmp_path / "out"
+        assert main(["analyze-only", self._config(tmp_path, [0.5, 2.0])]) == 0
+        before = TestRerun._files(out)
+        real_mkstemp, real_close, doomed = tempfile.mkstemp, os.close, []
+
+        def mkstemp(dir, prefix, suffix):
+            fd, part = real_mkstemp(dir=dir, prefix=prefix, suffix=suffix)
+            if prefix == "tradeoff.csv.":
+                doomed.append(fd)
+            return fd, part
+
+        def close(fd):
+            real_close(fd)
+            if fd in doomed:
+                doomed.remove(fd)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        monkeypatch.setattr(os, "close", close)
+        assert main(["analyze-only", self._config(tmp_path, [0.5, 4.0])]) == 1
+        monkeypatch.undo()
+        self._assert_failed(capsys, out, "tradeoff.csv", before, errno.EIO)
+
+    def test_error_naming_no_file_is_not_a_write_failure(
+            self, tmp_path, monkeypatch, capsys):
+        # a worker that cannot start leaves the output writable: its OSError
+        # escapes main unchanged, once the span has removed every .part file
+        out = tmp_path / "out"
+        cfg = self._config(tmp_path, [0.5, 2.0], record_trace=True)
+        assert main(["run", cfg, "--seed", "2"]) == 0
+        before = TestRerun._files(out)
+        TestSplitSweep._split(monkeypatch)
+
+        def no_worker(workers):
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(cli, "_worker_pool", no_worker)
+        with pytest.raises(BlockingIOError):
+            main(["run", cfg, "--seed", "1"])
+        assert "output.directory" not in capsys.readouterr().err
+        assert TestRerun._files(out) == before
 
 
 class TestTracedCli:

@@ -99,7 +99,8 @@ def fixed_point_to_the_cap(step, start, label):
         X = X_next
         if delta < ARE_TOL:
             return X, it
-    raise ConvergenceError(label, delta, ARE_MAX_ITER)
+    raise ConvergenceError(label, delta, ARE_MAX_ITER,
+                           delta / np.max(np.abs(X)))
 
 
 def _solves(model):
@@ -172,6 +173,23 @@ class TestFloatFloorStop:
             kf_steady_state(self._draw(6))
         assert err.value.relative > estimation.ARE_REL_TOL
         assert f"{err.value.relative:.3e} relative" in str(err.value)
+
+    @pytest.mark.parametrize("factor", [2.0, 1.05])
+    def test_growing_iteration_still_raises(self, factor):
+        # its least step is the first one, far above the float floor of the
+        # iterate it made, however large the last iterate grows
+        with pytest.raises(ConvergenceError):
+            fixed_point(lambda X: factor * X, np.ones(1), "growing")
+
+    def test_unobservable_unstable_filter_still_raises(self):
+        # P of the unseen unstable mode grows 1.69-fold a step, to about
+        # 1e228 when the stall ends; an unvalidated model reaches
+        # kf_steady_state with it
+        one = np.array([[1.0]])
+        model = SystemModel(A=1.3 * one, B=one, C=0 * one, W=one, V=one,
+                            Q=one, Qf=one, R=one, x0_mean=np.zeros(1), X0=one)
+        with pytest.raises(ConvergenceError):
+            kf_steady_state(model)
 
 
 def _filter_error_paths(model, ss, chains, steps, seed):

@@ -502,7 +502,7 @@ class TestRunSlices:
 @pytest.mark.parametrize("error", [
     DivergenceError(step=3, run=1, value=2e12, lam=0.5),
     ConvergenceError("steady-state filter iteration", residual=0.5,
-                     iterations=7),
+                     iterations=7, relative=0.25),
 ])
 def test_errors_survive_pickle(error):
     # a worker's error reaches the parent pickled

@@ -15,6 +15,12 @@ A sweep that fails in analysis, simulation or writing writes nothing. A
 finished sweep removes the artifacts of an earlier one that it did not
 write; files with other names stay.
 
+Processes: a large sweep splits its runs across spawned workers, one per
+core (_processes). A traced sweep that stays in one process may instead hand
+each block of traces to one spawned formatter, which formats and appends it
+while this process simulates the next (_formats_aside). Neither changes a
+byte of any artifact.
+
 Exit codes: 0 success, 1 invalid config or unwritable output, 2 model
 validation failure, 3 numerical non-convergence or divergence.
 """
@@ -22,6 +28,7 @@ validation failure, 3 numerical non-convergence or divergence.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -58,6 +65,17 @@ TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
 # 2.9 s either way; 13 x 64 x 20000: 4.8 s -> 3.8 s). The tier-1 CLI tests
 # and the small CI smoke run stay in-process.
 _SPLIT_MIN_RUN_STEPS = 8_000_000
+# An unsplit traced sweep hands its trace blocks to one spawned formatter
+# (_formats_aside) only if its simulation outlasts the formatter's start,
+# 0.3-0.5 s. Narrow rows cost about the same per step at any width the
+# trace budget lets a block wait at, so the horizon decides: at 3 lambdas x
+# 8 runs on a 2-vCPU host (medians of 8 alternating pairs) the formatter
+# lost at 10000 steps (0.99 -> 1.07 s) and won at 15000 (1.38 -> 1.14 s).
+# At 20000 steps it took 11% less time at 48 lambda-runs, 19% less at 72
+# and 2% less at 192; the trace budget already stops it before that, as it
+# lets a block wait only up to about 93 lambda-runs (n = 2, m = 1). The
+# tier-1 CLI tests stay in-process.
+_FORMAT_MIN_STEPS = 15_000
 # The artifacts a sweep may write, but for manifest.json
 _ARTIFACT = re.compile(r"tradeoff\.csv|plot\.gp|analysis_.*\.json"
                        r"|trace_lam.*_run.*\.csv")
@@ -155,12 +173,9 @@ def _format_block(block: TraceBlock):
     return (_trace_csv(run) for row in block.per_run() for run in row)
 
 
-def _processes(sim_cfg: SimConfig, lams: int) -> int:
-    """Processes that share the runs of a sweep of lams lambdas: one per
-    core, if the sweep reaches _SPLIT_MIN_RUN_STEPS and a spawned worker can
-    start."""
-    if lams * sim_cfg.runs * sim_cfg.horizon < _SPLIT_MIN_RUN_STEPS:
-        return 1
+def _cores() -> int:
+    """Cores a spawned worker of this process may use: the ones affinity
+    gives it (os.sched_getaffinity), or 1 if spawn cannot start one."""
     # spawn starts each worker by running __main__'s file again, unless it
     # ran as a module; a script read from stdin ('<stdin>') has no file
     main = sys.modules["__main__"]
@@ -169,6 +184,34 @@ def _processes(sim_cfg: SimConfig, lams: int) -> int:
             and not os.path.isfile(path)):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _processes(sim_cfg: SimConfig, lams: int) -> int:
+    """Processes that share the runs of a sweep of lams lambdas: one per
+    core, if the sweep reaches _SPLIT_MIN_RUN_STEPS."""
+    if lams * sim_cfg.runs * sim_cfg.horizon < _SPLIT_MIN_RUN_STEPS:
+        return 1
+    return _cores()
+
+
+def _in_flight(sim_cfg: SimConfig, lams: int, runs: int) -> int:
+    """Trace blocks of runs runs at lams lambdas that may wait for the
+    formatter while this process simulates the next block. Each waiting
+    block is counted twice, as its arrays and as the pickled copy the pool
+    sends; with the next block they fit simulation.TRACE_BUDGET_BYTES."""
+    return max(0, (trace_chunk_runs(sim_cfg, lams) // runs - 1) // 2)
+
+
+def _formats_aside(sim_cfg: SimConfig, lams: int, slices) -> bool:
+    """Whether a sweep of lams lambdas, its runs cut into slices (see
+    _split), hands its trace blocks to one spawned formatter: only a traced
+    sweep in one process, of at least _FORMAT_MIN_STEPS steps, whose grid is
+    narrow enough that a block can wait for the formatter (_in_flight), with
+    two cores or more."""
+    (runs, parts), *others = slices
+    return (not others and bool(parts)
+            and sim_cfg.horizon >= _FORMAT_MIN_STEPS
+            and _in_flight(sim_cfg, lams, len(runs)) > 0 and _cores() > 1)
 
 
 def _split(runs: range, k: int, parts: list[str]) -> list[tuple[range, list]]:
@@ -210,7 +253,9 @@ def _join(jobs, lams):
 
 
 def _worker_pool(workers: int):
-    # imported here, so that analyze-only and unsplit runs load no pool
+    """Spawned workers: one per slice of a split sweep but this process's,
+    or the one formatter of an unsplit traced sweep."""
+    # imported here, so that analyze-only and small sweeps load no pool
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -219,8 +264,15 @@ def _worker_pool(workers: int):
                                mp_context=multiprocessing.get_context("spawn"))
 
 
+def _append_block(block: TraceBlock, parts: list[str]):
+    """Format block one run at a time and append each run's text to its
+    .part file, parts lambda-major."""
+    for part, text in zip(parts, _format_block(block)):
+        _append(part, text)
+
+
 def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, lams, runs: range,
-                    parts: list[str]):
+                    parts: list[str], formatter=None):
     """Rates and costs of one slice of runs over the whole grid: the work a
     sweep gives each process, in-process or in a spawned worker.
 
@@ -228,20 +280,35 @@ def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, lams, runs: range,
     when untraced). A traced slice runs in chunks of runs whose TraceBlock
     fits the trace budget, but for _split's 2-run floor. Each block is
     formatted one run at a time once simulated and each run's text appended
-    to its file, so a process holds one block and one run's text.
+    to its file, so a process holds one block and one run's text. With
+    formatter, a pool of one worker, the worker formats and appends each
+    block while this process simulates the next; at most _in_flight blocks
+    wait for it, and all are written when this returns. One worker takes
+    the blocks in order, so each file gets its rows in order.
     """
+    pending = collections.deque()
+
     def simulate(chunk: range, chunk_parts: list[str]):
+        depth = _in_flight(sim_cfg, len(lams), len(chunk))
+
         def on_block(block):
-            for part, text in zip(chunk_parts, _format_block(block)):
-                _append(part, text)
+            if formatter is None:
+                _append_block(block, chunk_parts)
+                return
+            pending.append(formatter.submit(_append_block, block, chunk_parts))
+            while len(pending) > depth:
+                pending.popleft().result()
 
         return run_closed_loop_grid(sim_cfg, filt, ctrl, lams, chunk,
                                     on_block=on_block if chunk_parts else None)
 
     fit = max(2, trace_chunk_runs(sim_cfg, len(lams)))
     chunks = -(-len(runs) // fit) if parts else 1
-    return _join([functools.partial(simulate, *chunk)
-                  for chunk in _split(runs, chunks, parts)], lams)
+    results = _join([functools.partial(simulate, *chunk)
+                     for chunk in _split(runs, chunks, parts)], lams)
+    while pending:
+        pending.popleft().result()
+    return results
 
 
 def _plot_script() -> str:
@@ -323,14 +390,18 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
                                     seed=cfg.seed, burn_in=cfg.burn_in)
                 slices = _split(range(cfg.runs), _processes(sim_cfg, len(lams)),
                                 parts[:len(traces)])
+                aside = _formats_aside(sim_cfg, len(lams), slices)
                 job = functools.partial(_simulate_slice, sim_cfg, filt, ctrl,
                                         lams)
                 # workers finish before any .part file is replaced or removed
-                with (_worker_pool(len(slices) - 1) if len(slices) > 1
+                workers = 1 if aside else len(slices) - 1
+                with (_worker_pool(workers) if workers
                       else contextlib.nullcontext()) as pool:
                     futures = [pool.submit(job, *sl) for sl in slices[1:]]
-                    rates, costs = _join([functools.partial(job, *slices[0])]
-                                         + [f.result for f in futures], lams)
+                    first = functools.partial(
+                        job, *slices[0], formatter=pool if aside else None)
+                    rates, costs = _join([first] + [f.result for f in futures],
+                                         lams)
             else:
                 rates = costs = [None] * len(points)
 

@@ -13,12 +13,12 @@ top-level keys are ignored so an emitted manifest re-ingests as a config.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError
 from .model import SystemModel
@@ -152,15 +152,22 @@ def _expand_lambda_grid(raw) -> tuple[float, ...]:
 
 
 def _parse_document(text: str, source: str) -> dict:
+    """The document in text: JSON if it parses as JSON, else YAML, whose
+    parser is imported only then (about 20 ms)."""
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{source}: parse error: {exc}") from exc
+        doc = json.loads(text)
+    except ValueError:
+        import yaml
+
+        try:
+            doc = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{source}: parse error: {exc}") from exc
     return _require_mapping(doc, source)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config document (YAML; JSON is a subset)."""
+    """Parse and validate a config document (JSON, or else YAML)."""
     path = Path(path)
     try:
         text = path.read_text()

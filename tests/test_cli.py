@@ -6,6 +6,7 @@ exit codes, stdout/stderr and the artifact files.
 
 import dataclasses
 import errno
+import functools
 import json
 import os
 import re
@@ -528,6 +529,29 @@ class TestConfigErrors:
                                     "{min: 1e-2, max: 1e2, count: 3}"))
         assert load_config(cfg).lambda_grid == (0.01, 1.0, 100.0)
 
+    def test_json_config_loads_without_yaml(self, tmp_path):
+        # the bundled YAML, dumped as JSON, gives the same config, and a
+        # fresh interpreter reading it never imports the YAML parser
+        yaml_cfg = load_config(default_config_path())
+        doc = config_to_dict(yaml_cfg)
+        cfg = write_config(tmp_path, doc, name="config.json")
+        assert config_to_dict(load_config(cfg)) == doc
+        done = TestSplitSweep._python("-c", (
+            "import sys\n"
+            "from etlqg.config import load_config\n"
+            "load_config(sys.argv[1])\n"
+            "print('yaml' in sys.modules)\n"), str(cfg))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize("text", ["model: [1, 2\n", '{"model": [1, 2}'])
+    def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(text)
+        assert main(["validate", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid config: {cfg}: parse error: " in err
+
 
 class TestSolverFailureExit:
     @pytest.mark.parametrize("command", ["analyze-only", "run"])
@@ -688,9 +712,16 @@ class TestSplitSweep:
         return subprocess.run([sys.executable, *args], input=script, env=env,
                               capture_output=True, text=True, timeout=300)
 
-    @pytest.mark.parametrize("command", [["analyze-only"],
-                                         ["run", "--runs", "2", "--horizon", "300"]])
+    @pytest.mark.parametrize("command", [
+        ["analyze-only"], ["run", "--runs", "2", "--horizon", "300"],
+        ["run", "traced", "--runs", "4", "--horizon", "2500"]])
     def test_unsplit_commands_load_no_pool(self, tmp_path, command):
+        # traced: a small traced sweep formats its traces in this process
+        if "traced" in command:
+            doc = config_to_dict(load_config(default_config_path()))
+            doc["simulation"]["record_trace"] = True
+            command = [str(write_config(tmp_path, doc)) if arg == "traced"
+                       else arg for arg in command]
         code = ("import sys\n"
                 "from etlqg.cli import main\n"
                 "code = main(sys.argv[1:])\n"
@@ -704,19 +735,26 @@ class TestSplitSweep:
 
     def test_main_read_from_stdin_runs_in_process(self, tmp_path):
         # a spawned worker would run '<stdin>' as __main__'s file, fail to
-        # find it and break the pool
-        cfg = self._config(tmp_path, runs=6, record_trace=False)
-        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
-        script = ("import os, sys\n"
-                  "from etlqg import cli\n"
-                  "cli._SPLIT_MIN_RUN_STEPS = 0\n"
-                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
-                  "sys.exit(cli.main(sys.argv[1:]))\n")
-        done = self._python("-", "run", str(cfg),
-                            "--out-dir", str(tmp_path / "stdin"), script=script)
-        assert done.returncode == 0, done.stderr
-        assert (self._artifacts(tmp_path / "stdin")
-                == self._artifacts(tmp_path / "serial"))
+        # find it and break the pool: untraced, this sweep would split, and
+        # traced, it would hand its blocks to the formatter
+        for traced, threshold in ((False, "_SPLIT_MIN_RUN_STEPS"),
+                                  (True, "_FORMAT_MIN_STEPS")):
+            cfg = self._config(tmp_path, runs=6, record_trace=traced)
+            serial = tmp_path / f"serial{traced}"
+            stdin = tmp_path / f"stdin{traced}"
+            assert main(["run", str(cfg), "--out-dir", str(serial)]) == 0
+            script = ("import os, sys\n"
+                      "from etlqg import cli\n"
+                      f"cli.{threshold} = 0\n"
+                      "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                      "sys.exit(cli.main(sys.argv[1:]))\n")
+            done = self._python("-", "run", str(cfg), "--out-dir", str(stdin),
+                                script=script)
+            assert done.returncode == 0, done.stderr
+            got = self._artifacts(stdin)
+            assert len([n for n in got if n.startswith("trace_")]) == (
+                18 if traced else 0)
+            assert got == self._artifacts(serial)
 
     def test_merged_divergence_report_follows_the_unsplit_rule(self):
         # earliest step, then largest |x|, then first lambda, then first run
@@ -836,6 +874,143 @@ class TestStreamedTraces:
         assert "diverged" in capsys.readouterr().err
         assert pools == [] and blocks == []
         assert list(out.iterdir()) == []
+
+
+def _append_failing_at(name, block, parts):
+    """cli._append_block, but the append to name's .part file fails as on a
+    full disk. Module-level, so that a spawned formatter can run it."""
+    for part, text in zip(parts, cli._format_block(block)):
+        if re.fullmatch(re.escape(name) + r"\.\w+\.part",
+                        os.path.basename(part)):
+            with cli._naming(part):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        cli._append(part, text)
+
+
+class TestFormatter:
+    """An unsplit traced sweep on two cores hands each trace block to one
+    spawned formatter while it simulates the next, and writes the bytes of
+    the in-process sweep."""
+
+    @staticmethod
+    def _formatter(monkeypatch, force=False):
+        # every traced sweep formats aside, on two cores; force: even one
+        # the trace budget would keep in-process. Returns the names of the
+        # functions given to the pool, and for each block the count of
+        # earlier blocks the formatter had not yet written
+        monkeypatch.setattr(cli, "_FORMAT_MIN_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        if force:
+            monkeypatch.setattr(cli, "_formats_aside", lambda *args: True)
+        submitted, waiting, blocks = [], [], []
+        real = cli._worker_pool
+
+        def counted(workers):
+            assert workers == 1
+            pool = real(workers)
+            submit = pool.submit
+
+            def recorded(fn, *args):
+                submitted.append(getattr(fn, "__name__", None))
+                waiting.append(sum(not f.done() for f in blocks))
+                blocks.append(submit(fn, *args))
+                return blocks[-1]
+
+            pool.submit = recorded
+            return pool
+
+        monkeypatch.setattr(cli, "_worker_pool", counted)
+        return submitted, waiting
+
+    @pytest.mark.parametrize("runs,budget", [(4, None), (6, 1)])
+    def test_outputs_byte_identical_to_in_process(self, tmp_path, monkeypatch,
+                                                  runs, budget):
+        # 2500 steps: blocks of 2048 and 452 steps. Budget 1: chunks of 2
+        # runs, whose blocks each wait for the formatter to finish the last
+        cfg = TestSplitSweep._config(tmp_path, runs, horizon=2500)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
+        if budget is not None:
+            monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", budget)
+        submitted, waiting = self._formatter(monkeypatch,
+                                             force=budget is not None)
+        out = tmp_path / "aside"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
+        chunks = runs // 2 if budget else 1
+        assert submitted == ["_append_block"] * (2 * chunks)
+        # no block of a chunk may wait beside the next one
+        assert max(waiting) <= (1 if budget is None else 0)
+        got = TestSplitSweep._artifacts(out)
+        assert len([n for n in got if n.startswith("trace_")]) == 3 * runs
+        assert got == TestSplitSweep._artifacts(tmp_path / "serial")
+
+    def test_failed_append_in_the_formatter(self, tmp_path, monkeypatch,
+                                            capsys):
+        # the formatter's OSError comes back through its future and exits 1
+        # naming the trace; the span removes every .part file
+        out = tmp_path / "out"
+        cfg = TestPublishStep._config(tmp_path, [0.5, 2.0], record_trace=True)
+        assert main(["run", cfg, "--seed", "2"]) == 0
+        before = TestRerun._files(out)
+        submitted, _ = self._formatter(monkeypatch)
+        name = "trace_lam2.0_run0001.csv"
+        monkeypatch.setattr(cli, "_append_block",
+                            functools.partial(_append_failing_at, name))
+        assert main(["run", cfg, "--seed", "1"]) == 1
+        assert submitted == [None]
+        TestPublishStep._assert_failed(capsys, out, name, before)
+
+    @pytest.mark.parametrize("appended", [False, True])
+    def test_divergence_exits_3_like_in_process(self, tmp_path, monkeypatch,
+                                                capsys, appended):
+        # zero feedback leaves the unstable plant to cross the guard near
+        # step 140; appended: blocks of 16 rows go to the formatter first
+        real = cli.control_steady_state
+        monkeypatch.setattr(cli, "control_steady_state", lambda model: (
+            dataclasses.replace(real(model), L_inf=np.zeros((1, 2)))))
+        cfg = TestSplitSweep._config(tmp_path, runs=4, horizon=400)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 3
+        want = capsys.readouterr().err
+        assert "diverged" in want
+        if appended:
+            monkeypatch.setattr(simulation, "_TRACE_BLOCK_STEPS", 16)
+        submitted, _ = self._formatter(monkeypatch)
+        out = tmp_path / "aside"
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == want
+        assert (len(submitted) >= 2) if appended else submitted == []
+        assert list(out.iterdir()) == []
+
+    def test_selection_rule(self, bench_model, monkeypatch):
+        def aside(lams, runs, horizon, cores=2, processes=1, traced=True):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(cores)))
+            sim_cfg = SimConfig(model=bench_model, timeout=50, horizon=horizon,
+                                runs=runs, seed=1, burn_in=0)
+            parts = [f"{i}.part" for i in range(lams * runs)] if traced else []
+            return cli._formats_aside(
+                sim_cfg, lams, cli._split(range(runs), processes, parts))
+
+        assert aside(3, 8, 20000)                   # trace_narrow
+        assert not aside(3, 8, 20000, cores=1)
+        assert not aside(3, 8, 20000, traced=False)
+        assert not aside(3, 8, 20000, processes=2)  # a split sweep
+        assert not aside(13, 100, 2000)             # CI's wide traced sweep
+        assert not aside(13, 100, 20000)            # no block could wait
+        # the widest grid at which one block can wait: 3 x 31 runs
+        assert aside(3, 31, 20000)
+        assert not aside(3, 32, 20000)
+        # tier-1's traced sweeps are short
+        assert not aside(3, 4, 2500)
+        assert not aside(13, 2, 2000)
+
+    def test_blocks_in_flight_fit_the_budget(self, bench_model):
+        # trace_narrow's 24 runs: 2048 steps of 8 * (2n + m + 2) + 1 = 57
+        # bytes each; five wait, each twice, beside the next one
+        sim_cfg = SimConfig(model=bench_model, timeout=50, horizon=20000,
+                            runs=8, seed=1, burn_in=0)
+        block = 3 * 8 * 2048 * 57
+        assert cli._in_flight(sim_cfg, 3, 8) == 5
+        assert 11 * block <= simulation.TRACE_BUDGET_BYTES < 13 * block
 
 
 class TestChunkedTraces:

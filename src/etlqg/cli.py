@@ -76,9 +76,11 @@ _SPLIT_MIN_RUN_STEPS = 8_000_000
 # lets a block wait only up to about 93 lambda-runs (n = 2, m = 1). The
 # tier-1 CLI tests stay in-process.
 _FORMAT_MIN_STEPS = 15_000
-# The artifacts a sweep may write, but for manifest.json
-_ARTIFACT = re.compile(r"tradeoff\.csv|plot\.gp|analysis_.*\.json"
-                       r"|trace_lam.*_run.*\.csv")
+# The names of the artifacts a sweep may write, but for manifest.json; a
+# lambda is named by the repr of a positive float
+_LAM = r"\d+(\.\d+)?(e[+-]\d+)?"
+_ARTIFACT = re.compile(rf"tradeoff\.csv|plot\.gp|analysis_{_LAM}\.json"
+                       rf"|trace_lam{_LAM}_run\d{{4,}}\.csv")
 
 
 def _fmt(value) -> str:
@@ -165,17 +167,10 @@ def _trace_csv(trace) -> str:
     return header + format_rows(ints, floats)
 
 
-def _format_block(block: TraceBlock):
-    """The trace CSV text of each run of block, lambda-major.
-
-    A generator: one run's text is formatted at a time.
-    """
-    return (_trace_csv(run) for row in block.per_run() for run in row)
-
-
 def _cores() -> int:
     """Cores a spawned worker of this process may use: the ones affinity
-    gives it (os.sched_getaffinity), or 1 if spawn cannot start one."""
+    gives it (os.sched_getaffinity), else, where there is no affinity call
+    (macOS, Windows), os.cpu_count(); or 1 if spawn cannot start one."""
     # spawn starts each worker by running __main__'s file again, unless it
     # ran as a module; a script read from stdin ('<stdin>') has no file
     main = sys.modules["__main__"]
@@ -183,6 +178,8 @@ def _cores() -> int:
     if (getattr(main, "__spec__", None) is None and path is not None
             and not os.path.isfile(path)):
         return 1
+    if not hasattr(os, "sched_getaffinity"):
+        return os.cpu_count() or 1
     return len(os.sched_getaffinity(0))
 
 
@@ -267,8 +264,9 @@ def _worker_pool(workers: int):
 def _append_block(block: TraceBlock, parts: list[str]):
     """Format block one run at a time and append each run's text to its
     .part file, parts lambda-major."""
-    for part, text in zip(parts, _format_block(block)):
-        _append(part, text)
+    runs = (run for row in block.per_run() for run in row)
+    for part, run in zip(parts, runs):
+        _append(part, _trace_csv(run))
 
 
 def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, lams, runs: range,

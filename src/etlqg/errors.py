@@ -59,7 +59,7 @@ class DivergenceError(EtlqgError):
 
     def __init__(self, step: int, run: int, value: float, lam: float):
         self.step = step
-        self.run = run        # run index within the lambda
+        self.run = run        # run index in range(cfg.runs)
         self.value = value
         self.lam = lam
         super().__init__(

@@ -402,6 +402,26 @@ class TestValidateCommand:
         assert main(["validate"]) == 0
         assert "model valid" in capsys.readouterr().out
 
+    def test_bundled_report_is_the_four_rank_conditions(self, capsys):
+        assert main(["validate"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "[PASS] controllable(A,B)", "[PASS] observable(A,C)",
+            "[PASS] controllable(A,sqrt(W))", "[PASS] observable(A,sqrt(Q))",
+            "model valid"]
+
+    def test_indefinite_covariance_exits_2_before_any_report(self, tmp_path,
+                                                             capsys):
+        # construction checks definiteness and names the matrix
+        doc = base_config(tmp_path / "out")
+        doc["model"]["W"] = [[1.0, 0.0], [0.0, -1.0]]
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: W must be positive semidefinite: "
+                                "min eigenvalue -1.000e+00\n")
+
     def test_assumption_failure_exits_2(self, tmp_path, capsys):
         doc = base_config(tmp_path / "out")
         # second state never reachable from the input
@@ -680,6 +700,22 @@ class TestSplitSweep:
                                  "analysis_8.0.json", "tradeoff.csv"]
         assert split == self._artifacts(tmp_path / "serial")
 
+    def test_without_an_affinity_call_cores_are_the_cpu_count(
+            self, tmp_path, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        cfg = self._config(tmp_path, runs=4)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
+        pools = self._split(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli._cores() == 2
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "split")]) == 0
+        assert pools == [1]
+        assert (self._artifacts(tmp_path / "split")
+                == self._artifacts(tmp_path / "serial"))
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._cores() == 1
+
     def test_slices_cover_the_runs_in_order(self, bench_model, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
 
@@ -781,13 +817,13 @@ class TestStreamedTraces:
         if rows is not None:
             monkeypatch.setattr(simulation, "_TRACE_BLOCK_STEPS", rows)
         blocks = []
-        real = cli._format_block
+        real = cli._append_block
 
-        def counted(block):
+        def counted(block, parts):
             blocks.append(block.start)
-            return real(block)
+            return real(block, parts)
 
-        monkeypatch.setattr(cli, "_format_block", counted)
+        monkeypatch.setattr(cli, "_append_block", counted)
         return TestSplitSweep._split(monkeypatch), blocks
 
     @staticmethod
@@ -821,14 +857,14 @@ class TestStreamedTraces:
         # a formatting error in this process's second block propagates once
         # the worker is done; the files of the run before stay whole, and no
         # .part file is left
-        real = cli._format_block
+        real = cli._trace_csv
 
-        def fail_second(block):
-            if block.start:
+        def fail_second(trace):
+            if trace.start:
                 raise RuntimeError("format failed")
-            return real(block)
+            return real(trace)
 
-        monkeypatch.setattr(cli, "_format_block", fail_second)
+        monkeypatch.setattr(cli, "_trace_csv", fail_second)
         with pytest.raises(RuntimeError, match="format failed"):
             self._sweep(tmp_path, "streamed", runs=4, horizon=2500)
         assert not list(streamed.glob("*.part"))
@@ -879,12 +915,13 @@ class TestStreamedTraces:
 def _append_failing_at(name, block, parts):
     """cli._append_block, but the append to name's .part file fails as on a
     full disk. Module-level, so that a spawned formatter can run it."""
-    for part, text in zip(parts, cli._format_block(block)):
+    runs = (run for row in block.per_run() for run in row)
+    for part, run in zip(parts, runs):
         if re.fullmatch(re.escape(name) + r"\.\w+\.part",
                         os.path.basename(part)):
             with cli._naming(part):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        cli._append(part, text)
+        cli._append(part, cli._trace_csv(run))
 
 
 class TestFormatter:
@@ -1144,6 +1181,21 @@ class TestRerun:
             "analysis_0.1.json", "analysis_1.0.json"]
         assert (out / "notes.txt").read_text() == "kept\n"
         assert len(read_rows(out)) == 2
+
+    def test_user_files_named_like_artifacts_stay(self, tmp_path):
+        # only the names a sweep can write are an earlier sweep's artifacts
+        assert self._run(tmp_path) == 0
+        out = tmp_path / "out"
+        user = {"analysis_summary.json": b'{"mine": true}\n',
+                "trace_lamX_run_notes.csv": b"step,note\n"}
+        for name, data in user.items():
+            (out / name).write_bytes(data)
+        stale = ["analysis_10.0.json", "trace_lam0.1_run0002.csv"]
+        assert all((out / name).exists() for name in stale)
+        assert self._run(tmp_path, runs=2, grid=(0.1, 1.0)) == 0
+        files = self._files(out)
+        assert {name: files.get(name) for name in user} == user
+        assert not any(name in files for name in stale)
 
     def test_failed_rerun_removes_nothing(self, tmp_path, monkeypatch, capsys):
         assert self._run(tmp_path) == 0

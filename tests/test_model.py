@@ -1,11 +1,13 @@
 """Model container, validation report, and rank-condition tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from etlqg import (DefinitenessError, ModelError, SystemModel,
-                   control_steady_state, controllability_rank, kf_steady_state,
-                   observability_rank, validate_model)
+                   ValidationCheck, control_steady_state, controllability_rank,
+                   kf_steady_state, observability_rank, validate_model)
 from etlqg.model import psd_sqrt, scheduler_lambdas, symmetrize
 
 from conftest import make_benchmark_model, make_golden_model, random_valid_model
@@ -132,24 +134,18 @@ class TestValidateModel:
     def test_benchmark_passes(self, bench_model):
         report = validate_model(bench_model)
         assert report.passed
-        names = [c.name for c in report.checks]
-        assert "controllable(A,B)" in names
-        assert "observable(A,C)" in names
-        assert "controllable(A,sqrt(W))" in names
-        assert "observable(A,sqrt(Q))" in names
-        # measurement dim != state dim: the informational check is skipped
-        assert not any("sqrt(V)" in name for name in names)
+        # the four rank conditions, in order; construction checked the rest
+        assert [c.name for c in report.checks] == [
+            "controllable(A,B)", "observable(A,C)",
+            "controllable(A,sqrt(W))", "observable(A,sqrt(Q))"]
+        assert [c.measured for c in report.checks] == [2, 2, 2, 2]
+        assert [f.name for f in dataclasses.fields(ValidationCheck)] == [
+            "name", "passed", "measured", "requirement"]
 
     def test_deterministic(self, bench_model):
         r1, r2 = validate_model(bench_model), validate_model(bench_model)
         assert [(c.name, c.passed, c.measured) for c in r1.checks] == \
                [(c.name, c.passed, c.measured) for c in r2.checks]
-
-    def test_informational_noise_check_when_fully_observed(self, golden_model):
-        report = validate_model(golden_model)
-        assert report.passed
-        info = [c for c in report.checks if "sqrt(V)" in c.name]
-        assert len(info) == 1 and not info[0].required
 
     def test_all_failures_reported(self):
         # zero Q breaks observable(A,sqrt(Q)); zero-column B breaks both

@@ -351,7 +351,7 @@ class TestDivergenceGuard:
     def test_missing_gain_rejected(self, bench_model, bench_filter):
         cfg = _cfg(bench_model, runs=2, horizon=300)
         finite_only = riccati_backward(bench_model, 4)
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=r"^ctrl\.L_inf is None"):
             run_closed_loop(cfg, bench_filter, finite_only, 1.0)
 
     @pytest.mark.parametrize("open_loop,guard,lams",

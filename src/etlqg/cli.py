@@ -50,11 +50,8 @@ from .errors import (ConfigError, DivergenceError, EtlqgError, ModelError,
 from .estimation import kf_steady_state
 from .analysis import analysis_record
 from .model import validate_model
-# run_closed_loop is not called here, but bench/traced_cli.py wraps it
-# under this module's name
-from .simulation import (SimConfig, TraceBlock, aggregate_runs,  # noqa: F401
-                         run_closed_loop, run_closed_loop_grid,
-                         trace_chunk_runs)
+from .simulation import (SimConfig, TraceBlock, aggregate_runs,
+                         run_closed_loop, trace_chunk_runs)
 
 TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
                    "analytic_cost,empirical_cost,cost_stderr")
@@ -297,8 +294,8 @@ def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, lams, runs: range,
             while len(pending) > depth:
                 pending.popleft().result()
 
-        return run_closed_loop_grid(sim_cfg, filt, ctrl, lams, chunk,
-                                    on_block=on_block if chunk_parts else None)
+        return run_closed_loop(sim_cfg, filt, ctrl, lams, chunk,
+                               on_block=on_block if chunk_parts else None)
 
     fit = max(2, trace_chunk_runs(sim_cfg, len(lams)))
     chunks = -(-len(runs) // fit) if parts else 1

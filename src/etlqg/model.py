@@ -152,15 +152,23 @@ class SystemModel:
 def scheduler_lambdas(lams, timeout) -> list[float]:
     """The trigger sensitivities lams as floats, checked with the timeout.
 
-    Each lambda is a positive finite scalar weight on the squared comparison
-    error inside the non-transmit probability exp(-lam * |e|^2); timeout,
-    the hard upper bound on consecutive non-transmissions, an integer >= 1.
+    lams is a nonempty grid (a single lambda is the grid [lam]). Each lambda
+    is a positive finite scalar weight on the squared comparison error
+    inside the non-transmit probability exp(-lam * |e|^2); timeout, the hard
+    upper bound on consecutive non-transmissions, an integer >= 1.
     """
     if not isinstance(timeout, (int, np.integer)) or isinstance(timeout, bool):
         raise ModelError(f"timeout must be an integer, got {timeout!r}")
     if timeout < 1:
         raise ModelError(f"timeout must be >= 1, got {timeout}")
-    lams = [float(lam) for lam in lams]
+    try:
+        grid = list(lams)
+    except TypeError:
+        grid = []
+    if not grid:
+        raise ModelError(
+            f"lams must be a nonempty grid of lambdas, got {lams!r}")
+    lams = [float(lam) for lam in grid]
     for lam in lams:
         if not np.isfinite(lam) or lam <= 0:
             raise ModelError(f"lam must be a positive finite scalar, got {lam!r}")

@@ -52,7 +52,7 @@ DIVERGENCE_LIMIT = 1e12
 _CHUNK_STEPS = 256
 # Bytes of x, u and sigma per untraced block (1-2 MiB ran fastest, 4 MiB L2)
 _BLOCK_BYTES = 2 * 2**20
-# Steps per TraceBlock handed to run_closed_loop_grid's on_block.
+# Steps per TraceBlock handed to run_closed_loop's on_block.
 _TRACE_BLOCK_STEPS = 2048
 # Bytes of one TraceBlock, which the CLI cuts a traced sweep's runs to fit
 # (see trace_chunk_runs).
@@ -130,19 +130,6 @@ def trace_chunk_runs(cfg: SimConfig, lams: int) -> int:
     return TRACE_BUDGET_BYTES // (lams * steps * (8 * (2 * n + m + 2) + 1))
 
 
-def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
-                    ctrl: ControlSynthesis, lam: float, on_block=None):
-    """Simulate cfg.runs independent closed loops at lam.
-
-    Returns (rates, costs): per-run empirical transmission rate and
-    running-average stage cost over the post-burn-in window. on_block, if
-    given, receives the TraceBlocks of run_closed_loop_grid.
-    """
-    rates, costs = run_closed_loop_grid(cfg, filt, ctrl, [lam],
-                                        on_block=on_block)
-    return rates[0], costs[0]
-
-
 def _quad(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     """x'Mx over the last axis, sum_i sum_j (x_i M_ij) x_j in (i, j) order:
     the bits of np.einsum("...i,ij,...j->...", x, M, x), except that numpy
@@ -153,17 +140,18 @@ def _quad(x: np.ndarray, M: np.ndarray) -> np.ndarray:
                for i in range(n) for j in range(n))
 
 
-def run_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
-                         ctrl: ControlSynthesis, lams, runs: range | None = None,
-                         on_block=None):
+def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
+                    ctrl: ControlSynthesis, lams, runs: range | None = None,
+                    on_block=None):
     """Simulate closed loops at each lambda of lams, in lockstep.
 
     runs, a range inside range(cfg.runs) (all of it by default), selects the
     run indices; column j is run runs[j], bitwise as in the full call for
     slices of at least 2 runs (see the module notes). Each run's random
     streams are shared by all lambdas (common random numbers), so row g
-    equals run_closed_loop at lams[g] bitwise. Returns (rates, costs), two
-    (len(lams), len(runs)) arrays. With on_block, each TraceBlock of
+    equals the one-lambda grid [lams[g]] bitwise. Returns (rates, costs), two
+    (len(lams), len(runs)) arrays: each run's empirical transmission rate
+    and average stage cost over the post-burn-in window. With on_block, each TraceBlock of
     _TRACE_BLOCK_STEPS steps (fewer in the last) goes to on_block(block)
     once simulated.
 

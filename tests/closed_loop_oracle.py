@@ -1,5 +1,5 @@
 """The closed-loop step loop as it stood before the estimator left the lambda
-axis: a named oracle for `etlqg.simulation.run_closed_loop_grid`.
+axis: a named oracle for `etlqg.simulation.run_closed_loop`.
 
 This is the engine's old body, kept verbatim apart from its name, the
 imports below, its trace record (OracleTrace, which the engine no longer

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from etlqg import (SystemModel, control_steady_state, kf_steady_state)
-from etlqg.simulation import TraceBlock, run_closed_loop_grid
+from etlqg.simulation import TraceBlock, run_closed_loop
 
 PHI = 1.618033988749895          # positive root of p^2 = p + 1
 GOLDEN_GAIN = 0.6180339887498949  # phi / (phi + 1) = phi - 1
@@ -149,7 +149,7 @@ def random_valid_model(rng: np.random.Generator, n_max: int = 4) -> SystemModel:
 
 
 def traced_grid(cfg, filt, ctrl, lams, runs=None):
-    """run_closed_loop_grid with its TraceBlocks joined over the horizon.
+    """run_closed_loop with its TraceBlocks joined over the horizon.
 
     Returns (rates, costs, traces), traces the per_run() of one TraceBlock of
     every step: one tuple of one-run TraceBlocks per lambda.
@@ -160,8 +160,8 @@ def traced_grid(cfg, filt, ctrl, lams, runs=None):
         for name, parts in columns.items():
             parts.append(getattr(block, name))
 
-    rates, costs = run_closed_loop_grid(cfg, filt, ctrl, lams, runs,
-                                        on_block=on_block)
+    rates, costs = run_closed_loop(cfg, filt, ctrl, lams, runs,
+                                   on_block=on_block)
     # one column at a time, so that a joined column's blocks are freed
     whole = TraceBlock(0, *(np.concatenate(columns.pop(name))
                             for name in list(columns)))

@@ -24,7 +24,7 @@ from etlqg import (
     transition_matrix,
     validate_model,
 )
-from etlqg.simulation import run_closed_loop_grid
+from etlqg.simulation import run_closed_loop
 
 from chain_oracle import (cumulative_cov, dense_transition_matrix,
                           nontrigger_probability)
@@ -84,7 +84,7 @@ def test_criterion_3_monte_carlo_agreement_grid():
     points = cost_tradeoff_curve(model, lams, BENCH_TIMEOUT, ss=filt, cs=ctrl)
     cfg = SimConfig(model=model, timeout=BENCH_TIMEOUT, horizon=2000,
                     runs=1000, seed=31415, burn_in=200)
-    rates, costs = run_closed_loop_grid(cfg, filt, ctrl, lams)
+    rates, costs = run_closed_loop(cfg, filt, ctrl, lams)
     worst_rate = worst_cost = 0.0
     for point, run_rates, run_costs in zip(points, rates, costs):
         emp_rate, _ = aggregate_runs(run_rates)

@@ -118,7 +118,7 @@ class TestRunCommand:
         sim_cfg = SimConfig(model=cfg.model, timeout=cfg.timeout,
                             horizon=cfg.horizon, runs=cfg.runs, seed=cfg.seed,
                             burn_in=cfg.burn_in)
-        rates, costs = simulation.run_closed_loop_grid(
+        rates, costs = simulation.run_closed_loop(
             sim_cfg, filt, ctrl, cfg.lambda_grid)
         rows = read_rows(out)
         assert len(rows) == len(points) == 2
@@ -1056,10 +1056,10 @@ class TestChunkedTraces:
 
     @staticmethod
     def _chunked(monkeypatch):
-        # the runs of each run_closed_loop_grid call, with the bytes of each
+        # the runs of each run_closed_loop call, with the bytes of each
         # TraceBlock it hands on_block
         calls = []
-        real = cli.run_closed_loop_grid
+        real = cli.run_closed_loop
 
         def counted(sim_cfg, filt, ctrl, lams, runs, on_block):
             blocks = []
@@ -1072,7 +1072,7 @@ class TestChunkedTraces:
 
             return real(sim_cfg, filt, ctrl, lams, runs, on_block=hook)
 
-        monkeypatch.setattr(cli, "run_closed_loop_grid", counted)
+        monkeypatch.setattr(cli, "run_closed_loop", counted)
         return calls
 
     @staticmethod
@@ -1408,4 +1408,9 @@ class TestTracedCli:
                 "analysis.conditional_error_cov"}
         if command[0] == "run":
             want.add("cli.write_atomic")
+            # the in-process sweep's one simulation call, counted by the
+            # wrapper as runs x horizon
+            sims = [span for span in spans["spans"]
+                    if span["name"] == "simulation.run_closed_loop"]
+            assert [span["run_steps"] for span in sims] == [4 * 300]
         assert want <= names

@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from etlqg import (DefinitenessError, ModelError, SystemModel,
-                   ValidationCheck, control_steady_state, controllability_rank,
-                   kf_steady_state, observability_rank, validate_model)
+from etlqg import (DefinitenessError, ModelError, SimConfig, SystemModel,
+                   ValidationCheck, conditional_error_cov, control_steady_state,
+                   controllability_rank, kf_steady_state, observability_rank,
+                   run_closed_loop, validate_model)
 from etlqg.model import psd_sqrt, scheduler_lambdas, symmetrize
 
 from conftest import make_benchmark_model, make_golden_model, random_valid_model
@@ -93,6 +94,21 @@ class TestSchedulerParams:
         for lams in ([1.0], []):
             with pytest.raises(ModelError, match="^timeout must"):
                 scheduler_lambdas(lams, timeout)
+
+    @pytest.mark.parametrize("lams", [[], np.array([]), 1.0, np.float64(1.0)])
+    def test_empty_or_scalar_grid_named(self, bench_model, bench_filter,
+                                        bench_control, lams):
+        # both entry points check their grid here, the engine with and
+        # without trace blocks; a single lambda is the grid [lam]
+        cfg = SimConfig(model=bench_model, timeout=50, horizon=300, runs=4,
+                        seed=1)
+        for on_block in (None, [].append):
+            with pytest.raises(ModelError,
+                               match="^lams must be a nonempty grid"):
+                run_closed_loop(cfg, bench_filter, bench_control, lams,
+                                on_block=on_block)
+        with pytest.raises(ModelError, match="^lams must be a nonempty grid"):
+            conditional_error_cov(bench_filter, bench_model.A, lams, 50)
 
 
 class TestRankChecks:

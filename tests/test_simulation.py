@@ -5,6 +5,7 @@ traces against the defining recursions or compare seeded empirical
 statistics with the closed-form analysis layer.
 """
 
+import dataclasses
 import json
 import pickle
 
@@ -74,8 +75,8 @@ class TestDeterminism:
     def test_repeat_run_bitwise_identical(self, bench_model, bench_filter,
                                           bench_control):
         cfg = _cfg(bench_model, runs=4, horizon=600)
-        r1, c1 = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
-        r2, c2 = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
+        r1, c1 = run_closed_loop(cfg, bench_filter, bench_control, [1.0])
+        r2, c2 = run_closed_loop(cfg, bench_filter, bench_control, [1.0])
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(c1, c2)
 
@@ -97,8 +98,8 @@ class TestDeterminism:
     def test_different_seeds_differ(self, bench_model, bench_filter, bench_control):
         cfg_a = _cfg(bench_model, runs=2, horizon=400, seed=7)
         cfg_b = _cfg(bench_model, runs=2, horizon=400, seed=8)
-        ra, _ = run_closed_loop(cfg_a, bench_filter, bench_control, 1.0)
-        rb, _ = run_closed_loop(cfg_b, bench_filter, bench_control, 1.0)
+        ra, _ = run_closed_loop(cfg_a, bench_filter, bench_control, [1.0])
+        rb, _ = run_closed_loop(cfg_b, bench_filter, bench_control, [1.0])
         assert not np.array_equal(ra, rb)
 
 
@@ -200,13 +201,14 @@ class TestTraceInvariants:
         # without on_block nothing is recorded: a (rates, costs) pair; with
         # it, the same pair, and the blocks go to on_block
         cfg = _cfg(bench_model, runs=2, horizon=300)
-        rates, costs = run_closed_loop(cfg, bench_filter, bench_control, 1.0)
+        (rates,), (costs,) = run_closed_loop(cfg, bench_filter, bench_control,
+                                             [1.0])
         assert rates.shape == costs.shape == (2,)
         blocks = []
-        got = run_closed_loop(cfg, bench_filter, bench_control, 1.0,
+        got = run_closed_loop(cfg, bench_filter, bench_control, [1.0],
                               on_block=blocks.append)
-        np.testing.assert_array_equal(got[0], rates)
-        np.testing.assert_array_equal(got[1], costs)
+        np.testing.assert_array_equal(got[0][0], rates)
+        np.testing.assert_array_equal(got[1][0], costs)
         assert [block.sigma.shape for block in blocks] == [(300, 1, 2)]
 
 
@@ -215,7 +217,7 @@ def _against_analysis(cfg, filt, ctrl, lam):
     rates and of the costs: a row of the CLI sweep."""
     point, = cost_tradeoff_curve(cfg.model, [lam], cfg.timeout, ss=filt,
                                  cs=ctrl)
-    rates, costs = run_closed_loop(cfg, filt, ctrl, lam)
+    (rates,), (costs,) = run_closed_loop(cfg, filt, ctrl, [lam])
     return point, aggregate_runs(rates), aggregate_runs(costs)
 
 
@@ -316,7 +318,7 @@ class TestDivergenceGuard:
                         horizon=2000, runs=3, seed=11, burn_in=0)
         with pytest.raises(DivergenceError) as exc:
             run_closed_loop(cfg, bench_filter, self._open_loop(bench_model),
-                            1e-12)
+                            [1e-12])
         err = exc.value
         assert err.step > 0
         assert 0 <= err.run < 3
@@ -331,8 +333,8 @@ class TestDivergenceGuard:
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=2000, runs=2, seed=7, burn_in=0)
         with pytest.raises(DivergenceError) as exc:
-            sim.run_closed_loop_grid(cfg, bench_filter,
-                                     self._open_loop(bench_model), [0.5, 4.0])
+            sim.run_closed_loop(cfg, bench_filter,
+                                self._open_loop(bench_model), [0.5, 4.0])
         fields = vars(exc.value)
         assert {name: type(value) for name, value in fields.items()} == {
             "step": int, "run": int, "value": float, "lam": float}
@@ -343,8 +345,9 @@ class TestDivergenceGuard:
         monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", np.inf)
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=800, runs=2, seed=11, burn_in=0)
-        rates, costs = run_closed_loop(cfg, bench_filter,
-                                       self._open_loop(bench_model), 1e-12)
+        (rates,), (costs,) = run_closed_loop(cfg, bench_filter,
+                                             self._open_loop(bench_model),
+                                             [1e-12])
         assert np.all(np.isfinite(rates))
         assert costs.shape == (2,)
 
@@ -352,7 +355,7 @@ class TestDivergenceGuard:
         cfg = _cfg(bench_model, runs=2, horizon=300)
         finite_only = riccati_backward(bench_model, 4)
         with pytest.raises(ModelError, match=r"^ctrl\.L_inf is None"):
-            run_closed_loop(cfg, bench_filter, finite_only, 1.0)
+            run_closed_loop(cfg, bench_filter, finite_only, [1.0])
 
     @pytest.mark.parametrize("open_loop,guard,lams",
                              [(True, 1e6, [0.5, 4.0]), (False, 15.0, [4.0, 0.01])])
@@ -369,11 +372,11 @@ class TestDivergenceGuard:
         singles = []
         for lam in lams:
             with pytest.raises(DivergenceError) as exc:
-                run_closed_loop(cfg, bench_filter, ctrl, lam)
+                run_closed_loop(cfg, bench_filter, ctrl, [lam])
             assert exc.value.lam == lam
             singles.append(exc.value)
         with pytest.raises(DivergenceError) as exc:
-            sim.run_closed_loop_grid(cfg, bench_filter, ctrl, lams)
+            sim.run_closed_loop(cfg, bench_filter, ctrl, lams)
         err = exc.value
         want = min(singles, key=lambda e: (e.step, -e.value))
         assert (err.step, err.lam, err.run, err.value) == (
@@ -408,6 +411,33 @@ class TestScheduleControlSeparation:
             np.testing.assert_array_equal(a.tau, b.tau)
             np.testing.assert_array_equal(a.e_filt, b.e_filt)
             assert not np.array_equal(a.x, b.x)
+
+
+class TestOptimalGain:
+    def test_perturbed_gain_costs_more(self, bench_model, bench_filter,
+                                       bench_control):
+        """The certainty-equivalent gain L_inf minimizes the long-run cost
+        under the stochastic trigger: a nearby gain costs more at every
+        lambda.
+
+        Common random numbers (one seed) pair each run's cost at L_inf with
+        its cost at L_inf + eps * D, so the paired difference has a small
+        stderr where the unpaired costs' stderr hides the gap. D is L_inf
+        itself and one seeded random direction; eps stays small, since
+        eps = 0.2 along a random D diverges at lambda 0.01.
+        """
+        lams = [0.01, 1.0, 100.0]
+        cfg = _cfg(bench_model, runs=100, horizon=2000, seed=7)
+        _, base = run_closed_loop(cfg, bench_filter, bench_control, lams)
+        L = bench_control.L_inf
+        for D in (L, np.random.default_rng(1).standard_normal(L.shape)):
+            for eps in (0.05, -0.05):
+                ctrl = dataclasses.replace(bench_control, L_inf=L + eps * D)
+                _, costs = run_closed_loop(cfg, bench_filter, ctrl, lams)
+                diff = costs - base
+                z = diff.mean(axis=1) / (diff.std(axis=1, ddof=1)
+                                         / np.sqrt(cfg.runs))
+                assert (z >= 5).all(), (eps, D, z)
 
 
 GRID = [0.1, 1.0, 10.0]
@@ -474,8 +504,8 @@ class TestRunSlices:
                                     bench_control, runs):
         cfg = _cfg(bench_model, runs=8, horizon=300)
         with pytest.raises(ModelError, match="runs must be"):
-            sim.run_closed_loop_grid(cfg, bench_filter, bench_control, [1.0],
-                                     runs)
+            sim.run_closed_loop(cfg, bench_filter, bench_control, [1.0],
+                                runs)
 
     def test_guard_names_the_global_run(self, bench_model, bench_filter,
                                         monkeypatch):
@@ -484,13 +514,13 @@ class TestRunSlices:
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=2000, runs=6, seed=11, burn_in=0)
         with pytest.raises(DivergenceError) as exc:
-            sim.run_closed_loop_grid(cfg, bench_filter, open_loop, [0.5, 4.0])
+            sim.run_closed_loop(cfg, bench_filter, open_loop, [0.5, 4.0])
         full = exc.value
         errors = []
         for runs in (range(0, 3), range(3, 6)):
             with pytest.raises(DivergenceError) as exc:
-                sim.run_closed_loop_grid(cfg, bench_filter, open_loop,
-                                         [0.5, 4.0], runs)
+                sim.run_closed_loop(cfg, bench_filter, open_loop,
+                                    [0.5, 4.0], runs)
             assert exc.value.run in runs
             errors.append(exc.value)
         # the unsplit report is the earliest slice report, largest |x| first
@@ -525,7 +555,7 @@ def _run_both(cfg, filt, ctrl, lams, record):
     def engine():
         if record:
             return traced_grid(cfg, filt, ctrl, lams)
-        return (*sim.run_closed_loop_grid(cfg, filt, ctrl, lams), None)
+        return (*sim.run_closed_loop(cfg, filt, ctrl, lams), None)
 
     out = []
     for fn in (engine, lambda: reference_closed_loop_grid(
@@ -606,7 +636,7 @@ class TestOracle:
         cfg = _cfg(bench_model, runs=runs, horizon=2100, burn_in=20)
         lams = self.LAMS[group]
         blocks = []
-        rates, costs = sim.run_closed_loop_grid(
+        rates, costs = sim.run_closed_loop(
             cfg, bench_filter, bench_control, lams, on_block=blocks.append)
         want = reference_closed_loop_grid(cfg, bench_filter, bench_control, lams,
                                           record=True)
@@ -646,9 +676,9 @@ class TestStageCost:
                                                    bench_filter, bench_control):
         # a 1-lambda, 2-run grid is the shape where einsum sums pairwise
         cfg = _cfg(bench_model, runs=2, horizon=2000, burn_in=20, seed=7)
-        rates, costs = sim.run_closed_loop_grid(cfg, bench_filter,
-                                                bench_control, [10.0])
-        grid_rates, grid_costs = sim.run_closed_loop_grid(
+        rates, costs = sim.run_closed_loop(cfg, bench_filter,
+                                           bench_control, [10.0])
+        grid_rates, grid_costs = sim.run_closed_loop(
             cfg, bench_filter, bench_control, GRID)
         _assert_same_bits(rates[0], grid_rates[2])
         _assert_same_bits(costs[0], grid_costs[2])
@@ -672,15 +702,15 @@ class TestBlockGuard:
                         horizon=4000, runs=2, seed=11, burn_in=0)
         with monkeypatch.context() as mp:
             mp.setattr(sim, "DIVERGENCE_LIMIT", np.inf)
-            _, costs = sim.run_closed_loop_grid(cfg, bench_filter, open_loop,
-                                                [1.0])
+            _, costs = sim.run_closed_loop(cfg, bench_filter, open_loop,
+                                           [1.0])
         assert not np.isfinite(costs).any()
         assert sim._BLOCK_BYTES // (8 * 4 * 2) >= cfg.horizon
         if block is not None:
             monkeypatch.setattr(sim, "_TRACE_BLOCK_STEPS", block)
         blocks = []
         with pytest.raises(DivergenceError) as exc:
-            sim.run_closed_loop_grid(
+            sim.run_closed_loop(
                 cfg, bench_filter, open_loop, [1.0],
                 on_block=None if block is None else blocks.append)
         with pytest.raises(DivergenceError) as want:

@@ -13,9 +13,8 @@ from .errors import (ConfigError, ConvergenceError, DefinitenessError,
 from .model import (SystemModel, ValidationCheck, ValidationReport,
                     controllability_rank, observability_rank, validate_model)
 from .estimation import SteadyStateFilter, kf_steady_state
-from .analysis import (ConditionalErrorCov, MarkovAnalysis, analysis_record,
-                       conditional_error_cov, stationary_distribution,
-                       transition_matrix)
+from .analysis import (MarkovAnalysis, analysis_record, conditional_error_cov,
+                       stationary_distribution, transition_matrix)
 from .control import (ControlSynthesis, CostBreakdown, TradeoffPoint,
                       control_steady_state, cost_tradeoff_curve,
                       finite_horizon_cost, infinite_horizon_cost,
@@ -32,8 +31,8 @@ __all__ = [
     "SystemModel", "ValidationCheck", "ValidationReport",
     "controllability_rank", "observability_rank", "validate_model",
     "SteadyStateFilter", "kf_steady_state",
-    "ConditionalErrorCov", "MarkovAnalysis", "analysis_record",
-    "conditional_error_cov", "stationary_distribution", "transition_matrix",
+    "MarkovAnalysis", "analysis_record", "conditional_error_cov",
+    "stationary_distribution", "transition_matrix",
     "ControlSynthesis", "CostBreakdown", "TradeoffPoint",
     "control_steady_state", "cost_tradeoff_curve", "finite_horizon_cost",
     "infinite_horizon_cost", "riccati_backward",

@@ -3,12 +3,13 @@
 Everything here is a deterministic function of the steady-state filter and
 the scheduler parameters. The held error stays zero-mean Gaussian under the
 hold weight exp(-lam |e|^2), so one conditioning pass over a lambda grid
-(`conditional_error_cov`) gives each lambda's per-age transmit probabilities
-and held-error covariance per counter value; `transition_matrix` turns one
-such result into the timeout-counter chain with its stationary distribution
-and long-run rate. The chain is its reset column p_i0 alone (from counter i
-it resets with probability p_i0[i], else moves to i + 1), so no (T+1)^2
-matrix is formed and every chain operation is O(T).
+(`conditional_error_cov`) gives the grid's arrays of per-age transmit
+probabilities p_i0 and held-error covariances, one row per lambda.
+`transition_matrix` turns a row into `MarkovAnalysis`, the timeout-counter
+chain with its stationary distribution and long-run rate. The chain is its
+reset column p_i0 alone (from counter i it resets with probability p_i0[i],
+else moves to i + 1), so no (T+1)^2 matrix is formed and every chain
+operation is O(T).
 """
 
 from __future__ import annotations
@@ -21,36 +22,21 @@ from .errors import NumericalError
 from .estimation import SteadyStateFilter
 from .model import scheduler_lambdas, symmetrize
 
-STATIONARY_CROSSCHECK_TOL = 1e-8
 # The largest lambda the pass accepts: the largest power of ten at which sigma
 # kept within 1e-6 relative of a 60-digit mpmath pass on the bundled and 24
 # random models (1.7e-7 at 1e7, 2.3e-6 at 1e8). Pi_eta has rank p < n, so
 # det(I + 2 lam N) cancels its top power of lam; at 1e100 sigma is 75% off.
 LAMBDA_MAX = 1e7
-_PROB_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class ConditionalErrorCov:
-    """Result of the conditioning pass at one (lam, timeout).
-
-    sigmas[i]: covariance of the held comparison error given counter == i
-    (sigmas[0] = 0), shape (timeout+1, n, n). p_i0[i]: probability of
-    transmitting next step given counter value i (p_i0[timeout] = 1).
-    """
-
-    sigmas: np.ndarray
-    p_i0: np.ndarray
-    lam: float
 
 
 @dataclass(frozen=True)
 class MarkovAnalysis:
-    """Timeout-counter chain at one (lam, timeout).
+    """Timeout-counter chain at one lambda, the one per-lambda result.
 
-    p_i0 and sigmas: as in ConditionalErrorCov; p_i0 is the whole chain (see
-    `chain_step`). pi: stationary distribution. rate: long-run transmission
-    rate (pi[0]).
+    p_i0[i]: probability of transmitting next step at counter value i, for
+    i = 0..T with p_i0[T] = 1; it is the whole chain (see `chain_step`).
+    sigmas[i]: held-error covariance at counter i, (T+1, n, n), sigmas[0] = 0.
+    pi: stationary distribution. rate: long-run transmission rate (pi[0]).
     """
 
     p_i0: np.ndarray
@@ -58,7 +44,6 @@ class MarkovAnalysis:
     rate: float
     sigmas: np.ndarray
     lam: float
-    timeout: int
 
 
 def _logdet_shifted(matrix: np.ndarray, lam) -> np.ndarray:
@@ -88,17 +73,18 @@ def _solve_grid(M: np.ndarray, B: np.ndarray, lams, age: int) -> np.ndarray:
 
 
 def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
-                          timeout: int) -> list[ConditionalErrorCov]:
-    """The conditioning pass over a lambda grid, one result per lambda.
+                          timeout: int) -> tuple[np.ndarray, np.ndarray]:
+    """The conditioning pass over a lambda grid: arrays p_i0 (G, T+1) and
+    sigmas (G, T+1, n, n), one row per lambda in lams order (MarkovAnalysis).
 
     sigma_0 = 0, N_k = A sigma_k A^T + Pi_eta, ld_k = log det(I + 2 lam N_k),
-    p_k0 = -expm1(-ld_k/2) and sigma_{k+1} = (I + 2 lam N_k)^{-1} N_k for
-    k = 0..T-1: per age one eigvalsh and one LU solve, batched over the grid,
-    so a lambda gets the same bits alone as in any grid. Accurate from
+    p_k0 = -expm1(-ld_k/2), sigma_{k+1} = (I + 2 lam N_k)^{-1} N_k for k < T
+    and p_T0 = 1: per age one eigvalsh and one LU solve, batched over the
+    grid, so a lambda gets the same bits alone as in any grid. Accurate from
     lam = 1e-6 to LAMBDA_MAX, tested up to timeout 1000, and free of the
-    O(1/lam) cancellation of the subtraction form
-    (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1. A lambda above LAMBDA_MAX, or one
-    whose solve is singular or leaves [0, 1], raises NumericalError naming it.
+    O(1/lam) cancellation of (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1. A lambda
+    above LAMBDA_MAX, or whose solve is singular or sigma overflows, raises
+    NumericalError naming it.
     """
     lams = scheduler_lambdas(lams, timeout)
     for lam in lams:
@@ -110,42 +96,37 @@ def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
     n = A.shape[0]
     lam = np.array(lams)
     eye = np.eye(n)
-    ld = np.empty((len(lams), timeout))
+    p_i0 = np.ones((len(lams), timeout + 1))
     sigmas = np.zeros((len(lams), timeout + 1, n, n))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for k in range(timeout):
             inner = symmetrize(A @ sigmas[:, k] @ A.T + ss.Pi_eta)
-            ld[:, k] = _logdet_shifted(inner, lam)
+            p_i0[:, k] = -np.expm1(-0.5 * _logdet_shifted(inner, lam))
             sigmas[:, k + 1] = symmetrize(_solve_grid(
                 eye + 2.0 * lam[:, None, None] * inner, inner, lams, k))
-    p_i0 = np.ones((len(lams), timeout + 1))
-    p_i0[:, :timeout] = -np.expm1(-0.5 * ld)
-    ok = ((p_i0 >= -_PROB_SLACK) & (p_i0 <= 1 + _PROB_SLACK)).all(axis=1)
-    ok &= np.isfinite(sigmas).all(axis=(1, 2, 3))  # NaN fails both tests
-    if not ok.all():
-        g = int(np.argmin(ok))
+    # a finite sigma keeps every ld in [0, inf], so every p_i0 in [0, 1]
+    finite = np.isfinite(sigmas).all(axis=(1, 2, 3))
+    if not finite.all():
         raise NumericalError(
-            f"lambda={lams[g]!r}: transition probabilities escaped [0,1] or "
-            f"sigma is not finite: p_i0 min {np.min(p_i0[g])}, "
-            f"max {np.max(p_i0[g])}")
-    return [ConditionalErrorCov(*point) for point in zip(sigmas, p_i0, lams)]
+            f"lambda={lams[int(np.argmin(finite))]!r}: sigma is not finite")
+    return p_i0, sigmas
 
 
-def transition_matrix(cec: ConditionalErrorCov) -> MarkovAnalysis:
-    """Build the timeout-counter chain from the conditioning pass result.
+def transition_matrix(lam: float, p_i0: np.ndarray,
+                      sigmas: np.ndarray) -> MarkovAnalysis:
+    """The timeout-counter chain of one row of the conditioning pass.
 
-    pi is the survivor product, held to STATIONARY_CROSSCHECK_TOL in its
-    balance residual |pi P - pi|, which `chain_step` gives in O(T).
+    The chain is stochastic, and so its stationary distribution is the
+    survivor product, exactly when every p_i0 lies in [0, 1] and p_i0[T] = 1
+    (else mass leaks past the timeout); any other row raises NumericalError.
     """
-    p_i0 = cec.p_i0
-    pi = stationary_distribution(p_i0)
-    gap = float(np.max(np.abs(chain_step(pi, p_i0) - pi)))
-    if not gap <= STATIONARY_CROSSCHECK_TOL:  # NaN fails it
+    if not (((p_i0 >= 0.0) & (p_i0 <= 1.0)).all() and p_i0[-1] == 1.0):
         raise NumericalError(
-            f"lambda={cec.lam!r}: stationary distribution fails its balance "
-            f"check: residual {gap:.3e}")
-    return MarkovAnalysis(p_i0=p_i0, pi=pi, rate=float(pi[0]),
-                          sigmas=cec.sigmas, lam=cec.lam, timeout=len(p_i0) - 1)
+            f"lambda={lam!r}: p_i0 must lie in [0, 1] with p_i0[T] = 1, got "
+            f"min {np.min(p_i0)}, max {np.max(p_i0)}, p_i0[T] {p_i0[-1]}")
+    pi = stationary_distribution(p_i0)
+    return MarkovAnalysis(p_i0=p_i0, pi=pi, rate=float(pi[0]), sigmas=sigmas,
+                          lam=lam)
 
 
 def stationary_distribution(p_i0: np.ndarray) -> np.ndarray:
@@ -165,7 +146,7 @@ def analysis_record(ma: MarkovAnalysis) -> dict:
     """JSON-ready summary of one analysis point."""
     return {
         "lambda": ma.lam,
-        "timeout": ma.timeout,
+        "timeout": len(ma.p_i0) - 1,
         "rate": ma.rate,
         "p_i0": ma.p_i0.tolist(),
         "pi": ma.pi.tolist(),

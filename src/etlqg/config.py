@@ -30,6 +30,10 @@ DEFAULT_SEED = 12345
 DEFAULT_OUT_DIR = "./results"
 OUT_DIR_ENV_VAR = "ETLQG_OUT_DIR"
 _FORMATS = ("csv", "json")
+# The conditioning pass holds one float64 n x n covariance per lambda and
+# counter value: 8 G (T+1) n^2 bytes for G lambdas. A config whose table
+# would pass this bound is refused before anything is allocated.
+TABLE_BYTES_MAX = 2**30
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,20 @@ def _build_model(block: dict) -> SystemModel:
                        R=mats["R"], x0_mean=x0_mean, X0=mats["X0"])
 
 
-def _expand_lambda_grid(raw) -> tuple[float, ...]:
+def _check_table(count: int, timeout: int, n: int, field: str):
+    """Refuse a table of count lambdas past TABLE_BYTES_MAX, naming field, or
+    scheduler.timeout if one lambda's table passes it."""
+    size = 8 * count * (timeout + 1) * n * n
+    if size > TABLE_BYTES_MAX:
+        if size // count > TABLE_BYTES_MAX:
+            field = "scheduler.timeout"
+        raise ConfigError(
+            f"{field}: the conditioning table of {count} lambdas at timeout "
+            f"{timeout} would need {size / 2**30:.1f} GiB, above the "
+            f"{TABLE_BYTES_MAX >> 30} GiB bound")
+
+
+def _expand_lambda_grid(raw, timeout: int, n: int) -> tuple[float, ...]:
     where = "scheduler.lambda_grid"
     if isinstance(raw, dict):
         _reject_unknown(raw, ("min", "max", "count"), where)
@@ -126,6 +143,7 @@ def _expand_lambda_grid(raw) -> tuple[float, ...]:
         count = raw["count"]
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ConfigError(f"{where}.count: expected a positive integer")
+        _check_table(count, timeout, n, f"{where}.count")
         lo, hi = (float(_numbers(raw[k], f"{where}.{k}")) for k in ("min", "max"))
         if not 0 < lo or not np.isfinite(lo) or not np.isfinite(hi):
             raise ConfigError(f"{where}: min must be positive and finite")
@@ -139,6 +157,7 @@ def _expand_lambda_grid(raw) -> tuple[float, ...]:
             grid = np.logspace(np.log10(lo), np.log10(hi), count)
         values = tuple(float(v) for v in grid)
     elif isinstance(raw, (list, tuple)):
+        _check_table(len(raw), timeout, n, where)
         values = tuple(float(v) for v in _numbers(raw, where, (1,)))
     else:
         raise ConfigError(f"{where}: expected a list or a {{min,max,count}} mapping")
@@ -190,7 +209,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     timeout = _int_field(sched, "timeout", None, "scheduler", minimum=1)
     if "lambda_grid" not in sched:
         raise ConfigError("scheduler.lambda_grid: required field missing")
-    grid = _expand_lambda_grid(sched["lambda_grid"])
+    grid = _expand_lambda_grid(sched["lambda_grid"], timeout, model.A.shape[0])
 
     sim = _require_mapping(doc.get("simulation", {}), "simulation")
     _reject_unknown(sim, ("runs", "horizon", "seed", "burn_in", "record_trace"),

@@ -17,7 +17,7 @@ from .analysis import (MarkovAnalysis, chain_step, conditional_error_cov,
 from .errors import ModelError
 from .estimation import (SteadyStateFilter, filter_step, fixed_point,
                          kf_steady_state)
-from .model import SystemModel, symmetrize
+from .model import SystemModel, scheduler_lambdas, symmetrize
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
     if not use_steady_filter_cov:
         filt_covs = _transient_filter_covs(model, N)
 
-    dist = np.zeros(ma.timeout + 1)
+    dist = np.zeros(len(ma.p_i0))
     dist[0] = 1.0
     for k in range(N):
         dist = chain_step(dist, ma.p_i0)
@@ -168,17 +168,15 @@ def cost_tradeoff_curve(model: SystemModel, lambdas, timeout: int,
     The filter and control fixed points and the conditioning pass are shared
     across the grid; each lambda gets its own chain analysis and cost.
     """
-    lams = sorted(float(l) for l in lambdas)
-    if not lams:
-        raise ValueError("lambda grid must be nonempty")
+    lams = sorted(scheduler_lambdas(lambdas, timeout))
     if ss is None:
         ss = kf_steady_state(model)
     if cs is None:
         cs = control_steady_state(model)
     points = []
-    for cec in conditional_error_cov(ss, model.A, lams, timeout):
-        ma = transition_matrix(cec)
+    for row in zip(lams, *conditional_error_cov(ss, model.A, lams, timeout)):
+        ma = transition_matrix(*row)
         breakdown = infinite_horizon_cost(cs, ss, ma, model)
-        points.append(TradeoffPoint(lam=cec.lam, rate=ma.rate, cost=breakdown.total,
+        points.append(TradeoffPoint(lam=ma.lam, rate=ma.rate, cost=breakdown.total,
                                     breakdown=breakdown, markov=ma))
     return points

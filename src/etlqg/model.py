@@ -161,8 +161,8 @@ def scheduler_lambdas(lams, timeout) -> list[float]:
         raise ModelError(f"timeout must be an integer, got {timeout!r}")
     if timeout < 1:
         raise ModelError(f"timeout must be >= 1, got {timeout}")
-    try:
-        grid = list(lams)
+    try:  # a string is not a grid of its characters
+        grid = [] if isinstance(lams, (str, bytes)) else list(lams)
     except TypeError:
         grid = []
     if not grid:

@@ -18,8 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from etlqg import NumericalError, SteadyStateFilter, stationary_distribution
-from etlqg.analysis import STATIONARY_CROSSCHECK_TOL, _logdet_shifted
+from etlqg.analysis import _logdet_shifted
 from etlqg.model import symmetrize
+
+# the largest gap crosschecked_stationary allows between the survivor product
+# and the LU solution of one chain's balance equations
+STATIONARY_CROSSCHECK_TOL = 1e-8
 
 
 def dense_transition_matrix(p_i0: np.ndarray) -> np.ndarray:

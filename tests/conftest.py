@@ -10,7 +10,8 @@ against these as an independent route.
 import numpy as np
 import pytest
 
-from etlqg import (SystemModel, control_steady_state, kf_steady_state)
+from etlqg import (SystemModel, conditional_error_cov, control_steady_state,
+                   kf_steady_state, transition_matrix)
 from etlqg.simulation import TraceBlock, run_closed_loop
 
 PHI = 1.618033988749895          # positive root of p^2 = p + 1
@@ -146,6 +147,15 @@ def random_valid_model(rng: np.random.Generator, n_max: int = 4) -> SystemModel:
     return SystemModel(A=A, B=B, C=C, W=spd(n), V=spd(p), Q=spd(n),
                       Qf=spd(n), R=spd(m), x0_mean=rng.standard_normal(n),
                       X0=spd(n))
+
+
+def chains(ss, A, lams, timeout):
+    """The timeout-counter chain (MarkovAnalysis) of each lambda in lams: the
+    conditioning pass's rows, each through transition_matrix. Every test
+    that needs a chain reaches it here."""
+    lams = [float(lam) for lam in lams]
+    return [transition_matrix(*row)
+            for row in zip(lams, *conditional_error_cov(ss, A, lams, timeout))]
 
 
 def traced_grid(cfg, filt, ctrl, lams, runs=None):

@@ -21,7 +21,6 @@ from etlqg import (
     cost_tradeoff_curve,
     infinite_horizon_cost,
     kf_steady_state,
-    transition_matrix,
     validate_model,
 )
 from etlqg.simulation import run_closed_loop
@@ -32,6 +31,7 @@ from conftest import (
     BENCH_TIMEOUT,
     GOLDEN_P00,
     GOLDEN_P10,
+    chains,
     make_benchmark_model,
     make_golden_model,
     make_limit_model,
@@ -64,8 +64,7 @@ def test_criterion_2_rate_limits():
     t0 = time.perf_counter()
     model = make_limit_model()
     filt = kf_steady_state(model)
-    low, high = (transition_matrix(cec) for cec in
-                 conditional_error_cov(filt, model.A, [1e-6, 1e6], 50))
+    low, high = chains(filt, model.A, [1e-6, 1e6], 50)
     elapsed = time.perf_counter() - t0
     rel_dev = abs(low.rate * 51.0 - 1.0)
     ok = rel_dev <= 1e-6 and high.rate >= 0.999 and elapsed < 5.0
@@ -106,8 +105,7 @@ def test_criterion_4_tradeoff_window():
     ctrl = control_steady_state(model)
 
     def point(lam):
-        ma = transition_matrix(conditional_error_cov(filt, model.A, [lam],
-                                                     BENCH_TIMEOUT)[0])
+        ma = chains(filt, model.A, [lam], BENCH_TIMEOUT)[0]
         return ma.rate, infinite_horizon_cost(ctrl, filt, ma, model).total
 
     rate_1, cost_1 = point(1.0)
@@ -156,8 +154,7 @@ def test_criterion_6_conditional_error_covariances():
     model = make_benchmark_model()
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
-    sigmas = conditional_error_cov(filt, model.A, [1.0],
-                                   BENCH_TIMEOUT)[0].sigmas
+    _, (sigmas,) = conditional_error_cov(filt, model.A, [1.0], BENCH_TIMEOUT)
     assert np.all(sigmas[0] == 0.0)
 
     # 5 batches x 200 runs x 10000 post-burn steps = 1e7 samples, bounded memory
@@ -226,7 +223,7 @@ def test_criterion_8_structural_identities():
 
         T = int(rng.integers(1, 11))
         lam = float(10.0 ** rng.uniform(-2, 2))
-        ma = transition_matrix(conditional_error_cov(filt, m.A, [lam], T)[0])
+        ma = chains(filt, m.A, [lam], T)[0]
         P = dense_transition_matrix(ma.p_i0)
         worst_pi = max(worst_pi, float(np.abs(ma.pi @ P - ma.pi).max()))
         worst_rate = max(worst_rate, abs(ma.rate - ma.pi[0]))

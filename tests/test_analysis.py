@@ -15,7 +15,6 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from etlqg import (
-    ConditionalErrorCov,
     ModelError,
     NumericalError,
     analysis_record,
@@ -39,6 +38,7 @@ from conftest import (
     GOLDEN_P00,
     GOLDEN_P10,
     GOLDEN_RATE_T2,
+    chains,
     random_valid_model,
 )
 
@@ -163,8 +163,7 @@ class TestNontriggerProbability:
 
 class TestTransitionMatrix:
     def test_golden_timeout_two(self, golden_model, golden_filter):
-        ma = transition_matrix(conditional_error_cov(
-            golden_filter, golden_model.A, [0.5], 2)[0])
+        ma = chains(golden_filter, golden_model.A, [0.5], 2)[0]
         assert ma.p_i0[0] == pytest.approx(GOLDEN_P00, abs=1e-12)
         assert ma.p_i0[1] == pytest.approx(GOLDEN_P10, abs=1e-12)
         assert ma.p_i0[2] == 1.0
@@ -181,8 +180,7 @@ class TestTransitionMatrix:
 
     def test_probabilities_within_unit_interval(self, bench_model, bench_filter):
         for lam in (0.01, 1.0, 100.0, 1e6):
-            ma = transition_matrix(conditional_error_cov(
-                bench_filter, bench_model.A, [lam], 50)[0])
+            ma = chains(bench_filter, bench_model.A, [lam], 50)[0]
             assert np.all(ma.p_i0 >= 0.0)
             assert np.all(ma.p_i0 <= 1.0)
             assert ma.p_i0[-1] == 1.0
@@ -190,35 +188,30 @@ class TestTransitionMatrix:
     def test_hold_probabilities_monotone_in_sensitivity(
         self, bench_model, bench_filter
     ):
-        lo, hi = (transition_matrix(cec) for cec in
-                  conditional_error_cov(bench_filter, bench_model.A, [0.5, 2.0], 20))
+        lo, hi = chains(bench_filter, bench_model.A, [0.5, 2.0], 20)
         assert np.all(hi.p_i0 >= lo.p_i0 - 1e-15)
 
     def test_vanishing_sensitivity_recovers_pure_timeout(
         self, golden_model, golden_filter
     ):
-        ma = transition_matrix(conditional_error_cov(
-            golden_filter, golden_model.A, [1e-300], 3)[0])
+        ma = chains(golden_filter, golden_model.A, [1e-300], 3)[0]
         assert np.all(ma.p_i0[:3] <= 1e-12)
         # every fourth step transmits
         assert ma.rate == pytest.approx(0.25, abs=1e-12)
 
     def test_small_sensitivity_close_to_timeout_rate(self, golden_model, golden_filter):
-        ma = transition_matrix(conditional_error_cov(
-            golden_filter, golden_model.A, [1e-6], 3)[0])
+        ma = chains(golden_filter, golden_model.A, [1e-6], 3)[0]
         assert ma.rate == pytest.approx(0.25, abs=1e-5)
 
     def test_bench_extreme_sensitivity_rate(self, bench_model, bench_filter):
         # frozen regression value; the closed-form path must survive lam=1e6
-        ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, [1e6], 50)[0])
+        ma = chains(bench_filter, bench_model.A, [1e6], 50)[0]
         assert ma.rate == pytest.approx(0.9996576, abs=1e-6)
 
     def test_rate_monotone_in_sensitivity(self, bench_model, bench_filter):
         rates = []
         for lam in np.logspace(-2, 2, 13):
-            ma = transition_matrix(conditional_error_cov(
-                bench_filter, bench_model.A, [float(lam)], 50)[0])
+            ma = chains(bench_filter, bench_model.A, [float(lam)], 50)[0]
             rates.append(ma.rate)
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
@@ -230,8 +223,7 @@ class TestLongTimeouts:
     @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
     def test_chain_valid_and_tail_converged(self, bench_model, bench_filter,
                                             lam, timeout):
-        ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, [lam], timeout)[0])
+        ma = chains(bench_filter, bench_model.A, [lam], timeout)[0]
         assert np.all((ma.p_i0 >= 0.0) & (ma.p_i0 <= 1.0))
         assert 0.0 < ma.rate <= 1.0
         # sigma(i) converges, so the per-age probabilities level off
@@ -240,25 +232,21 @@ class TestLongTimeouts:
         assert np.all(np.isfinite(np.stack(ma.sigmas)))
 
     def test_tail_probability_matches_reference(self, bench_model, bench_filter):
-        ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, [1.0], 100)[0])
+        ma = chains(bench_filter, bench_model.A, [1.0], 100)[0]
         assert ma.p_i0[98] == pytest.approx(BENCH_P98_LAM1_T100, abs=1e-12)
 
 
 class TestStationaryDistribution:
     def test_golden_rate_frozen_value(self, golden_model, golden_filter):
-        ma = transition_matrix(conditional_error_cov(
-            golden_filter, golden_model.A, [0.5], 2)[0])
+        ma = chains(golden_filter, golden_model.A, [0.5], 2)[0]
         assert ma.rate == pytest.approx(GOLDEN_RATE_T2, abs=1e-12)
 
     def test_rate_equals_reset_mass_bitwise(self, bench_model, bench_filter):
-        ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, [1.0], 50)[0])
+        ma = chains(bench_filter, bench_model.A, [1.0], 50)[0]
         assert ma.rate == ma.pi[0]
 
     def test_stationarity_and_normalization(self, bench_model, bench_filter):
-        ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, [1.0], 50)[0])
+        ma = chains(bench_filter, bench_model.A, [1.0], 50)[0]
         pi = ma.pi
         assert np.abs(pi @ dense_transition_matrix(ma.p_i0) - pi).max() <= 1e-10
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -304,8 +292,7 @@ class TestStationaryDistribution:
             model = random_valid_model(rng)
             cases.append((kf_steady_state(model), model.A, int(rng.integers(1, 21))))
         for filt, A, T in cases:
-            for cec in conditional_error_cov(filt, A, [1e-6, 1.0, 1e6], T):
-                ma = transition_matrix(cec)
+            for ma in chains(filt, A, [1e-6, 1.0, 1e6], T):
                 P = dense_transition_matrix(ma.p_i0)
                 np.testing.assert_allclose(ma.pi, balance_solve(P),
                                            rtol=0, atol=1e-14)
@@ -314,20 +301,36 @@ class TestStationaryDistribution:
 
     @pytest.mark.parametrize("where", [0, 3, 5])
     def test_nan_probability_rejected(self, bench_model, bench_filter, where):
-        cec, = conditional_error_cov(bench_filter, bench_model.A, [1.0], 5)
-        p_i0 = cec.p_i0.copy()
+        ma, = chains(bench_filter, bench_model.A, [1.0], 5)
+        p_i0 = ma.p_i0.copy()
         p_i0[where] = np.nan
-        with pytest.raises(NumericalError, match="lambda=1.0"):
-            transition_matrix(ConditionalErrorCov(cec.sigmas, p_i0, cec.lam))
+        with pytest.raises(NumericalError, match=re.escape(
+                "lambda=1.0: p_i0 must lie in [0, 1] with p_i0[T] = 1")):
+            transition_matrix(ma.lam, p_i0, ma.sigmas)
 
     def test_chain_without_certain_timeout_rejected(self, bench_model,
                                                     bench_filter):
-        # p_i0[T] < 1 leaks mass past the timeout: pi no longer balances
-        cec, = conditional_error_cov(bench_filter, bench_model.A, [1.0], 5)
-        p_i0 = cec.p_i0.copy()
+        # p_i0[T] < 1 leaks mass past the timeout: the chain is not stochastic
+        ma, = chains(bench_filter, bench_model.A, [1.0], 5)
+        p_i0 = ma.p_i0.copy()
         p_i0[-1] = 0.5
-        with pytest.raises(NumericalError, match="balance"):
-            transition_matrix(ConditionalErrorCov(cec.sigmas, p_i0, cec.lam))
+        with pytest.raises(NumericalError, match=re.escape(
+                "lambda=1.0: p_i0 must lie in [0, 1] with p_i0[T] = 1, got ")):
+            transition_matrix(ma.lam, p_i0, ma.sigmas)
+
+    @pytest.mark.parametrize("lam, pi_T_max", [(1.0, 1e-27), (100.0, 1e-74)])
+    def test_leak_past_timeout_rejected_however_small(
+            self, bench_model, bench_filter, lam, pi_T_max):
+        # at T = 50 the leaking state carries pi_T = 1.4e-28 (lam = 1) or
+        # 2.8e-75 (lam = 100), so the leak is far below any balance residual
+        # worth a tolerance; only the exact condition p_i0[T] = 1 sees it
+        ma, = chains(bench_filter, bench_model.A, [lam], 50)
+        assert 0.0 < ma.pi[-1] < pi_T_max
+        p_i0 = ma.p_i0.copy()
+        p_i0[-1] = 0.5
+        with pytest.raises(NumericalError, match=re.escape(
+                f"lambda={lam!r}: p_i0 must lie in [0, 1] with p_i0[T] = 1")):
+            transition_matrix(lam, p_i0, ma.sigmas)
 
 
 class TestTelescoping:
@@ -339,8 +342,7 @@ class TestTelescoping:
         probabilities, and the single Gaussian integral over the stacked
         error vector of order n-1.
         """
-        ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, [1.0], 50)[0])
+        ma = chains(bench_filter, bench_model.A, [1.0], 50)[0]
         survivors = np.cumprod(1.0 - ma.p_i0[:50])
         for n in (1, 2, 5, 17, 33, 50):
             cov = cumulative_cov(bench_filter, bench_model.A, n - 1)
@@ -371,19 +373,19 @@ class TestStackedOracleOnRandomModels:
             filt = kf_steady_state(model)
             T = int(rng.integers(1, 11))
             n = model.A.shape[0]
-            cec = conditional_error_cov(filt, model.A, [lam], T)[0]
+            (p_i0,), (sigmas,) = conditional_error_cov(filt, model.A, [lam], T)
             ld_prev = 0.0
             for k in range(T):
                 cov = cumulative_cov(filt, model.A, k)
                 ld = -2.0 * math.log(nontrigger_probability(cov, lam))
                 p = -math.expm1(-0.5 * (ld - ld_prev))
                 ld_prev = ld
-                assert cec.p_i0[k] == pytest.approx(p, rel=1e-7)
+                assert p_i0[k] == pytest.approx(p, rel=1e-7)
 
                 d, U = np.linalg.eigh(cov.matrix)
                 d = np.clip(d, 0.0, None)
                 sigma = ((U * (d / (1.0 + 2.0 * lam * d))) @ U.T)[-n:, -n:]
-                err = np.abs(cec.sigmas[k + 1] - sigma).max() / np.abs(sigma).max()
+                err = np.abs(sigmas[k + 1] - sigma).max() / np.abs(sigma).max()
                 assert err <= sigma_rtol
 
 
@@ -398,12 +400,14 @@ class TestLambdaGrid:
             model = random_valid_model(rng)
             cases.append((kf_steady_state(model), model.A, int(rng.integers(1, 21))))
         for filt, A, T in cases:
-            grid = conditional_error_cov(filt, A, lams, T)
-            assert [cec.lam for cec in grid] == list(lams)
-            for lam, cec in zip(lams, grid):
-                one, = conditional_error_cov(filt, A, [lam], T)
-                assert cec.p_i0.tobytes() == one.p_i0.tobytes()
-                assert cec.sigmas.tobytes() == one.sigmas.tobytes()
+            p_i0, sigmas = conditional_error_cov(filt, A, lams, T)
+            assert p_i0.shape == (len(lams), T + 1)
+            assert sigmas.shape == (len(lams), T + 1, *A.shape)
+            for g, lam in enumerate(lams):
+                (one_p_i0,), (one_sigmas,) = conditional_error_cov(
+                    filt, A, [lam], T)
+                assert p_i0[g].tobytes() == one_p_i0.tobytes()
+                assert sigmas[g].tobytes() == one_sigmas.tobytes()
 
     def test_invalid_grid_point_rejected(self, bench_model, bench_filter):
         with pytest.raises(ModelError, match="lam"):
@@ -425,9 +429,9 @@ class TestLambdaGrid:
         with pytest.raises(NumericalError, match=re.escape(f"lambda={lam!r}: above")):
             conditional_error_cov(bench_filter, bench_model.A,
                                   [1.0, lam, 2.0], 50)
-        cec, = conditional_error_cov(bench_filter, bench_model.A,
-                                     [LAMBDA_MAX], 50)
-        assert LAMBDA_MAX * np.trace(cec.sigmas[1]) == pytest.approx(
+        _, (sigmas,) = conditional_error_cov(bench_filter, bench_model.A,
+                                             [LAMBDA_MAX], 50)
+        assert LAMBDA_MAX * np.trace(sigmas[1]) == pytest.approx(
             0.5, rel=1e-6)
 
     def test_singular_solve_named(self):
@@ -482,33 +486,35 @@ class TestMpmathReference:
         cases += [(random_valid_model(rng), 8) for _ in range(30)]
         for model, T in cases:
             filt = kf_steady_state(model)
-            cec, = conditional_error_cov(filt, model.A, [lam], T)
+            (p_i0,), (sigmas,) = conditional_error_cov(filt, model.A, [lam], T)
             p_ref, sigmas_ref = mpmath_pass(model.A, filt.Pi_eta, lam, T)
-            np.testing.assert_allclose(cec.p_i0[:T], p_ref, rtol=p_rtol, atol=0)
-            for sigma, ref in zip(cec.sigmas[1:], sigmas_ref[1:]):
+            np.testing.assert_allclose(p_i0[:T], p_ref, rtol=p_rtol, atol=0)
+            for sigma, ref in zip(sigmas[1:], sigmas_ref[1:]):
                 err = np.abs(sigma - ref).max() / np.abs(ref).max()
                 assert err <= sigma_rtol
 
 
 class TestConditionalErrorCov:
     def test_age_zero_exactly_zero(self, bench_model, bench_filter):
-        cec = conditional_error_cov(bench_filter, bench_model.A, [1.0], 50)[0]
-        assert len(cec.sigmas) == 51
-        assert np.all(cec.sigmas[0] == 0.0)
-        assert cec.lam == 1.0
+        p_i0, sigmas = conditional_error_cov(bench_filter, bench_model.A,
+                                             [1.0], 50)
+        assert p_i0.shape == (1, 51)
+        assert sigmas.shape == (1, 51, 2, 2)
+        assert np.all(sigmas[0, 0] == 0.0)
 
     def test_golden_scalar_recursion(self, golden_model, golden_filter):
         # N1 = 0 + 1 = 1 -> 1/(1+1) = 0.5; N2 = 0.5 + 1 -> 1.5/2.5 = 0.6
-        cec = conditional_error_cov(golden_filter, golden_model.A, [0.5], 2)[0]
-        assert cec.sigmas[1][0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert cec.sigmas[2][0, 0] == pytest.approx(0.6, abs=1e-12)
+        _, (sigmas,) = conditional_error_cov(golden_filter, golden_model.A,
+                                             [0.5], 2)
+        assert sigmas[1][0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert sigmas[2][0, 0] == pytest.approx(0.6, abs=1e-12)
 
     def test_matches_subtraction_form(self, bench_model, bench_filter):
         # independent route: (2 lam)^-1 I - (2 lam)^-2 (N + (2 lam)^-1 I)^-1
         lam = 1.0
         A = bench_model.A
         Pi = bench_filter.Pi_eta
-        sigmas = conditional_error_cov(bench_filter, A, [lam], 50)[0].sigmas
+        _, (sigmas,) = conditional_error_cov(bench_filter, A, [lam], 50)
         eye = np.eye(2)
         for i in range(1, 51):
             N = A @ sigmas[i - 1] @ A.T + Pi
@@ -519,22 +525,23 @@ class TestConditionalErrorCov:
 
     @pytest.mark.parametrize("lam", [1.0, 100.0])
     def test_eigenvalues_below_saturation_bound(self, bench_model, bench_filter, lam):
-        sigmas = conditional_error_cov(bench_filter, bench_model.A, [lam], 50)[0].sigmas
+        _, (sigmas,) = conditional_error_cov(bench_filter, bench_model.A,
+                                             [lam], 50)
         bound = 1.0 / (2.0 * lam)
         for sigma in sigmas[1:]:
             np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
             assert np.linalg.eigvalsh(sigma).max() < bound
 
     def test_monotone_growth_in_age(self, bench_model, bench_filter):
-        sigmas = conditional_error_cov(bench_filter, bench_model.A, [0.1], 10)[0].sigmas
+        _, (sigmas,) = conditional_error_cov(bench_filter, bench_model.A,
+                                             [0.1], 10)
         for prev, cur in zip(sigmas, sigmas[1:]):
             assert np.linalg.eigvalsh(cur - prev).min() >= -1e-10
 
 
 class TestAnalysisRecord:
     def test_record_is_json_native(self, bench_model, bench_filter):
-        ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, [2.0], 12)[0])
+        ma = chains(bench_filter, bench_model.A, [2.0], 12)[0]
         record = analysis_record(ma)
         assert record["lambda"] == 2.0
         assert record["timeout"] == 12
@@ -554,9 +561,9 @@ class TestAnalysisRecord:
             if model.dims[0] > 2:
                 cases.append((model, kf_steady_state(model)))
         for model, ss in cases:
-            for cec in conditional_error_cov(ss, model.A, [1e-6, 1.0, 1e6], 30):
-                got = analysis_record(transition_matrix(cec))["sigma_e_trace"]
-                want = [float(np.trace(s)) for s in cec.sigmas]
+            for ma in chains(ss, model.A, [1e-6, 1.0, 1e6], 30):
+                got = analysis_record(ma)["sigma_e_trace"]
+                want = [float(np.trace(s)) for s in ma.sigmas]
                 assert json.dumps(got) == json.dumps(want)
 
 
@@ -571,7 +578,7 @@ def test_scalar_chain_against_brute_force_enumeration():
 
     model = make_golden_model()
     filt = kf_steady_state(model)
-    ma = transition_matrix(conditional_error_cov(filt, model.A, [0.5], 2)[0])
+    ma = chains(filt, model.A, [0.5], 2)[0]
     q0 = 1.0 - ma.p_i0[0]
     q1 = 1.0 - ma.p_i0[1]
     weights = np.array([1.0, q0, q0 * q1])

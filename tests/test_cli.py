@@ -36,7 +36,7 @@ from etlqg import (
 )
 from etlqg import cli, simulation
 from etlqg.cli import TRADEOFF_HEADER, _trace_csv, main
-from etlqg.config import config_to_dict
+from etlqg.config import config_from_dict, config_to_dict
 from etlqg.simulation import TraceBlock
 
 from conftest import traced_grid
@@ -563,6 +563,46 @@ class TestConfigErrors:
             "print('yaml' in sys.modules)\n"), str(cfg))
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize("field, scheduler, gib", [
+        ("scheduler.timeout",
+         {"timeout": 10**9, "lambda_grid": [0.5, 2.0]}, "59.6"),
+        ("scheduler.timeout",
+         {"timeout": 10**9, "lambda_grid": {"min": 0.1, "max": 1.0,
+                                            "count": 2}}, "59.6"),
+        ("scheduler.lambda_grid.count",
+         {"timeout": 6, "lambda_grid": {"min": 0.1, "max": 1.0,
+                                        "count": 10**9}}, "208.6"),
+    ])
+    def test_table_past_bound_named(self, tmp_path, capsys, monkeypatch,
+                                    field, scheduler, gib):
+        # 8 G (T+1) n^2 bytes: refused before np.logspace builds the grid
+        # and before the analysis allocates, so neither case allocates
+        def unreachable(*args, **kwargs):
+            raise AssertionError("np.logspace reached")
+
+        monkeypatch.setattr(np, "logspace", unreachable)
+        doc = base_config(tmp_path / "out", scheduler=scheduler)
+        with pytest.raises(etlqg.ConfigError, match=re.escape(
+                f"{field}: the conditioning table of ")) as info:
+            config_from_dict(doc)
+        assert f"would need {gib} GiB, above the 1 GiB bound" in str(info.value)
+        cfg = write_config(tmp_path, doc)
+        assert main(["analyze-only", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid config: {field}: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_table_bound_is_inclusive(self, tmp_path):
+        # one lambda at n = 2 fills the 2**30-byte bound at T + 1 = 2**25;
+        # the config is only read here, nothing is allocated
+        doc = base_config(tmp_path / "out",
+                          scheduler={"timeout": 2**25 - 1, "lambda_grid": [1.0]})
+        assert config_from_dict(doc).timeout == 2**25 - 1
+        doc["scheduler"]["timeout"] = 2**25
+        with pytest.raises(etlqg.ConfigError, match="^scheduler.timeout: "):
+            config_from_dict(doc)
 
     @pytest.mark.parametrize("text", ["model: [1, 2\n", '{"model": [1, 2}'])
     def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, text):

@@ -16,14 +16,12 @@ from etlqg import (
     ConvergenceError,
     ModelError,
     SystemModel,
-    conditional_error_cov,
     control_steady_state,
     cost_tradeoff_curve,
     finite_horizon_cost,
     infinite_horizon_cost,
     kf_steady_state,
     riccati_backward,
-    transition_matrix,
 )
 
 from conftest import (
@@ -36,6 +34,7 @@ from conftest import (
     GOLDEN_GAIN,
     GOLDEN_J2,
     PHI,
+    chains,
     make_benchmark_model,
     make_golden_model,
     random_valid_model,
@@ -43,7 +42,7 @@ from conftest import (
 
 
 def _analysis_inputs(model, lam, timeout, filt):
-    return transition_matrix(conditional_error_cov(filt, model.A, [lam], timeout)[0])
+    return chains(filt, model.A, [lam], timeout)[0]
 
 
 def _quiet_model():
@@ -330,7 +329,7 @@ class TestCostTradeoffCurve:
             assert a.cost == b.cost
 
     def test_empty_grid_rejected(self, bench_model):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelError, match="^lams must be a nonempty grid"):
             cost_tradeoff_curve(bench_model, [], BENCH_TIMEOUT)
 
     def test_single_lambda_equals_its_grid_point(self):

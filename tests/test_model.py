@@ -7,8 +7,8 @@ import pytest
 
 from etlqg import (DefinitenessError, ModelError, SimConfig, SystemModel,
                    ValidationCheck, conditional_error_cov, control_steady_state,
-                   controllability_rank, kf_steady_state, observability_rank,
-                   run_closed_loop, validate_model)
+                   controllability_rank, cost_tradeoff_curve, kf_steady_state,
+                   observability_rank, run_closed_loop, validate_model)
 from etlqg.model import psd_sqrt, scheduler_lambdas, symmetrize
 
 from conftest import make_benchmark_model, make_golden_model, random_valid_model
@@ -95,11 +95,14 @@ class TestSchedulerParams:
             with pytest.raises(ModelError, match="^timeout must"):
                 scheduler_lambdas(lams, timeout)
 
-    @pytest.mark.parametrize("lams", [[], np.array([]), 1.0, np.float64(1.0)])
+    @pytest.mark.parametrize("lams", [[], np.array([]), 1.0, np.float64(1.0),
+                                      "12", b"12"])
     def test_empty_or_scalar_grid_named(self, bench_model, bench_filter,
                                         bench_control, lams):
-        # both entry points check their grid here, the engine with and
-        # without trace blocks; a single lambda is the grid [lam]
+        # every entry point checks its grid here: the engine with and
+        # without trace blocks, the pass and the trade-off curve; a single
+        # lambda is the grid [lam], and a string is not the grid of its
+        # characters
         cfg = SimConfig(model=bench_model, timeout=50, horizon=300, runs=4,
                         seed=1)
         for on_block in (None, [].append):
@@ -109,6 +112,9 @@ class TestSchedulerParams:
                                 on_block=on_block)
         with pytest.raises(ModelError, match="^lams must be a nonempty grid"):
             conditional_error_cov(bench_filter, bench_model.A, lams, 50)
+        with pytest.raises(ModelError, match="^lams must be a nonempty grid"):
+            cost_tradeoff_curve(bench_model, lams, 50, ss=bench_filter,
+                                cs=bench_control)
 
 
 class TestRankChecks:

@@ -20,18 +20,16 @@ from etlqg import (
     ModelError,
     SimConfig,
     aggregate_runs,
-    conditional_error_cov,
     control_steady_state,
     cost_tradeoff_curve,
     infinite_horizon_cost,
     kf_steady_state,
     riccati_backward,
     run_closed_loop,
-    transition_matrix,
 )
 
 from closed_loop_oracle import SHARED_FIELDS, reference_closed_loop_grid
-from conftest import BENCH_TIMEOUT, random_valid_model, traced_grid
+from conftest import BENCH_TIMEOUT, chains, random_valid_model, traced_grid
 
 
 def _cfg(model, timeout=BENCH_TIMEOUT, **kw):
@@ -276,8 +274,7 @@ class TestAgainstAnalysis:
         taus = np.concatenate([tr.tau[cfg.burn_in:] for tr in traces])
         counts = np.bincount(taus, minlength=BENCH_TIMEOUT + 1)
         occupancy = counts / taus.size
-        ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, [1.0], BENCH_TIMEOUT)[0])
+        ma = chains(bench_filter, bench_model.A, [1.0], BENCH_TIMEOUT)[0]
         visible = ma.pi > 1e-3
         se = np.sqrt(ma.pi * (1.0 - ma.pi) / taus.size)
         # dependent samples; allow a generous multiple of the iid stderr
@@ -294,8 +291,7 @@ class TestAgainstAnalysis:
         """
         cfg = _cfg(bench_model, runs=8, horizon=25_000, seed=31)
         _, _, (traces,) = traced_grid(cfg, bench_filter, bench_control, [1.0])
-        ma = transition_matrix(conditional_error_cov(
-            bench_filter, bench_model.A, [1.0], BENCH_TIMEOUT)[0])
+        ma = chains(bench_filter, bench_model.A, [1.0], BENCH_TIMEOUT)[0]
         bd = infinite_horizon_cost(bench_control, bench_filter, ma,
                                    bench_model)
         table = np.array([float(np.trace(bench_control.M_inf @ s))

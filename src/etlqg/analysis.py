@@ -72,38 +72,55 @@ def _solve_grid(M: np.ndarray, B: np.ndarray, lams, age: int) -> np.ndarray:
         raise
 
 
-def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
-                          timeout: int) -> tuple[np.ndarray, np.ndarray]:
-    """The conditioning pass over a lambda grid: arrays p_i0 (G, T+1) and
-    sigmas (G, T+1, n, n), one row per lambda in lams order (MarkovAnalysis).
-
-    sigma_0 = 0, N_k = A sigma_k A^T + Pi_eta, ld_k = log det(I + 2 lam N_k),
-    p_k0 = -expm1(-ld_k/2), sigma_{k+1} = (I + 2 lam N_k)^{-1} N_k for k < T
-    and p_T0 = 1: per age one eigvalsh and one LU solve, batched over the
-    grid, so a lambda gets the same bits alone as in any grid. Accurate from
-    lam = 1e-6 to LAMBDA_MAX, tested up to timeout 1000, and free of the
-    O(1/lam) cancellation of (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1. A lambda
-    above LAMBDA_MAX, or whose solve is singular or sigma overflows, raises
-    NumericalError naming it.
-    """
+def checked_lambdas(lams, timeout) -> list[float]:
+    """scheduler_lambdas(lams, timeout), each at most LAMBDA_MAX (else
+    NumericalError naming it): the lambda check of both conditioning passes."""
     lams = scheduler_lambdas(lams, timeout)
     for lam in lams:
         if lam > LAMBDA_MAX:
             raise NumericalError(
                 f"lambda={lam!r}: above LAMBDA_MAX={LAMBDA_MAX:g}, where the "
                 f"conditioning pass loses sigma's accuracy")
+    return lams
+
+
+def condition_step(sigma: np.ndarray, A: np.ndarray, Pi_eta: np.ndarray,
+                   lams: list[float], age: int):
+    """The one conditioning step: held-error covariances sigma (G, ..., n, n),
+    row g at lams[g], to p = -expm1(-log det(I + 2 lam N) / 2) (G, ...) and
+    sigma' = (I + 2 lam N)^{-1} N, N = A sigma A^T + Pi_eta. One eigvalsh and
+    one LU solve over the batch, so no row's bits depend on another's; a
+    singular solve raises NumericalError naming its lambda and age (the
+    caller's label for the step)."""
+    lam = np.reshape(lams, (-1,) + (1,) * (sigma.ndim - 3))
+    inner = symmetrize(A @ sigma @ A.T + Pi_eta)
+    p = -np.expm1(-0.5 * _logdet_shifted(inner, lam))
+    return p, symmetrize(_solve_grid(
+        np.eye(A.shape[0]) + 2.0 * lam[..., None, None] * inner, inner, lams,
+        age))
+
+
+def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
+                          timeout: int) -> tuple[np.ndarray, np.ndarray]:
+    """The conditioning pass over a lambda grid: arrays p_i0 (G, T+1) and
+    sigmas (G, T+1, n, n), one row per lambda in lams order (MarkovAnalysis).
+
+    sigma_0 = 0, `condition_step` per age k < T, batched over the grid, gives
+    p_k0 and sigma_{k+1}, and p_T0 = 1; so a lambda gets the same bits alone
+    as in any grid. Accurate from lam = 1e-6 to LAMBDA_MAX, tested up to
+    timeout 1000, and free of the O(1/lam) cancellation of
+    (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1. A lambda above LAMBDA_MAX, or
+    whose solve is singular or sigma overflows, raises NumericalError.
+    """
+    lams = checked_lambdas(lams, timeout)
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    lam = np.array(lams)
-    eye = np.eye(n)
     p_i0 = np.ones((len(lams), timeout + 1))
     sigmas = np.zeros((len(lams), timeout + 1, n, n))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for k in range(timeout):
-            inner = symmetrize(A @ sigmas[:, k] @ A.T + ss.Pi_eta)
-            p_i0[:, k] = -np.expm1(-0.5 * _logdet_shifted(inner, lam))
-            sigmas[:, k + 1] = symmetrize(_solve_grid(
-                eye + 2.0 * lam[:, None, None] * inner, inner, lams, k))
+            p_i0[:, k], sigmas[:, k + 1] = condition_step(
+                sigmas[:, k], A, ss.Pi_eta, lams, k)
     # a finite sigma keeps every ld in [0, inf], so every p_i0 in [0, 1]
     finite = np.isfinite(sigmas).all(axis=(1, 2, 3))
     if not finite.all():

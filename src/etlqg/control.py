@@ -1,9 +1,9 @@
 """Certainty-equivalent controller synthesis and analytic cost evaluation.
 
 The finite-horizon backward Riccati recursion and its fixed point supply the
-feedback gains; the cost formulas combine them with the steady-state filter
-and the transmission-chain analysis into exact expected costs for finite and
-infinite horizons.
+feedback gains; the cost formulas combine them with the filter and the
+conditioning step of `analysis` into exact expected costs: the long-run
+average from the steady state, and a finite horizon's total from any X0.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (MarkovAnalysis, chain_step, conditional_error_cov,
-                       transition_matrix)
+from .analysis import (MarkovAnalysis, chain_step, checked_lambdas,
+                       condition_step, conditional_error_cov, transition_matrix)
 from .errors import ModelError
 from .estimation import (SteadyStateFilter, filter_step, fixed_point,
                          kf_steady_state)
@@ -22,20 +22,14 @@ from .model import SystemModel, scheduler_lambdas, symmetrize
 
 @dataclass(frozen=True)
 class ControlSynthesis:
-    """Feedback gains from the backward recursion and/or its fixed point.
+    """Fixed point of the backward recursion: S_inf, the steady gain L_inf
+    and its cost matrix M_inf, with the solver's residual and iterations."""
 
-    Finite-horizon use fills S_seq (S_0..S_N), L_seq and M_seq (0..N-1);
-    steady-state use fills S_inf, L_inf, M_inf plus solver diagnostics.
-    """
-
-    S_seq: tuple[np.ndarray, ...] | None = None
-    L_seq: tuple[np.ndarray, ...] | None = None
-    M_seq: tuple[np.ndarray, ...] | None = None
-    S_inf: np.ndarray | None = None
-    L_inf: np.ndarray | None = None
-    M_inf: np.ndarray | None = None
-    residual: float | None = None
-    iterations: int | None = None
+    S_inf: np.ndarray
+    L_inf: np.ndarray
+    M_inf: np.ndarray
+    residual: float
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -71,13 +65,15 @@ def _gain_step(S_next: np.ndarray, model: SystemModel):
     return L, S, symmetrize(L.T @ G @ L)
 
 
-def riccati_backward(model: SystemModel, N: int) -> ControlSynthesis:
+def riccati_backward(model: SystemModel, N: int):
     """Backward recursion over horizon N starting from the terminal weight.
 
-    Returns S_0..S_N, L_0..L_{N-1} and M_0..M_{N-1}, each S symmetrized.
+    Returns (S_seq, L_seq, M_seq): S_0..S_N, each symmetrized, and
+    L_0..L_{N-1} with their cost matrices M_0..M_{N-1}. N must be an integer
+    >= 1, else ModelError names it.
     """
-    if N < 1:
-        raise ValueError(f"horizon must be >= 1, got {N}")
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
+        raise ModelError(f"N must be an integer >= 1, got {N!r}")
     S_rev = [symmetrize(model.Qf)]
     L_rev, M_rev = [], []
     for _ in range(N):
@@ -85,9 +81,7 @@ def riccati_backward(model: SystemModel, N: int) -> ControlSynthesis:
         L_rev.append(L)
         S_rev.append(S)
         M_rev.append(M)
-    return ControlSynthesis(S_seq=tuple(reversed(S_rev)),
-                            L_seq=tuple(reversed(L_rev)),
-                            M_seq=tuple(reversed(M_rev)))
+    return tuple(tuple(reversed(seq)) for seq in (S_rev, L_rev, M_rev))
 
 
 def control_steady_state(model: SystemModel) -> ControlSynthesis:
@@ -103,8 +97,6 @@ def control_steady_state(model: SystemModel) -> ControlSynthesis:
 def infinite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
                           ma: MarkovAnalysis, model: SystemModel) -> CostBreakdown:
     """Closed-form long-run average cost under the event-triggered loop."""
-    if cs.S_inf is None or cs.M_inf is None:
-        raise ModelError("infinite_horizon_cost needs a steady-state synthesis")
     base = float(np.trace(cs.S_inf @ model.W))
     filter_term = float(np.trace(ss.F_inf @ cs.M_inf))
     # pi[i] multiplies Tr(M sigma(i)); index 0 carries a zero matrix
@@ -114,50 +106,40 @@ def infinite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
                          total=base + filter_term + trigger_term)
 
 
-def finite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
-                        ma: MarkovAnalysis, model: SystemModel, N: int,
-                        use_steady_filter_cov: bool = True) -> float:
-    """Exact expected cost over horizon N.
+def finite_horizon_cost(model: SystemModel, lam: float, timeout: int,
+                        N: int) -> float:
+    """Exact expected cost over horizon N, from any X0, at one lambda.
 
-    Sums the terminal/initial terms and, per step, the disturbance term, the
-    filtering term and the trigger penalty weighted by the transient counter
-    distribution: counter 0 pushed through each step's trigger, the step-0
-    one first, by `chain_step` in O(T). With use_steady_filter_cov the
-    filtering term uses the steady updated covariance; otherwise the
-    transient filter covariances are recomputed from the initial covariance.
+    The loop modeled is the Kalman-gain one: gains K_k from X0, backward
+    gains L_k from `riccati_backward`, counter 0 at step 0. The cost is
+    xbar0' S_0 xbar0 + tr(S_0 X0) plus, per step k, tr(S_{k+1} W), the filter
+    term tr(P_{k|k} M_k) and the trigger term sum_a dist_k[a] tr(M_k sigma_ka).
+    P_{k|k} comes from X0 through `filter_step`, and the correction
+    covariance Pi_eta_k = sym(K_k C P_{k|k-1}) feeds `condition_step`, once
+    per step, batched over the ages; its send probabilities push the counter
+    distribution through `chain_step`. The steady-gain loop started from
+    X0 != P_inf is not covered: its filter corrections are not white.
     """
-    if cs.S_seq is None or cs.M_seq is None:
-        raise ModelError("finite_horizon_cost needs the finite-horizon recursion")
-    if len(cs.S_seq) != N + 1:
-        raise ModelError(
-            f"S_seq covers horizon {len(cs.S_seq) - 1}, requested N={N}")
-
+    lams = checked_lambdas([lam], timeout)
+    S_seq, _, M_seq = riccati_backward(model, N)
     xbar = model.x0_mean
-    total = float(xbar @ cs.S_seq[0] @ xbar) + float(np.trace(cs.S_seq[0] @ model.X0))
-
-    if not use_steady_filter_cov:
-        filt_covs = _transient_filter_covs(model, N)
-
-    dist = np.zeros(len(ma.p_i0))
+    total = float(xbar @ S_seq[0] @ xbar) + float(np.trace(S_seq[0] @ model.X0))
+    p = np.ones((1, timeout + 1))
+    sigmas = np.zeros((1, timeout + 1) + model.A.shape)  # held error by counter
+    dist = np.zeros(timeout + 1)
     dist[0] = 1.0
+    P_pred = model.X0
     for k in range(N):
-        dist = chain_step(dist, ma.p_i0)
-        M = cs.M_seq[k]
-        P_filt = ss.F_inf if use_steady_filter_cov else filt_covs[k]
-        total += float(np.trace(cs.S_seq[k + 1] @ model.W))
-        total += float(np.trace(P_filt @ M))
-        total += float(np.einsum("i,ijk,kj->", dist, ma.sigmas, M))
+        P_filt, P_next, K = filter_step(P_pred, model)
+        p[:, :-1], sigmas[:, 1:] = condition_step(
+            sigmas[:, :-1], model.A, symmetrize(K @ model.C @ P_pred), lams, k)
+        P_pred = P_next
+        dist = chain_step(dist, p[0])
+        M = M_seq[k]
+        total += float(np.trace(S_seq[k + 1] @ model.W))
+        total += float(np.trace(symmetrize(P_filt) @ M))
+        total += float(np.einsum("i,ijk,kj->", dist, sigmas[0], M))
     return total
-
-
-def _transient_filter_covs(model: SystemModel, N: int) -> list[np.ndarray]:
-    """Updated filter covariances P_{k|k} for k = 0..N-1 from X0."""
-    P_pred = model.X0.copy()
-    out = []
-    for _ in range(N):
-        P_filt, P_pred = filter_step(P_pred, model)
-        out.append(symmetrize(P_filt))
-    return out
 
 
 def cost_tradeoff_curve(model: SystemModel, lambdas, timeout: int,

@@ -90,14 +90,15 @@ def fixed_point(step, start: np.ndarray, label: str):
 
 
 def filter_step(P_pred: np.ndarray, model: SystemModel):
-    """One covariance step of the filter: (P_filt, P_next).
+    """One covariance step of the filter: (P_filt, P_next, K).
 
-    P_filt = (I - K C) P_pred is the updated covariance, not symmetrized;
-    P_next = sym(A P_filt A^T + W) is the next predicted covariance.
+    K is the Kalman gain at P_pred; P_filt = (I - K C) P_pred is the updated
+    covariance, not symmetrized; P_next = sym(A P_filt A^T + W) is the next
+    predicted covariance.
     """
     K = kalman_gain(P_pred, model)
     P_filt = (np.eye(model.A.shape[0]) - K @ model.C) @ P_pred
-    return P_filt, symmetrize(model.A @ P_filt @ model.A.T + model.W)
+    return P_filt, symmetrize(model.A @ P_filt @ model.A.T + model.W), K
 
 
 def kf_steady_state(model: SystemModel) -> SteadyStateFilter:
@@ -109,8 +110,7 @@ def kf_steady_state(model: SystemModel) -> SteadyStateFilter:
     """
     P, it = fixed_point(lambda P: filter_step(P, model)[1], model.X0.copy(),
                         "steady-state filter iteration")
-    P_filt, P_next = filter_step(P, model)
-    K = kalman_gain(P, model)
+    P_filt, P_next, K = filter_step(P, model)
     return SteadyStateFilter(P_inf=P, K_inf=K, F_inf=symmetrize(P_filt),
                              Pi_eta=symmetrize(K @ model.C @ P), iterations=it,
                              residual=float(np.max(np.abs(P_next - P))))

@@ -159,8 +159,6 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
     DIVERGENCE_LIMIT, and the run by its index in range(cfg.runs); the
     loop runs on to the end of its block, which never reaches on_block.
     """
-    if ctrl.L_inf is None:
-        raise ModelError("ctrl.L_inf is None: no steady-state feedback gain")
     run_ids = range(cfg.runs) if runs is None else runs
     if (not isinstance(run_ids, range) or run_ids.step != 1 or not run_ids
             or run_ids.start < 0 or run_ids.stop > cfg.runs):

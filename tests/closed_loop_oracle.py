@@ -62,8 +62,6 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     and, with record, one tuple of OracleTrace per lambda (else None).
     A DivergenceError names the run by its index in range(cfg.runs).
     """
-    if ctrl.L_inf is None:
-        raise ModelError("run_closed_loop needs a steady-state feedback gain")
     run_ids = range(cfg.runs) if runs is None else runs
     if (not isinstance(run_ids, range) or run_ids.step != 1 or not run_ids
             or run_ids.start < 0 or run_ids.stop > cfg.runs):

@@ -23,8 +23,9 @@ GOLDEN_P00 = 0.29289321881345254  # 1 - 1/sqrt(2)
 GOLDEN_P10 = 0.3675444679663241   # 1 - sqrt(2/5)
 GOLDEN_RATE_T2 = 0.464183512731783  # 1 / (1 + 1/sqrt(2) + 1/sqrt(5))
 
-# hand-enumerated two-step cost on the golden scalar model (lambda=0.5, T=2)
-GOLDEN_J2 = 5.469386409730423
+# hand-enumerated two-step cost on the golden scalar model (lambda=0.5, T=2,
+# X0=1), Kalman gains from X0
+GOLDEN_J2 = 5.277339286893179
 
 # benchmark steady-state solutions, frozen from scipy solve_discrete_are
 BENCH_P_INF = np.array([[4.310550172498401, 2.0172849324981783],

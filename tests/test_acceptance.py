@@ -194,7 +194,7 @@ def test_criterion_7_schedule_control_independence(monkeypatch):
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
     open_loop = ControlSynthesis(L_inf=np.zeros((1, 2)), S_inf=np.eye(2),
-                                 M_inf=np.eye(2))
+                                 M_inf=np.eye(2), residual=0.0, iterations=0)
     cfg = SimConfig(model=model, timeout=BENCH_TIMEOUT, horizon=10_000,
                     runs=10, seed=2718, burn_in=0)
     _, _, (closed,) = traced_grid(cfg, filt, ctrl, [1.0])

@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
 from etlqg import (
@@ -19,10 +21,12 @@ from etlqg import (
     NumericalError,
     analysis_record,
     conditional_error_cov,
+    finite_horizon_cost,
     kf_steady_state,
     stationary_distribution,
     transition_matrix,
 )
+import etlqg.control as control
 from etlqg.analysis import LAMBDA_MAX, _solve_grid, chain_step
 from etlqg.model import psd_sqrt
 
@@ -429,6 +433,8 @@ class TestLambdaGrid:
         with pytest.raises(NumericalError, match=re.escape(f"lambda={lam!r}: above")):
             conditional_error_cov(bench_filter, bench_model.A,
                                   [1.0, lam, 2.0], 50)
+        with pytest.raises(NumericalError, match=re.escape(f"lambda={lam!r}: above")):
+            finite_horizon_cost(bench_model, lam, 50, 5)
         _, (sigmas,) = conditional_error_cov(bench_filter, bench_model.A,
                                              [LAMBDA_MAX], 50)
         assert LAMBDA_MAX * np.trace(sigmas[1]) == pytest.approx(
@@ -537,6 +543,47 @@ class TestConditionalErrorCov:
                                              [0.1], 10)
         for prev, cur in zip(sigmas, sigmas[1:]):
             assert np.linalg.eigvalsh(cur - prev).min() >= -1e-10
+
+
+class TestConditionStepProperties:
+    """Both passes' tables on random models, lam from 1e-6 to 1e6: every p in
+    [0, 1], every sigma symmetric, PSD and below I/(2 lam). Each model draws
+    its own X0, not P_inf, so the finite-horizon pass runs off its fixed
+    point. Both bounds allow rounding: PSD to 1e-6 of |sigma| (worst seen
+    9.8e-8 in 300 draws, a rank-deficient sigma's zero eigenvalue), the
+    ceiling to 1e-9 of 1/(2 lam) (never passed in those draws)."""
+
+    @staticmethod
+    def assert_bounded(p, sigmas, lam):
+        assert ((p >= 0.0) & (p <= 1.0)).all()
+        assert np.array_equal(sigmas, np.swapaxes(sigmas, -1, -2))
+        eigs = np.linalg.eigvalsh(sigmas)
+        assert (eigs >= -1e-6 * np.abs(eigs).max(axis=-1, keepdims=True)).all()
+        assert (eigs <= (0.5 + 1e-9) / lam).all()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), log_lam=st.floats(-6.0, 6.0),
+           timeout=st.integers(1, 12), N=st.integers(1, 12))
+    def test_tables_bounded(self, seed, log_lam, timeout, N):
+        model = random_valid_model(np.random.default_rng(seed))
+        lam = 10.0 ** log_lam
+        (p_i0,), (sigmas,) = conditional_error_cov(
+            kf_steady_state(model), model.A, [lam], timeout)
+        self.assert_bounded(p_i0, sigmas, lam)
+
+        steps = []
+        condition_step = control.condition_step
+
+        def recorded(*args):
+            steps.append(condition_step(*args))
+            return steps[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(control, "condition_step", recorded)
+            finite_horizon_cost(model, lam, timeout, N)
+        assert len(steps) == N
+        for p, sigmas in steps:
+            self.assert_bounded(p, sigmas, lam)
 
 
 class TestAnalysisRecord:

@@ -5,7 +5,9 @@ the exact dual of the filter one there, so the fixed point is the golden
 ratio and the gain its reciprocal.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from conftest import (
     make_golden_model,
     random_valid_model,
 )
+from finite_horizon_oracle import simulated_finite_horizon_cost
 
 
 def _analysis_inputs(model, lam, timeout, filt):
@@ -65,15 +68,14 @@ def _quiet_model():
 
 class TestRiccatiBackward:
     def test_golden_single_step(self, golden_model):
-        cs = riccati_backward(golden_model, 1)
-        assert len(cs.S_seq) == 2
-        assert len(cs.L_seq) == 1
-        assert cs.L_seq[0][0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert cs.S_seq[0][0, 0] == pytest.approx(1.5, abs=1e-15)
+        S_seq, L_seq, M_seq = riccati_backward(golden_model, 1)
+        assert (len(S_seq), len(L_seq), len(M_seq)) == (2, 1, 1)
+        assert L_seq[0][0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert S_seq[0][0, 0] == pytest.approx(1.5, abs=1e-15)
 
     def test_terminal_matrix_is_final_weight(self, bench_model):
-        cs = riccati_backward(bench_model, 7)
-        np.testing.assert_array_equal(cs.S_seq[-1], bench_model.Qf)
+        S_seq, _, _ = riccati_backward(bench_model, 7)
+        np.testing.assert_array_equal(S_seq[-1], bench_model.Qf)
 
     def test_no_input_reduces_to_lyapunov_recursion(self):
         model = SystemModel(
@@ -88,24 +90,27 @@ class TestRiccatiBackward:
             x0_mean=np.zeros(2),
             X0=np.eye(2),
         )
-        cs = riccati_backward(model, 4)
-        for L in cs.L_seq:
+        S_seq, L_seq, _ = riccati_backward(model, 4)
+        for L in L_seq:
             np.testing.assert_allclose(L, 0.0, atol=1e-14)
         for k in range(4):
-            expected = model.Q + model.A.T @ cs.S_seq[k + 1] @ model.A
-            np.testing.assert_allclose(cs.S_seq[k], expected, atol=1e-12)
+            expected = model.Q + model.A.T @ S_seq[k + 1] @ model.A
+            np.testing.assert_allclose(S_seq[k], expected, atol=1e-12)
 
     def test_long_horizon_converges_to_fixed_point(self, bench_model, bench_control):
-        cs = riccati_backward(bench_model, 300)
-        np.testing.assert_allclose(cs.S_seq[0], bench_control.S_inf, atol=1e-8)
+        S_seq, _, _ = riccati_backward(bench_model, 300)
+        np.testing.assert_allclose(S_seq[0], bench_control.S_inf, atol=1e-8)
         # deep end has settled, terminal end has not
-        assert np.abs(cs.S_seq[0] - cs.S_seq[1]).max() < 1e-10
-        assert np.abs(cs.S_seq[299] - cs.S_seq[300]).max() > 1e-3
+        assert np.abs(S_seq[0] - S_seq[1]).max() < 1e-10
+        assert np.abs(S_seq[299] - S_seq[300]).max() > 1e-3
 
-    @pytest.mark.parametrize("N", [0, -2])
+    @pytest.mark.parametrize("N", [0, -2, True, 2.5])
     def test_empty_horizon_rejected(self, bench_model, N):
-        with pytest.raises(ValueError):
+        message = re.escape(f"N must be an integer >= 1, got {N!r}")
+        with pytest.raises(ModelError, match=message):
             riccati_backward(bench_model, N)
+        with pytest.raises(ModelError, match=message):
+            finite_horizon_cost(bench_model, 1.0, BENCH_TIMEOUT, N)
 
 
 class TestControlSteadyState:
@@ -211,80 +216,63 @@ class TestInfiniteHorizonCost:
             terms.append(bd.trigger_term)
         assert terms[0] > terms[1] > terms[2] > 0.0
 
-    def test_requires_steady_state_synthesis(
-        self, bench_model, bench_filter
-    ):
-        ma = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
-        finite_only = riccati_backward(bench_model, 5)
-        with pytest.raises(ModelError):
-            infinite_horizon_cost(finite_only, bench_filter, ma, bench_model)
-
 
 class TestFiniteHorizonCost:
     def test_noise_free_zero_start_costs_nothing(self):
-        model = _quiet_model()
-        filt = kf_steady_state(model)
-        cs = riccati_backward(model, 1)
-        ma = _analysis_inputs(model, 1.0, 3, filt)
-        J = finite_horizon_cost(cs, filt, ma, model, 1)
+        J = finite_horizon_cost(_quiet_model(), 1.0, 3, 1)
         assert abs(J) < 1e-12
 
-    def test_golden_two_step_frozen_value(self, golden_model, golden_filter):
-        cs = riccati_backward(golden_model, 2)
-        ma = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
-        J = finite_horizon_cost(cs, golden_filter, ma, golden_model, 2)
+    def test_golden_two_step_frozen_value(self, golden_model):
+        """Fully hand-expanded two-step cost at lambda = 0.5, T = 2, X0 = 1.
+
+        All quantities are scalar: S = (1.6, 1.5, 1) and M = (0.9, 0.5)
+        backward; the gains K = (0.5, 0.6) from X0 give Pi_eta = (0.5, 0.9)
+        and updated covariances (0.5, 0.6). Step 0 conditions counter 0:
+        p_00 = 1 - 1/sqrt(1.5), sigma_01 = 1/3. Step 1 conditions counter 0,
+        p_10 = 1 - 1/sqrt(1.9) and sigma_11 = 0.9/1.9, and counter 1, from
+        N_11 = 1/3 + 0.9.
+        """
+        J = finite_horizon_cost(golden_model, 0.5, 2, 2)
+        held0 = 1.0 / math.sqrt(1.5)                # counter 1 after step 0
+        N11 = 1.0 / 3.0 + 0.9
+        held1 = ((1.0 - held0) / math.sqrt(1.9),    # counter 1 after step 1
+                 held0 / math.sqrt(1.0 + N11))      # counter 2 after step 1
+        step0 = 1.5 + 0.5 * 0.9 + 0.9 * held0 / 3.0
+        step1 = 1.0 + 0.6 * 0.5 + 0.5 * (held1[0] * 0.9 / 1.9
+                                         + held1[1] * N11 / (1.0 + N11))
+        assert J == pytest.approx(1.6 + step0 + step1, rel=1e-12)
         assert J == pytest.approx(GOLDEN_J2, rel=1e-12)
 
-    def test_golden_two_step_transient_filter_hand_check(
-        self, golden_model, golden_filter
-    ):
-        """Fully hand-expanded two-step cost with transient filter covariances.
+    # Started at X0 = P_inf the loop is the steady one, whose cost the
+    # stationary chain gives: x0' S_0 x0 + tr(S_0 P_inf) plus per step
+    # tr(S_{k+1} W) + tr(F_inf M_k) and the stationary sigma table under the
+    # pushed counter distribution. Frozen from that formula.
+    STEADY_START = {(5, 0.01): 604.9169269652566, (5, 1.0): 267.8987053471456,
+                    (30, 0.01): 5031.123705252433,
+                    (30, 1.0): 1651.2551353710624}
 
-        All quantities are scalar: S = (1, 1.5, 1.6) backward, M = (0.9, 0.5),
-        transient updated covariances (0.5, 0.6), counter distributions
-        (p00, 1/sqrt(2), 0) then its push-forward, held-error values
-        (0, 0.5, 0.6).
-        """
-        cs = riccati_backward(golden_model, 2)
-        ma = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
-        J = finite_horizon_cost(
-            cs, golden_filter, ma, golden_model, 2, use_steady_filter_cov=False
-        )
-        p00 = 1.0 - 1.0 / math.sqrt(2.0)
-        tau0 = (p00, 1.0 / math.sqrt(2.0), 0.0)
-        tau1 = (
-            tau0[0] * p00 + tau0[1] * (1.0 - math.sqrt(0.4)),
-            tau0[0] * (1.0 - p00),
-            tau0[1] * math.sqrt(0.4),
-        )
-        step0 = 1.5 + 0.5 * 0.9 + 0.9 * (tau0[1] * 0.5 + tau0[2] * 0.6)
-        step1 = 1.0 + 0.6 * 0.5 + 0.5 * (tau1[1] * 0.5 + tau1[2] * 0.6)
-        expected = 1.6 + step0 + step1
-        assert J == pytest.approx(expected, rel=1e-12)
-
-    def test_horizon_mismatch_rejected(self, golden_model, golden_filter):
-        cs = riccati_backward(golden_model, 3)
-        ma = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
-        with pytest.raises(ModelError):
-            finite_horizon_cost(cs, golden_filter, ma, golden_model, 5)
-
-    def test_requires_finite_horizon_synthesis(
-        self, golden_model, golden_filter, golden_control
-    ):
-        ma = _analysis_inputs(golden_model, 0.5, 2, golden_filter)
-        with pytest.raises(ModelError):
-            finite_horizon_cost(
-                golden_control, golden_filter, ma, golden_model, 2
-            )
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    @pytest.mark.parametrize("N", [5, 30])
+    @pytest.mark.parametrize("start", ["P_inf", "10I"])
+    def test_matches_kalman_gain_monte_carlo(self, bench_model, bench_filter,
+                                             start, N, lam):
+        X0 = bench_filter.P_inf if start == "P_inf" else 10.0 * np.eye(2)
+        model = dataclasses.replace(bench_model, x0_mean=np.array([1.0, -0.5]),
+                                    X0=X0)
+        J = finite_horizon_cost(model, lam, BENCH_TIMEOUT, N)
+        mean, stderr = simulated_finite_horizon_cost(
+            model, lam, BENCH_TIMEOUT, N, runs=40_000, seed=11)
+        assert abs(mean - J) / stderr <= 5.0
+        if start == "P_inf":
+            assert J == pytest.approx(self.STEADY_START[N, lam], rel=1e-12)
 
     def test_time_average_approaches_stationary_cost(
         self, bench_model, bench_filter, bench_control
     ):
         # Cesaro limit: J_N / N must settle on the long-run average
         N = 5000
-        cs = riccati_backward(bench_model, N)
+        J_N = finite_horizon_cost(bench_model, 1.0, BENCH_TIMEOUT, N)
         ma = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
-        J_N = finite_horizon_cost(cs, bench_filter, ma, bench_model, N)
         bd = infinite_horizon_cost(bench_control, bench_filter, ma, bench_model)
         assert abs(J_N / N - bd.total) / bd.total < 0.01
 

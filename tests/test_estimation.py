@@ -16,17 +16,17 @@ from conftest import (BENCH_F_INF, BENCH_K_INF, BENCH_P_INF, BENCH_PI_ETA,
 
 class TestFilterStep:
     def test_golden_covariance_step(self, golden_model):
-        P_filt, P_next = filter_step(np.array([[PHI]]), golden_model)
+        P_filt, P_next, K = filter_step(np.array([[PHI]]), golden_model)
         assert P_filt[0, 0] == pytest.approx(GOLDEN_F, abs=1e-12)
         assert P_next[0, 0] == pytest.approx(PHI, abs=1e-12)
+        assert K[0, 0] == pytest.approx(GOLDEN_GAIN, abs=1e-12)
 
     def test_filtered_covariance_psd_along_walk(self, bench_model):
         # P_filt is (I - K C) P_pred; the Joseph form is PSD by construction
         C, V = bench_model.C, bench_model.V
         P_pred = bench_model.X0
         for _ in range(50):
-            K = kalman_gain(P_pred, bench_model)
-            P_filt, P_next = filter_step(P_pred, bench_model)
+            P_filt, P_next, K = filter_step(P_pred, bench_model)
             I_KC = np.eye(2) - K @ C
             joseph = I_KC @ P_pred @ I_KC.T + K @ V @ K.T
             assert np.max(np.abs(P_filt - joseph)) <= 1e-10

@@ -24,7 +24,6 @@ from etlqg import (
     cost_tradeoff_curve,
     infinite_horizon_cost,
     kf_steady_state,
-    riccati_backward,
     run_closed_loop,
 )
 
@@ -305,7 +304,7 @@ class TestDivergenceGuard:
     def _open_loop(self, bench_model):
         # zero feedback leaves the unstable plant uncontrolled
         return ControlSynthesis(L_inf=np.zeros((1, 2)), S_inf=np.eye(2),
-                                M_inf=np.eye(2))
+                                M_inf=np.eye(2), residual=0.0, iterations=0)
 
     def test_guard_raises_with_location(self, bench_model, bench_filter,
                                         monkeypatch):
@@ -346,12 +345,6 @@ class TestDivergenceGuard:
                                              [1e-12])
         assert np.all(np.isfinite(rates))
         assert costs.shape == (2,)
-
-    def test_missing_gain_rejected(self, bench_model, bench_filter):
-        cfg = _cfg(bench_model, runs=2, horizon=300)
-        finite_only = riccati_backward(bench_model, 4)
-        with pytest.raises(ModelError, match=r"^ctrl\.L_inf is None"):
-            run_closed_loop(cfg, bench_filter, finite_only, [1.0])
 
     @pytest.mark.parametrize("open_loop,guard,lams",
                              [(True, 1e6, [0.5, 4.0]), (False, 15.0, [4.0, 0.01])])
@@ -397,7 +390,8 @@ class TestScheduleControlSeparation:
         """
         monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", np.inf)
         open_loop = ControlSynthesis(L_inf=np.zeros((1, 2)), S_inf=np.eye(2),
-                                     M_inf=np.eye(2))
+                                     M_inf=np.eye(2), residual=0.0,
+                                     iterations=0)
         cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
                         horizon=1000, runs=2, seed=313, burn_in=0)
         _, _, (closed,) = traced_grid(cfg, bench_filter, bench_control, [1.0])

@@ -223,6 +223,10 @@ class TestFiniteHorizonCost:
         assert abs(J) < 1e-12
 
     def test_golden_two_step_frozen_value(self, golden_model):
+        J = finite_horizon_cost(golden_model, 0.5, 2, 2)
+        assert J == pytest.approx(GOLDEN_J2, rel=1e-12)
+
+    def test_golden_two_step_transient_filter_hand_check(self, golden_model):
         """Fully hand-expanded two-step cost at lambda = 0.5, T = 2, X0 = 1.
 
         All quantities are scalar: S = (1.6, 1.5, 1) and M = (0.9, 0.5)

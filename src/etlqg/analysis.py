@@ -3,8 +3,8 @@
 Everything here is a deterministic function of the steady-state filter and
 the scheduler parameters. The held error stays zero-mean Gaussian under the
 hold weight exp(-lam |e|^2), so one conditioning pass over a lambda grid
-(`conditional_error_cov`) gives the grid's arrays of per-age transmit
-probabilities p_i0 and held-error covariances, one row per lambda.
+(`conditional_error_cov`) gives the grid's per-age arrays, a row per lambda:
+transmit probabilities p_i0, and tr sigma and tr(M sigma) of the held error.
 `transition_matrix` turns a row into `MarkovAnalysis`, the timeout-counter
 chain with its stationary distribution and long-run rate. The chain is its
 reset column p_i0 alone (from counter i it resets with probability p_i0[i],
@@ -35,14 +35,15 @@ class MarkovAnalysis:
 
     p_i0[i]: probability of transmitting next step at counter value i, for
     i = 0..T with p_i0[T] = 1; it is the whole chain (see `chain_step`).
-    sigmas[i]: held-error covariance at counter i, (T+1, n, n), sigmas[0] = 0.
+    sigma_trace[i], trigger_by_age[i]: held-error tr sigma(i), tr(M sigma(i)).
     pi: stationary distribution. rate: long-run transmission rate (pi[0]).
     """
 
     p_i0: np.ndarray
     pi: np.ndarray
     rate: float
-    sigmas: np.ndarray
+    sigma_trace: np.ndarray
+    trigger_by_age: np.ndarray
     lam: float
 
 
@@ -101,36 +102,40 @@ def condition_step(sigma: np.ndarray, A: np.ndarray, Pi_eta: np.ndarray,
 
 
 def conditional_error_cov(ss: SteadyStateFilter, A: np.ndarray, lams,
-                          timeout: int) -> tuple[np.ndarray, np.ndarray]:
-    """The conditioning pass over a lambda grid: arrays p_i0 (G, T+1) and
-    sigmas (G, T+1, n, n), one row per lambda in lams order (MarkovAnalysis).
+                          timeout: int, M: np.ndarray):
+    """The conditioning pass over a lambda grid: arrays p_i0, sigma_trace and
+    trigger_by_age (tr(M sigma(i))), each (G, T+1), one row per lambda in
+    lams order (MarkovAnalysis).
 
     sigma_0 = 0, `condition_step` per age k < T, batched over the grid, gives
-    p_k0 and sigma_{k+1}, and p_T0 = 1; so a lambda gets the same bits alone
-    as in any grid. Accurate from lam = 1e-6 to LAMBDA_MAX, tested up to
-    timeout 1000, and free of the O(1/lam) cancellation of
-    (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1. A lambda above LAMBDA_MAX, or
-    whose solve is singular or sigma overflows, raises NumericalError.
+    p_k0 and sigma_{k+1}, of which only the running (G, n, n) is kept, and
+    p_T0 = 1; so a lambda gets the same bits alone as in any grid. Accurate
+    from lam = 1e-6 to LAMBDA_MAX, tested up to timeout 1000, and free of the
+    O(1/lam) cancellation of (1/2lam)I - (1/4lam^2)(N + I/2lam)^-1. A lambda
+    above LAMBDA_MAX, or whose solve is singular or sigma overflows, raises
+    NumericalError.
     """
     lams = checked_lambdas(lams, timeout)
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
     p_i0 = np.ones((len(lams), timeout + 1))
-    sigmas = np.zeros((len(lams), timeout + 1, n, n))
+    sigma_trace, trigger_by_age = np.zeros((2, len(lams), timeout + 1))
+    sigma = np.zeros((len(lams),) + A.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for k in range(timeout):
-            p_i0[:, k], sigmas[:, k + 1] = condition_step(
-                sigmas[:, k], A, ss.Pi_eta, lams, k)
-    # a finite sigma keeps every ld in [0, inf], so every p_i0 in [0, 1]
-    finite = np.isfinite(sigmas).all(axis=(1, 2, 3))
+            p_i0[:, k], sigma = condition_step(sigma, A, ss.Pi_eta, lams, k)
+            sigma_trace[:, k + 1] = np.trace(sigma, axis1=1, axis2=2)
+            trigger_by_age[:, k + 1] = np.einsum("gij,ji->g", sigma, M)
+    # a non-finite entry of sigma makes tr(M sigma) non-finite (0 * inf is
+    # NaN); a finite sigma keeps every p_i0 in [0, 1]
+    finite = np.isfinite(trigger_by_age).all(axis=1)
     if not finite.all():
         raise NumericalError(
             f"lambda={lams[int(np.argmin(finite))]!r}: sigma is not finite")
-    return p_i0, sigmas
+    return p_i0, sigma_trace, trigger_by_age
 
 
-def transition_matrix(lam: float, p_i0: np.ndarray,
-                      sigmas: np.ndarray) -> MarkovAnalysis:
+def transition_matrix(lam: float, p_i0: np.ndarray, sigma_trace: np.ndarray,
+                      trigger_by_age: np.ndarray) -> MarkovAnalysis:
     """The timeout-counter chain of one row of the conditioning pass.
 
     The chain is stochastic, and so its stationary distribution is the
@@ -142,8 +147,8 @@ def transition_matrix(lam: float, p_i0: np.ndarray,
             f"lambda={lam!r}: p_i0 must lie in [0, 1] with p_i0[T] = 1, got "
             f"min {np.min(p_i0)}, max {np.max(p_i0)}, p_i0[T] {p_i0[-1]}")
     pi = stationary_distribution(p_i0)
-    return MarkovAnalysis(p_i0=p_i0, pi=pi, rate=float(pi[0]), sigmas=sigmas,
-                          lam=lam)
+    return MarkovAnalysis(p_i0, pi, float(pi[0]), sigma_trace, trigger_by_age,
+                          lam)
 
 
 def stationary_distribution(p_i0: np.ndarray) -> np.ndarray:
@@ -167,5 +172,5 @@ def analysis_record(ma: MarkovAnalysis) -> dict:
         "rate": ma.rate,
         "p_i0": ma.p_i0.tolist(),
         "pi": ma.pi.tolist(),
-        "sigma_e_trace": np.trace(ma.sigmas, axis1=1, axis2=2).tolist(),
+        "sigma_e_trace": ma.sigma_trace.tolist(),
     }

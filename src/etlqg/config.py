@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,11 @@ DEFAULT_SEED = 12345
 DEFAULT_OUT_DIR = "./results"
 OUT_DIR_ENV_VAR = "ETLQG_OUT_DIR"
 _FORMATS = ("csv", "json")
-# The conditioning pass holds one float64 n x n covariance per lambda and
-# counter value: 8 G (T+1) n^2 bytes for G lambdas. A config whose table
-# would pass this bound is refused before anything is allocated.
+# The analysis holds per-age arrays and the analysis_*.json texts, whatever n
+# is: 126 bytes per lambda and counter value (analyze-only, bundled model, 13
+# lambdas: 46.1 MiB at timeout 10000, 93.0 MiB at 40000), counted as 128. A
+# config past TABLE_BYTES_MAX so counted is refused before any allocation.
+BYTES_PER_LAMBDA_AGE = 128
 TABLE_BYTES_MAX = 2**30
 
 
@@ -114,26 +116,24 @@ def _build_model(block: dict) -> SystemModel:
     n = mats["A"].shape[0] if mats["A"].ndim == 2 else 0
     if x0_mean is None:
         x0_mean = np.zeros(n)
-    return SystemModel(A=mats["A"], B=mats["B"], C=mats["C"], W=mats["W"],
-                       V=mats["V"], Q=mats["Q"],
-                       Qf=mats["Q"] if qf is None else qf,
-                       R=mats["R"], x0_mean=x0_mean, X0=mats["X0"])
+    return SystemModel(**mats, Qf=mats["Q"] if qf is None else qf,
+                       x0_mean=x0_mean)
 
 
-def _check_table(count: int, timeout: int, n: int, field: str):
-    """Refuse a table of count lambdas past TABLE_BYTES_MAX, naming field, or
-    scheduler.timeout if one lambda's table passes it."""
-    size = 8 * count * (timeout + 1) * n * n
+def _check_table(count: int, timeout: int, field: str):
+    """Refuse an analysis of count lambdas past TABLE_BYTES_MAX, naming
+    field, or scheduler.timeout if one lambda's analysis passes it."""
+    size = BYTES_PER_LAMBDA_AGE * count * (timeout + 1)
     if size > TABLE_BYTES_MAX:
         if size // count > TABLE_BYTES_MAX:
             field = "scheduler.timeout"
         raise ConfigError(
-            f"{field}: the conditioning table of {count} lambdas at timeout "
-            f"{timeout} would need {size / 2**30:.1f} GiB, above the "
+            f"{field}: the analysis of {count} lambdas at timeout {timeout} "
+            f"would need {size / 2**30:.1f} GiB, above the "
             f"{TABLE_BYTES_MAX >> 30} GiB bound")
 
 
-def _expand_lambda_grid(raw, timeout: int, n: int) -> tuple[float, ...]:
+def _expand_lambda_grid(raw, timeout: int) -> tuple[float, ...]:
     where = "scheduler.lambda_grid"
     if isinstance(raw, dict):
         _reject_unknown(raw, ("min", "max", "count"), where)
@@ -143,7 +143,7 @@ def _expand_lambda_grid(raw, timeout: int, n: int) -> tuple[float, ...]:
         count = raw["count"]
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ConfigError(f"{where}.count: expected a positive integer")
-        _check_table(count, timeout, n, f"{where}.count")
+        _check_table(count, timeout, f"{where}.count")
         lo, hi = (float(_numbers(raw[k], f"{where}.{k}")) for k in ("min", "max"))
         if not 0 < lo or not np.isfinite(lo) or not np.isfinite(hi):
             raise ConfigError(f"{where}: min must be positive and finite")
@@ -157,7 +157,7 @@ def _expand_lambda_grid(raw, timeout: int, n: int) -> tuple[float, ...]:
             grid = np.logspace(np.log10(lo), np.log10(hi), count)
         values = tuple(float(v) for v in grid)
     elif isinstance(raw, (list, tuple)):
-        _check_table(len(raw), timeout, n, where)
+        _check_table(len(raw), timeout, where)
         values = tuple(float(v) for v in _numbers(raw, where, (1,)))
     else:
         raise ConfigError(f"{where}: expected a list or a {{min,max,count}} mapping")
@@ -209,7 +209,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     timeout = _int_field(sched, "timeout", None, "scheduler", minimum=1)
     if "lambda_grid" not in sched:
         raise ConfigError("scheduler.lambda_grid: required field missing")
-    grid = _expand_lambda_grid(sched["lambda_grid"], timeout, model.A.shape[0])
+    grid = _expand_lambda_grid(sched["lambda_grid"], timeout)
 
     sim = _require_mapping(doc.get("simulation", {}), "simulation")
     _reject_unknown(sim, ("runs", "horizon", "seed", "burn_in", "record_trace"),
@@ -250,14 +250,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Config blocks as plain data; the lambda grid is echoed expanded."""
-    m = cfg.model
     return {
-        "model": {
-            "A": m.A.tolist(), "B": m.B.tolist(), "C": m.C.tolist(),
-            "W": m.W.tolist(), "V": m.V.tolist(), "Q": m.Q.tolist(),
-            "Qf": m.Qf.tolist(), "R": m.R.tolist(),
-            "x0_mean": m.x0_mean.tolist(), "X0": m.X0.tolist(),
-        },
+        "model": {f.name: getattr(cfg.model, f.name).tolist()
+                  for f in fields(cfg.model)},
         "scheduler": {
             "timeout": cfg.timeout,
             "lambda_grid": list(cfg.lambda_grid),

@@ -96,11 +96,11 @@ def control_steady_state(model: SystemModel) -> ControlSynthesis:
 
 def infinite_horizon_cost(cs: ControlSynthesis, ss: SteadyStateFilter,
                           ma: MarkovAnalysis, model: SystemModel) -> CostBreakdown:
-    """Closed-form long-run average cost under the event-triggered loop."""
+    """Closed-form long-run average cost; ma's pass was given cs.M_inf."""
     base = float(np.trace(cs.S_inf @ model.W))
     filter_term = float(np.trace(ss.F_inf @ cs.M_inf))
-    # pi[i] multiplies Tr(M sigma(i)); index 0 carries a zero matrix
-    trigger_term = float(np.einsum("i,ijk,kj->", ma.pi, ma.sigmas, cs.M_inf))
+    # pi[i] multiplies Tr(M sigma(i)), which is 0 at i = 0
+    trigger_term = float(ma.pi @ ma.trigger_by_age)
     return CostBreakdown(base=base, filter_term=filter_term,
                          trigger_term=trigger_term,
                          total=base + filter_term + trigger_term)
@@ -156,7 +156,8 @@ def cost_tradeoff_curve(model: SystemModel, lambdas, timeout: int,
     if cs is None:
         cs = control_steady_state(model)
     points = []
-    for row in zip(lams, *conditional_error_cov(ss, model.A, lams, timeout)):
+    for row in zip(lams, *conditional_error_cov(ss, model.A, lams, timeout,
+                                                cs.M_inf)):
         ma = transition_matrix(*row)
         breakdown = infinite_horizon_cost(cs, ss, ma, model)
         points.append(TradeoffPoint(lam=ma.lam, rate=ma.rate, cost=breakdown.total,

@@ -128,12 +128,8 @@ class SystemModel:
         if not np.all(np.isfinite(x0)):
             raise ModelError("x0_mean contains non-finite entries")
 
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        for name, M in mats.items():
+        for name, M in {"A": A, "B": B, "C": C, **mats, "x0_mean": x0}.items():
             object.__setattr__(self, name, M)
-        object.__setattr__(self, "x0_mean", x0)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -152,8 +148,8 @@ class SystemModel:
 def scheduler_lambdas(lams, timeout) -> list[float]:
     """The trigger sensitivities lams as floats, checked with the timeout.
 
-    lams is a nonempty grid (a single lambda is the grid [lam]). Each lambda
-    is a positive finite scalar weight on the squared comparison error
+    lams is a nonempty grid of reals (a single lambda is the grid [lam]). Each
+    lambda is a positive finite scalar weight on the squared comparison error
     inside the non-transmit probability exp(-lam * |e|^2); timeout, the hard
     upper bound on consecutive non-transmissions, an integer >= 1.
     """
@@ -165,7 +161,9 @@ def scheduler_lambdas(lams, timeout) -> list[float]:
         grid = [] if isinstance(lams, (str, bytes)) else list(lams)
     except TypeError:
         grid = []
-    if not grid:
+    # nor is a list, a complex, a string or a bool a lambda
+    if not grid or any(type(lam) is bool or not isinstance(
+            lam, (int, float, np.integer, np.floating)) for lam in grid):
         raise ModelError(
             f"lams must be a nonempty grid of lambdas, got {lams!r}")
     lams = [float(lam) for lam in grid]

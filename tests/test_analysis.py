@@ -21,6 +21,7 @@ from etlqg import (
     NumericalError,
     analysis_record,
     conditional_error_cov,
+    control_steady_state,
     finite_horizon_cost,
     kf_steady_state,
     stationary_distribution,
@@ -45,6 +46,7 @@ from conftest import (
     chains,
     random_valid_model,
 )
+from sigma_table_oracle import sigma_table
 
 
 class TestCumulativeCov:
@@ -232,8 +234,8 @@ class TestLongTimeouts:
         assert 0.0 < ma.rate <= 1.0
         # sigma(i) converges, so the per-age probabilities level off
         assert abs(ma.p_i0[timeout - 1] - ma.p_i0[timeout - 2]) <= 1e-12
-        assert len(ma.sigmas) == timeout + 1
-        assert np.all(np.isfinite(np.stack(ma.sigmas)))
+        assert ma.sigma_trace.shape == ma.trigger_by_age.shape == (timeout + 1,)
+        assert np.all(np.isfinite(ma.sigma_trace))
 
     def test_tail_probability_matches_reference(self, bench_model, bench_filter):
         ma = chains(bench_filter, bench_model.A, [1.0], 100)[0]
@@ -310,7 +312,8 @@ class TestStationaryDistribution:
         p_i0[where] = np.nan
         with pytest.raises(NumericalError, match=re.escape(
                 "lambda=1.0: p_i0 must lie in [0, 1] with p_i0[T] = 1")):
-            transition_matrix(ma.lam, p_i0, ma.sigmas)
+            transition_matrix(ma.lam, p_i0, ma.sigma_trace,
+                              ma.trigger_by_age)
 
     def test_chain_without_certain_timeout_rejected(self, bench_model,
                                                     bench_filter):
@@ -320,7 +323,8 @@ class TestStationaryDistribution:
         p_i0[-1] = 0.5
         with pytest.raises(NumericalError, match=re.escape(
                 "lambda=1.0: p_i0 must lie in [0, 1] with p_i0[T] = 1, got ")):
-            transition_matrix(ma.lam, p_i0, ma.sigmas)
+            transition_matrix(ma.lam, p_i0, ma.sigma_trace,
+                              ma.trigger_by_age)
 
     @pytest.mark.parametrize("lam, pi_T_max", [(1.0, 1e-27), (100.0, 1e-74)])
     def test_leak_past_timeout_rejected_however_small(
@@ -334,7 +338,7 @@ class TestStationaryDistribution:
         p_i0[-1] = 0.5
         with pytest.raises(NumericalError, match=re.escape(
                 f"lambda={lam!r}: p_i0 must lie in [0, 1] with p_i0[T] = 1")):
-            transition_matrix(lam, p_i0, ma.sigmas)
+            transition_matrix(lam, p_i0, ma.sigma_trace, ma.trigger_by_age)
 
 
 class TestTelescoping:
@@ -377,7 +381,7 @@ class TestStackedOracleOnRandomModels:
             filt = kf_steady_state(model)
             T = int(rng.integers(1, 11))
             n = model.A.shape[0]
-            (p_i0,), (sigmas,) = conditional_error_cov(filt, model.A, [lam], T)
+            (p_i0,), (sigmas,) = sigma_table(filt, model.A, [lam], T)
             ld_prev = 0.0
             for k in range(T):
                 cov = cumulative_cov(filt, model.A, k)
@@ -396,26 +400,38 @@ class TestStackedOracleOnRandomModels:
 class TestLambdaGrid:
     """One pass over a grid equals the grid of one at each lambda, bitwise."""
 
-    def test_grid_point_equals_grid_of_one(self, bench_model, bench_filter):
+    def test_grid_point_equals_grid_of_one(self, bench_model, bench_filter,
+                                           bench_control):
         lams = np.logspace(-6, 6, 13)
-        cases = [(bench_filter, bench_model.A, 50)]
+        cases = [(bench_filter, bench_model.A, 50, bench_control.M_inf)]
         rng = np.random.default_rng(20261018)
         for _ in range(19):
             model = random_valid_model(rng)
-            cases.append((kf_steady_state(model), model.A, int(rng.integers(1, 21))))
-        for filt, A, T in cases:
-            p_i0, sigmas = conditional_error_cov(filt, A, lams, T)
-            assert p_i0.shape == (len(lams), T + 1)
-            assert sigmas.shape == (len(lams), T + 1, *A.shape)
+            cases.append((kf_steady_state(model), model.A,
+                          int(rng.integers(1, 21)),
+                          control_steady_state(model).M_inf))
+        for filt, A, T, M in cases:
+            rows = conditional_error_cov(filt, A, lams, T, M)
+            for arr in rows:
+                assert arr.shape == (len(lams), T + 1)
+            table = sigma_table(filt, A, lams, T)
             for g, lam in enumerate(lams):
-                (one_p_i0,), (one_sigmas,) = conditional_error_cov(
-                    filt, A, [lam], T)
-                assert p_i0[g].tobytes() == one_p_i0.tobytes()
-                assert sigmas[g].tobytes() == one_sigmas.tobytes()
+                one = conditional_error_cov(filt, A, [lam], T, M)
+                for arr, one_arr in zip(rows, one):
+                    assert arr[g].tobytes() == one_arr[0].tobytes()
+                # and the one lambda's chain is the grid row's
+                one_ma = transition_matrix(lam, *(arr[0] for arr in one))
+                ma = transition_matrix(lam, *(arr[g] for arr in rows))
+                assert one_ma.pi.tobytes() == ma.pi.tobytes()
+                # so is the oracle's table
+                one_table = sigma_table(filt, A, [lam], T)
+                for arr, one_arr in zip(table, one_table):
+                    assert arr[g].tobytes() == one_arr[0].tobytes()
 
     def test_invalid_grid_point_rejected(self, bench_model, bench_filter):
         with pytest.raises(ModelError, match="lam"):
-            conditional_error_cov(bench_filter, bench_model.A, [1.0, 0.0], 5)
+            conditional_error_cov(bench_filter, bench_model.A, [1.0, 0.0], 5,
+                                  np.eye(2))
 
     @pytest.mark.parametrize("timeout", [1, 50])
     def test_overflowing_grid_point_named(self, bench_model, bench_filter,
@@ -423,7 +439,7 @@ class TestLambdaGrid:
         # 2 lam overflows at lam = 1e308: NaN must not pass the range check
         with pytest.raises(NumericalError, match=r"lambda=1e\+308"):
             conditional_error_cov(bench_filter, bench_model.A,
-                                  [1.0, 1e308, 2.0], timeout)
+                                  [1.0, 1e308, 2.0], timeout, np.eye(2))
 
     @pytest.mark.parametrize("lam", [float(np.nextafter(LAMBDA_MAX, np.inf)), 1e14,
                                      1e100])
@@ -432,13 +448,12 @@ class TestLambdaGrid:
         # here, and at 1e100 the pass returned 0.124 with no error
         with pytest.raises(NumericalError, match=re.escape(f"lambda={lam!r}: above")):
             conditional_error_cov(bench_filter, bench_model.A,
-                                  [1.0, lam, 2.0], 50)
+                                  [1.0, lam, 2.0], 50, np.eye(2))
         with pytest.raises(NumericalError, match=re.escape(f"lambda={lam!r}: above")):
             finite_horizon_cost(bench_model, lam, 50, 5)
-        _, (sigmas,) = conditional_error_cov(bench_filter, bench_model.A,
-                                             [LAMBDA_MAX], 50)
-        assert LAMBDA_MAX * np.trace(sigmas[1]) == pytest.approx(
-            0.5, rel=1e-6)
+        _, (sigma_trace,), _ = conditional_error_cov(
+            bench_filter, bench_model.A, [LAMBDA_MAX], 50, np.eye(2))
+        assert LAMBDA_MAX * sigma_trace[1] == pytest.approx(0.5, rel=1e-6)
 
     def test_singular_solve_named(self):
         # below LAMBDA_MAX, I + 2 lam N is singular only at an exact zero
@@ -492,7 +507,7 @@ class TestMpmathReference:
         cases += [(random_valid_model(rng), 8) for _ in range(30)]
         for model, T in cases:
             filt = kf_steady_state(model)
-            (p_i0,), (sigmas,) = conditional_error_cov(filt, model.A, [lam], T)
+            (p_i0,), (sigmas,) = sigma_table(filt, model.A, [lam], T)
             p_ref, sigmas_ref = mpmath_pass(model.A, filt.Pi_eta, lam, T)
             np.testing.assert_allclose(p_i0[:T], p_ref, rtol=p_rtol, atol=0)
             for sigma, ref in zip(sigmas[1:], sigmas_ref[1:]):
@@ -501,17 +516,19 @@ class TestMpmathReference:
 
 
 class TestConditionalErrorCov:
-    def test_age_zero_exactly_zero(self, bench_model, bench_filter):
-        p_i0, sigmas = conditional_error_cov(bench_filter, bench_model.A,
-                                             [1.0], 50)
-        assert p_i0.shape == (1, 51)
+    def test_age_zero_exactly_zero(self, bench_model, bench_filter,
+                                   bench_control):
+        p_i0, sigma_trace, trigger_by_age = conditional_error_cov(
+            bench_filter, bench_model.A, [1.0], 50, bench_control.M_inf)
+        assert p_i0.shape == sigma_trace.shape == trigger_by_age.shape == (1, 51)
+        assert sigma_trace[0, 0] == trigger_by_age[0, 0] == 0.0
+        _, sigmas = sigma_table(bench_filter, bench_model.A, [1.0], 50)
         assert sigmas.shape == (1, 51, 2, 2)
         assert np.all(sigmas[0, 0] == 0.0)
 
     def test_golden_scalar_recursion(self, golden_model, golden_filter):
         # N1 = 0 + 1 = 1 -> 1/(1+1) = 0.5; N2 = 0.5 + 1 -> 1.5/2.5 = 0.6
-        _, (sigmas,) = conditional_error_cov(golden_filter, golden_model.A,
-                                             [0.5], 2)
+        _, (sigmas,) = sigma_table(golden_filter, golden_model.A, [0.5], 2)
         assert sigmas[1][0, 0] == pytest.approx(0.5, abs=1e-12)
         assert sigmas[2][0, 0] == pytest.approx(0.6, abs=1e-12)
 
@@ -520,7 +537,7 @@ class TestConditionalErrorCov:
         lam = 1.0
         A = bench_model.A
         Pi = bench_filter.Pi_eta
-        _, (sigmas,) = conditional_error_cov(bench_filter, A, [lam], 50)
+        _, (sigmas,) = sigma_table(bench_filter, A, [lam], 50)
         eye = np.eye(2)
         for i in range(1, 51):
             N = A @ sigmas[i - 1] @ A.T + Pi
@@ -531,18 +548,43 @@ class TestConditionalErrorCov:
 
     @pytest.mark.parametrize("lam", [1.0, 100.0])
     def test_eigenvalues_below_saturation_bound(self, bench_model, bench_filter, lam):
-        _, (sigmas,) = conditional_error_cov(bench_filter, bench_model.A,
-                                             [lam], 50)
+        _, (sigmas,) = sigma_table(bench_filter, bench_model.A, [lam], 50)
         bound = 1.0 / (2.0 * lam)
         for sigma in sigmas[1:]:
             np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
             assert np.linalg.eigvalsh(sigma).max() < bound
 
     def test_monotone_growth_in_age(self, bench_model, bench_filter):
-        _, (sigmas,) = conditional_error_cov(bench_filter, bench_model.A,
-                                             [0.1], 10)
+        _, (sigmas,) = sigma_table(bench_filter, bench_model.A, [0.1], 10)
         for prev, cur in zip(sigmas, sigmas[1:]):
             assert np.linalg.eigvalsh(cur - prev).min() >= -1e-10
+
+
+class TestSigmaTableOracle:
+    """The pass keeps the oracle table's reductions: p_i0 and tr sigma(i)
+    bit for bit (same steps, same trace), and tr(M sigma(i)) to 1e-14
+    relative of an einsum over the table (its sum order is einsum's own)."""
+
+    def test_reductions_match_table(self, bench_model, bench_filter,
+                                    bench_control):
+        cases = [(bench_filter, bench_model.A, 50, bench_control.M_inf)]
+        rng = np.random.default_rng(20261020)
+        for _ in range(6):
+            model = random_valid_model(rng)
+            cases.append((kf_steady_state(model), model.A,
+                          int(rng.integers(1, 31)),
+                          control_steady_state(model).M_inf))
+        lams = [1e-6, 0.01, 1.0, 100.0, 1e6]
+        for filt, A, T, M in cases:
+            p_i0, sigma_trace, trigger_by_age = conditional_error_cov(
+                filt, A, lams, T, M)
+            table_p_i0, sigmas = sigma_table(filt, A, lams, T)
+            assert p_i0.tobytes() == table_p_i0.tobytes()
+            assert sigma_trace.tobytes() == np.trace(
+                sigmas, axis1=-2, axis2=-1).tobytes()
+            np.testing.assert_allclose(
+                trigger_by_age, np.einsum("gaij,ji->ga", sigmas, M),
+                rtol=1e-14, atol=0)
 
 
 class TestConditionStepProperties:
@@ -567,8 +609,8 @@ class TestConditionStepProperties:
     def test_tables_bounded(self, seed, log_lam, timeout, N):
         model = random_valid_model(np.random.default_rng(seed))
         lam = 10.0 ** log_lam
-        (p_i0,), (sigmas,) = conditional_error_cov(
-            kf_steady_state(model), model.A, [lam], timeout)
+        (p_i0,), (sigmas,) = sigma_table(kf_steady_state(model), model.A,
+                                         [lam], timeout)
         self.assert_bounded(p_i0, sigmas, lam)
 
         steps = []
@@ -608,9 +650,11 @@ class TestAnalysisRecord:
             if model.dims[0] > 2:
                 cases.append((model, kf_steady_state(model)))
         for model, ss in cases:
-            for ma in chains(ss, model.A, [1e-6, 1.0, 1e6], 30):
+            lams = [1e-6, 1.0, 1e6]
+            _, table = sigma_table(ss, model.A, lams, 30)
+            for ma, sigmas in zip(chains(ss, model.A, lams, 30), table):
                 got = analysis_record(ma)["sigma_e_trace"]
-                want = [float(np.trace(s)) for s in ma.sigmas]
+                want = [float(np.trace(s)) for s in sigmas]
                 assert json.dumps(got) == json.dumps(want)
 
 

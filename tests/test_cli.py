@@ -566,17 +566,17 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("field, scheduler, gib", [
         ("scheduler.timeout",
-         {"timeout": 10**9, "lambda_grid": [0.5, 2.0]}, "59.6"),
+         {"timeout": 10**9, "lambda_grid": [0.5, 2.0]}, "238.4"),
         ("scheduler.timeout",
          {"timeout": 10**9, "lambda_grid": {"min": 0.1, "max": 1.0,
-                                            "count": 2}}, "59.6"),
+                                            "count": 2}}, "238.4"),
         ("scheduler.lambda_grid.count",
          {"timeout": 6, "lambda_grid": {"min": 0.1, "max": 1.0,
-                                        "count": 10**9}}, "208.6"),
+                                        "count": 10**9}}, "834.5"),
     ])
     def test_table_past_bound_named(self, tmp_path, capsys, monkeypatch,
                                     field, scheduler, gib):
-        # 8 G (T+1) n^2 bytes: refused before np.logspace builds the grid
+        # 128 G (T+1) bytes: refused before np.logspace builds the grid
         # and before the analysis allocates, so neither case allocates
         def unreachable(*args, **kwargs):
             raise AssertionError("np.logspace reached")
@@ -584,7 +584,7 @@ class TestConfigErrors:
         monkeypatch.setattr(np, "logspace", unreachable)
         doc = base_config(tmp_path / "out", scheduler=scheduler)
         with pytest.raises(etlqg.ConfigError, match=re.escape(
-                f"{field}: the conditioning table of ")) as info:
+                f"{field}: the analysis of ")) as info:
             config_from_dict(doc)
         assert f"would need {gib} GiB, above the 1 GiB bound" in str(info.value)
         cfg = write_config(tmp_path, doc)
@@ -595,14 +595,27 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     def test_table_bound_is_inclusive(self, tmp_path):
-        # one lambda at n = 2 fills the 2**30-byte bound at T + 1 = 2**25;
-        # the config is only read here, nothing is allocated
+        # one lambda fills the 2**30-byte bound at T + 1 = 2**23, whatever
+        # n; the config is only read here, nothing is allocated
         doc = base_config(tmp_path / "out",
-                          scheduler={"timeout": 2**25 - 1, "lambda_grid": [1.0]})
-        assert config_from_dict(doc).timeout == 2**25 - 1
-        doc["scheduler"]["timeout"] = 2**25
+                          scheduler={"timeout": 2**23 - 1, "lambda_grid": [1.0]})
+        assert config_from_dict(doc).timeout == 2**23 - 1
+        doc["scheduler"]["timeout"] = 2**23
         with pytest.raises(etlqg.ConfigError, match="^scheduler.timeout: "):
             config_from_dict(doc)
+
+    def test_table_bound_takes_no_state_dimension(self, tmp_path):
+        # n = 64 at T = 3000 on 13 lambdas: 4.8 MiB counted; a bound of
+        # 8 G (T+1) n^2 bytes for a sigma table refused it at 1.2 GiB
+        eye = np.eye(64).tolist()
+        model = {"A": (0.5 * np.eye(64)).tolist(), "B": eye, "C": eye,
+                 "W": eye, "V": eye, "Q": eye, "R": eye, "X0": eye}
+        doc = base_config(tmp_path / "out", model=model, scheduler={
+            "timeout": 3000,
+            "lambda_grid": {"min": 0.01, "max": 100.0, "count": 13}})
+        cfg = config_from_dict(doc)
+        assert (cfg.model.dims, cfg.timeout, len(cfg.lambda_grid)) == (
+            (64, 64, 64), 3000, 13)
 
     @pytest.mark.parametrize("text", ["model: [1, 2\n", '{"model": [1, 2}'])
     def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, text):

@@ -42,10 +42,11 @@ from conftest import (
     random_valid_model,
 )
 from finite_horizon_oracle import simulated_finite_horizon_cost
+from sigma_table_oracle import sigma_table
 
 
-def _analysis_inputs(model, lam, timeout, filt):
-    return chains(filt, model.A, [lam], timeout)[0]
+def _analysis_inputs(model, lam, timeout, filt, ctrl):
+    return chains(filt, model.A, [lam], timeout, ctrl.M_inf)[0]
 
 
 def _quiet_model():
@@ -175,7 +176,8 @@ class TestInfiniteHorizonCost:
     def test_extreme_sensitivity_approaches_always_send_limit(
         self, bench_model, bench_filter, bench_control
     ):
-        ma = _analysis_inputs(bench_model, 1e6, BENCH_TIMEOUT, bench_filter)
+        ma = _analysis_inputs(bench_model, 1e6, BENCH_TIMEOUT, bench_filter,
+                              bench_control)
         bd = infinite_horizon_cost(bench_control, bench_filter, ma, bench_model)
         assert bd.trigger_term < 1e-4 * bd.total
         assert bd.total == pytest.approx(BENCH_J_LIMIT, rel=1e-9)
@@ -184,7 +186,8 @@ class TestInfiniteHorizonCost:
     def test_bench_unit_sensitivity_frozen_value(
         self, bench_model, bench_filter, bench_control
     ):
-        ma = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
+        ma = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter,
+                              bench_control)
         bd = infinite_horizon_cost(bench_control, bench_filter, ma, bench_model)
         assert bd.total == pytest.approx(BENCH_J_LAM1, rel=1e-6)
 
@@ -192,12 +195,13 @@ class TestInfiniteHorizonCost:
         model = _quiet_model()
         filt = kf_steady_state(model)
         ctrl = control_steady_state(model)
-        ma = _analysis_inputs(model, 1.0, 5, filt)
+        ma = _analysis_inputs(model, 1.0, 5, filt, ctrl)
         bd = infinite_horizon_cost(ctrl, filt, ma, model)
         assert bd.total < 1e-9
 
     def test_breakdown_sums_exactly(self, bench_model, bench_filter, bench_control):
-        ma = _analysis_inputs(bench_model, 0.3, BENCH_TIMEOUT, bench_filter)
+        ma = _analysis_inputs(bench_model, 0.3, BENCH_TIMEOUT, bench_filter,
+                              bench_control)
         bd = infinite_horizon_cost(bench_control, bench_filter, ma, bench_model)
         assert bd.total == bd.base + bd.filter_term + bd.trigger_term
         assert bd.base > 0.0
@@ -209,7 +213,8 @@ class TestInfiniteHorizonCost:
     ):
         terms = []
         for lam in (0.1, 1.0, 10.0):
-            ma = _analysis_inputs(bench_model, lam, BENCH_TIMEOUT, bench_filter)
+            ma = _analysis_inputs(bench_model, lam, BENCH_TIMEOUT,
+                                  bench_filter, bench_control)
             bd = infinite_horizon_cost(
                 bench_control, bench_filter, ma, bench_model
             )
@@ -276,7 +281,8 @@ class TestFiniteHorizonCost:
         # Cesaro limit: J_N / N must settle on the long-run average
         N = 5000
         J_N = finite_horizon_cost(bench_model, 1.0, BENCH_TIMEOUT, N)
-        ma = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter)
+        ma = _analysis_inputs(bench_model, 1.0, BENCH_TIMEOUT, bench_filter,
+                              bench_control)
         bd = infinite_horizon_cost(bench_control, bench_filter, ma, bench_model)
         assert abs(J_N / N - bd.total) / bd.total < 0.01
 
@@ -307,7 +313,8 @@ class TestCostTradeoffCurve:
         assert pt.cost == pt.breakdown.total
         assert pt.rate == pt.markov.rate
         assert pt.markov.lam == 0.7
-        assert len(pt.markov.sigmas) == BENCH_TIMEOUT + 1
+        assert pt.markov.sigma_trace.shape == (BENCH_TIMEOUT + 1,)
+        assert pt.markov.trigger_by_age.shape == (BENCH_TIMEOUT + 1,)
 
     def test_precomputed_solves_give_identical_results(
         self, bench_model, bench_filter, bench_control
@@ -352,12 +359,13 @@ def test_golden_infinite_horizon_cost_closed_form():
     model = make_golden_model()
     filt = kf_steady_state(model)
     ctrl = control_steady_state(model)
-    ma = _analysis_inputs(model, 0.5, 2, filt)
+    ma = _analysis_inputs(model, 0.5, 2, filt, ctrl)
     bd = infinite_horizon_cost(ctrl, filt, ma, model)
+    _, (sigmas,) = sigma_table(filt, model.A, [0.5], 2)
     direct = (
         ctrl.S_inf[0, 0]
         + filt.F_inf[0, 0] * ctrl.M_inf[0, 0]
-        + ctrl.M_inf[0, 0] * (ma.pi[1] * ma.sigmas[1][0, 0]
-                              + ma.pi[2] * ma.sigmas[2][0, 0])
+        + ctrl.M_inf[0, 0] * (ma.pi[1] * sigmas[1][0, 0]
+                              + ma.pi[2] * sigmas[2][0, 0])
     )
     assert bd.total == pytest.approx(direct, rel=1e-12)

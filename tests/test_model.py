@@ -7,8 +7,9 @@ import pytest
 
 from etlqg import (DefinitenessError, ModelError, SimConfig, SystemModel,
                    ValidationCheck, conditional_error_cov, control_steady_state,
-                   controllability_rank, cost_tradeoff_curve, kf_steady_state,
-                   observability_rank, run_closed_loop, validate_model)
+                   controllability_rank, cost_tradeoff_curve,
+                   finite_horizon_cost, kf_steady_state, observability_rank,
+                   run_closed_loop, validate_model)
 from etlqg.model import psd_sqrt, scheduler_lambdas, symmetrize
 
 from conftest import make_benchmark_model, make_golden_model, random_valid_model
@@ -111,10 +112,28 @@ class TestSchedulerParams:
                 run_closed_loop(cfg, bench_filter, bench_control, lams,
                                 on_block=on_block)
         with pytest.raises(ModelError, match="^lams must be a nonempty grid"):
-            conditional_error_cov(bench_filter, bench_model.A, lams, 50)
+            conditional_error_cov(bench_filter, bench_model.A, lams, 50,
+                                  bench_control.M_inf)
         with pytest.raises(ModelError, match="^lams must be a nonempty grid"):
             cost_tradeoff_curve(bench_model, lams, 50, ss=bench_filter,
                                 cs=bench_control)
+
+    @pytest.mark.parametrize("lams", [[[1.0, 2.0]], [1 + 0j], ["1"], [b"1"],
+                                      [True]])
+    def test_non_real_grid_entry_named(self, bench_model, bench_filter,
+                                       bench_control, lams):
+        # a nested grid or a complex entry used to raise a bare TypeError
+        # from float(), and '1', b'1' and True were taken as 1.0; the
+        # finite-horizon cost's one lambda is the grid's entry
+        cfg = SimConfig(model=bench_model, timeout=50, horizon=300, runs=4,
+                        seed=1)
+        with pytest.raises(ModelError, match="^lams must be a nonempty grid"):
+            conditional_error_cov(bench_filter, bench_model.A, lams, 50,
+                                  bench_control.M_inf)
+        with pytest.raises(ModelError, match="^lams must be a nonempty grid"):
+            finite_horizon_cost(bench_model, lams[0], 50, 5)
+        with pytest.raises(ModelError, match="^lams must be a nonempty grid"):
+            run_closed_loop(cfg, bench_filter, bench_control, lams)
 
 
 class TestRankChecks:

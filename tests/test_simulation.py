@@ -29,6 +29,7 @@ from etlqg import (
 
 from closed_loop_oracle import SHARED_FIELDS, reference_closed_loop_grid
 from conftest import BENCH_TIMEOUT, chains, random_valid_model, traced_grid
+from sigma_table_oracle import sigma_table
 
 
 def _cfg(model, timeout=BENCH_TIMEOUT, **kw):
@@ -290,11 +291,14 @@ class TestAgainstAnalysis:
         """
         cfg = _cfg(bench_model, runs=8, horizon=25_000, seed=31)
         _, _, (traces,) = traced_grid(cfg, bench_filter, bench_control, [1.0])
-        ma = chains(bench_filter, bench_model.A, [1.0], BENCH_TIMEOUT)[0]
+        ma = chains(bench_filter, bench_model.A, [1.0], BENCH_TIMEOUT,
+                    bench_control.M_inf)[0]
         bd = infinite_horizon_cost(bench_control, bench_filter, ma,
                                    bench_model)
+        _, (sigmas,) = sigma_table(bench_filter, bench_model.A, [1.0],
+                                   BENCH_TIMEOUT)
         table = np.array([float(np.trace(bench_control.M_inf @ s))
-                          for s in ma.sigmas])
+                          for s in sigmas])
         taus = np.concatenate([tr.tau[cfg.burn_in:] for tr in traces])
         empirical = table[taus].mean()
         assert empirical == pytest.approx(bd.trigger_term, rel=0.02)

@@ -15,11 +15,10 @@ A sweep that fails in analysis, simulation or writing writes nothing. A
 finished sweep removes the artifacts of an earlier one that it did not
 write; files with other names stay.
 
-Processes: a large sweep splits its runs across spawned workers, one per
-core (_processes). A traced sweep that stays in one process may instead hand
-each block of traces to one spawned formatter, which formats and appends it
-while this process simulates the next (_formats_aside). Neither changes a
-byte of any artifact.
+Processes: a sweep takes the layout of least estimated time (_layout): in
+this process, split across spawned workers, one per core, or, traced, in this
+process beside one spawned formatter, which formats and appends each block
+of traces while this process simulates the next. No layout moves a byte.
 
 Exit codes: 0 success, 1 invalid config or unwritable output, 2 model
 validation failure, 3 numerical non-convergence or divergence.
@@ -50,29 +49,16 @@ from .errors import (ConfigError, DivergenceError, EtlqgError, ModelError,
 from .estimation import kf_steady_state
 from .analysis import analysis_record
 from .model import validate_model
-from .simulation import (SimConfig, TraceBlock, aggregate_runs,
-                         run_closed_loop, trace_chunk_runs)
+from .simulation import (_TRACE_BLOCK_STEPS, SimConfig, TraceBlock,
+                         aggregate_runs, run_closed_loop, trace_chunk_runs)
 
 TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
                    "analytic_cost,empirical_cost,cost_stderr")
-# A sweep splits its runs across worker processes only when that saves more
-# than a worker's start: a spawn round trip (start, import numpy and etlqg,
-# return) took 0.40-0.46 s on a 2-vCPU host, where the
-# bundled-model sweep broke even near 8e6 lambda-run-steps (13 x 32 x 20000:
-# 2.9 s either way; 13 x 64 x 20000: 4.8 s -> 3.8 s). The tier-1 CLI tests
-# and the small CI smoke run stay in-process.
-_SPLIT_MIN_RUN_STEPS = 8_000_000
-# An unsplit traced sweep hands its trace blocks to one spawned formatter
-# (_formats_aside) only if its simulation outlasts the formatter's start,
-# 0.3-0.5 s. Narrow rows cost about the same per step at any width the
-# trace budget lets a block wait at, so the horizon decides: at 3 lambdas x
-# 8 runs on a 2-vCPU host (medians of 8 alternating pairs) the formatter
-# lost at 10000 steps (0.99 -> 1.07 s) and won at 15000 (1.38 -> 1.14 s).
-# At 20000 steps it took 11% less time at 48 lambda-runs, 19% less at 72
-# and 2% less at 192; the trace budget already stops it before that, as it
-# lets a block wait only up to about 93 lambda-runs (n = 2, m = 1). The
-# tier-1 CLI tests stay in-process.
-_FORMAT_MIN_STEPS = 15_000
+# _layout's costs, measured on a 2-vCPU host: a lockstep step, 22 us + 90 ns
+# per lambda-run (25-26, 49-50, 131-140, 1204-1432 us at 24, 286, 1300 and
+# 13000); a trace row's formatting, 0.63-0.80 us; a spawn round trip, 0.23 s
+# (a worker's first job began 0.15-0.21 s after its submit, +0.02 s to exit).
+_STEP_S, _RUN_S, _ROW_S, _SPAWN_S = 22e-6, 90e-9, 0.71e-6, 0.23
 # The names of the artifacts a sweep may write, but for manifest.json; a
 # lambda is named by the repr of a positive float
 _LAM = r"\d+(\.\d+)?(e[+-]\d+)?"
@@ -180,14 +166,6 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _processes(sim_cfg: SimConfig, lams: int) -> int:
-    """Processes that share the runs of a sweep of lams lambdas: one per
-    core, if the sweep reaches _SPLIT_MIN_RUN_STEPS."""
-    if lams * sim_cfg.runs * sim_cfg.horizon < _SPLIT_MIN_RUN_STEPS:
-        return 1
-    return _cores()
-
-
 def _in_flight(sim_cfg: SimConfig, lams: int, runs: int) -> int:
     """Trace blocks of runs runs at lams lambdas that may wait for the
     formatter while this process simulates the next block. Each waiting
@@ -196,16 +174,28 @@ def _in_flight(sim_cfg: SimConfig, lams: int, runs: int) -> int:
     return max(0, (trace_chunk_runs(sim_cfg, lams) // runs - 1) // 2)
 
 
-def _formats_aside(sim_cfg: SimConfig, lams: int, slices) -> bool:
-    """Whether a sweep of lams lambdas, its runs cut into slices (see
-    _split), hands its trace blocks to one spawned formatter: only a traced
-    sweep in one process, of at least _FORMAT_MIN_STEPS steps, whose grid is
-    narrow enough that a block can wait for the formatter (_in_flight), with
-    two cores or more."""
-    (runs, parts), *others = slices
-    return (not others and bool(parts)
-            and sim_cfg.horizon >= _FORMAT_MIN_STEPS
-            and _in_flight(sim_cfg, lams, len(runs)) > 0 and _cores() > 1)
+def _layout(sim_cfg: SimConfig, lams: int, traced: bool) -> tuple[int, bool]:
+    """(processes, formatter) of least estimated time for a sweep of lams
+    lambdas: in this process, split across _cores() (_split), or, traced, on
+    2+ cores with a block that can wait (_in_flight), beside the formatter."""
+    runs, cores = sim_cfg.runs, _cores()
+
+    def seconds(width: int) -> tuple[float, float]:
+        # simulating width runs in _simulate_slice's chunks; formatting them
+        parts = [""] * (lams * width * traced)  # their trace files, unnamed
+        chunks = len(_chunks(sim_cfg, lams, range(width), parts))
+        return (sim_cfg.horizon * (chunks * _STEP_S + lams * width * _RUN_S),
+                sim_cfg.horizon * len(parts) * _ROW_S)
+
+    sim, fmt = seconds(runs)
+    split = len(_split(range(runs), cores, []))
+    layouts = [(sim + fmt, (1, False)),
+               (_SPAWN_S + sum(seconds(-(-runs // split))), (split, False))]
+    if traced and cores > 1 and _in_flight(sim_cfg, lams, runs) > 0:
+        # the formatter is spawned once the first block is simulated
+        first = sim * min(1.0, _TRACE_BLOCK_STEPS / sim_cfg.horizon)
+        layouts.append((max(sim, first + _SPAWN_S + fmt), (1, True)))
+    return min(layouts)[1]
 
 
 def _split(runs: range, k: int, parts: list[str]) -> list[tuple[range, list]]:
@@ -224,6 +214,13 @@ def _split(runs: range, k: int, parts: list[str]) -> list[tuple[range, list]]:
     return [(runs[a:b], [part for g in range(len(parts) // width)
                          for part in parts[g * width + a:g * width + b]])
             for a, b in zip(cuts, cuts[1:])]
+
+
+def _chunks(sim_cfg: SimConfig, lams: int, runs: range, parts: list[str]):
+    """runs and parts in the chunks _simulate_slice runs in turn (_split): one
+    untraced, else enough that each one's TraceBlock fits the trace budget."""
+    fit = max(2, trace_chunk_runs(sim_cfg, lams))
+    return _split(runs, -(-len(runs) // fit) if parts else 1, parts)
 
 
 def _join(jobs, lams):
@@ -272,10 +269,9 @@ def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, lams, runs: range,
     sweep gives each process, in-process or in a spawned worker.
 
     parts are the .part trace files of the slice's runs, lambda-major (empty
-    when untraced). A traced slice runs in chunks of runs whose TraceBlock
-    fits the trace budget, but for _split's 2-run floor. Each block is
-    formatted one run at a time once simulated and each run's text appended
-    to its file, so a process holds one block and one run's text. With
+    when untraced). A traced slice runs in _chunks. Each block is formatted
+    one run at a time once simulated and each run's text appended to its
+    file, so a process holds one block and one run's text. With
     formatter, a pool of one worker, the worker formats and appends each
     block while this process simulates the next; at most _in_flight blocks
     wait for it, and all are written when this returns. One worker takes
@@ -297,10 +293,8 @@ def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, lams, runs: range,
         return run_closed_loop(sim_cfg, filt, ctrl, lams, chunk,
                                on_block=on_block if chunk_parts else None)
 
-    fit = max(2, trace_chunk_runs(sim_cfg, len(lams)))
-    chunks = -(-len(runs) // fit) if parts else 1
-    results = _join([functools.partial(simulate, *chunk)
-                     for chunk in _split(runs, chunks, parts)], lams)
+    chunks = _chunks(sim_cfg, len(lams), runs, parts)
+    results = _join([functools.partial(simulate, *c) for c in chunks], lams)
     while pending:
         pending.popleft().result()
     return results
@@ -378,14 +372,12 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
     try:
         with _replacing([out_dir / name for name in names]) as parts:
             if simulate:
-                # one lockstep simulation of the whole grid, its runs cut
-                # into slices, one per process
+                # one lockstep simulation of the grid, its runs cut in slices
                 sim_cfg = SimConfig(model=model, timeout=cfg.timeout,
                                     horizon=cfg.horizon, runs=cfg.runs,
                                     seed=cfg.seed, burn_in=cfg.burn_in)
-                slices = _split(range(cfg.runs), _processes(sim_cfg, len(lams)),
-                                parts[:len(traces)])
-                aside = _formats_aside(sim_cfg, len(lams), slices)
+                processes, aside = _layout(sim_cfg, len(lams), bool(traces))
+                slices = _split(range(cfg.runs), processes, parts[:len(traces)])
                 job = functools.partial(_simulate_slice, sim_cfg, filt, ctrl,
                                         lams)
                 # workers finish before any .part file is replaced or removed

@@ -115,10 +115,11 @@ def finite_horizon_cost(model: SystemModel, lam: float, timeout: int,
     xbar0' S_0 xbar0 + tr(S_0 X0) plus, per step k, tr(S_{k+1} W), the filter
     term tr(P_{k|k} M_k) and the trigger term sum_a dist_k[a] tr(M_k sigma_ka).
     P_{k|k} comes from X0 through `filter_step`, and the correction
-    covariance Pi_eta_k = sym(K_k C P_{k|k-1}) feeds `condition_step`, once
-    per step, batched over the ages; its send probabilities push the counter
-    distribution through `chain_step`. The steady-gain loop started from
-    X0 != P_inf is not covered: its filter corrections are not white.
+    covariance Pi_eta_k = sym(K_k C P_{k|k-1}) feeds `condition_step` per
+    step, batched over the ages, until both repeat bit for bit; its send
+    probabilities push the counter distribution through `chain_step`. The
+    steady-gain loop started from X0 != P_inf is not covered: its filter
+    corrections are not white.
     """
     lams = checked_lambdas([lam], timeout)
     S_seq, _, M_seq = riccati_backward(model, N)
@@ -128,12 +129,16 @@ def finite_horizon_cost(model: SystemModel, lam: float, timeout: int,
     sigmas = np.zeros((1, timeout + 1) + model.A.shape)  # held error by counter
     dist = np.zeros(timeout + 1)
     dist[0] = 1.0
-    P_pred = model.X0
+    P_pred, settled = model.X0, False
     for k in range(N):
-        P_filt, P_next, K = filter_step(P_pred, model)
-        p[:, :-1], sigmas[:, 1:] = condition_step(
-            sigmas[:, :-1], model.A, symmetrize(K @ model.C @ P_pred), lams, k)
-        P_pred = P_next
+        if not settled:
+            P_filt, P_next, K = filter_step(P_pred, model)
+            step = condition_step(sigmas[:, :-1], model.A,
+                                  symmetrize(K @ model.C @ P_pred), lams, k)
+            settled = all(map(np.array_equal, (P_next, *step),
+                              (P_pred, p[:, :-1], sigmas[:, 1:])))
+            p[:, :-1], sigmas[:, 1:] = step
+            P_pred = P_next
         dist = chain_step(dist, p[0])
         M = M_seq[k]
         total += float(np.trace(S_seq[k + 1] @ model.W))

@@ -257,7 +257,10 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
             lo = max(burn_in - first, 0)  # the first row after burn-in
             sigma_count += sb[lo:steps].sum(axis=0)
             stage = _quad(xb[lo:steps], model.Q) + _quad(ub[lo:steps], model.R)
-            cost_sum = np.cumsum(np.concatenate([cost_sum[None], stage]), 0)[-1]
+            terms = np.concatenate([cost_sum[None], stage])
+            # in row order, as cumsum; but reduce sums a lone column pairwise
+            cost_sum = (np.cumsum(terms, 0)[-1] if group * runs == 1
+                        else np.add.reduce(terms, axis=0))
             if record:
                 on_block(TraceBlock(first, sb.astype(np.int64), tr_tau,
                                     xb[:-1], ub, tr_e))

@@ -14,6 +14,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -677,8 +678,8 @@ class TestSplitSweep:
 
     @staticmethod
     def _split(monkeypatch):
-        # every sweep splits, across two processes
-        monkeypatch.setattr(cli, "_SPLIT_MIN_RUN_STEPS", 0)
+        # every sweep splits, one slice per core, across two processes
+        monkeypatch.setattr(cli, "_layout", lambda *args: (cli._cores(), False))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         pools = []
         real = cli._worker_pool
@@ -775,14 +776,15 @@ class TestSplitSweep:
         def slices(runs, lams, horizon):
             sim_cfg = SimConfig(model=bench_model, timeout=6, horizon=horizon,
                                 runs=runs, seed=1, burn_in=0)
-            return [s for s, _ in cli._split(
-                range(runs), cli._processes(sim_cfg, lams), [])]
+            processes, _ = cli._layout(sim_cfg, lams, False)
+            return [s for s, _ in cli._split(range(runs), processes, [])]
 
         # the bundled sweep splits; narrow untraced does not
         assert slices(1000, 13, 2000) == [range(i * 125, (i + 1) * 125)
                                           for i in range(8)]
         assert slices(8, 3, 20000) == [range(8)]
-        steps = cli._SPLIT_MIN_RUN_STEPS
+        # long enough that every sweep of 4 runs or more splits
+        steps = 10**8
         for runs in range(1, 20):
             for lams in (1, 2, 3):
                 got = slices(runs, lams, steps)
@@ -824,17 +826,21 @@ class TestSplitSweep:
 
     def test_main_read_from_stdin_runs_in_process(self, tmp_path):
         # a spawned worker would run '<stdin>' as __main__'s file, fail to
-        # find it and break the pool: untraced, this sweep would split, and
-        # traced, it would hand its blocks to the formatter
-        for traced, threshold in ((False, "_SPLIT_MIN_RUN_STEPS"),
-                                  (True, "_FORMAT_MIN_STEPS")):
+        # find it and break the pool: on two cores this sweep takes the
+        # layout of the bundled sweep, split, or traced, of trace_narrow's,
+        # which hands its blocks to the formatter
+        for traced in (False, True):
             cfg = self._config(tmp_path, runs=6, record_trace=traced)
             serial = tmp_path / f"serial{traced}"
             stdin = tmp_path / f"stdin{traced}"
             assert main(["run", str(cfg), "--out-dir", str(serial)]) == 0
-            script = ("import os, sys\n"
+            lams, runs, horizon = (3, 8, 20000) if traced else (13, 1000, 2000)
+            script = ("import dataclasses, os, sys\n"
                       "from etlqg import cli\n"
-                      f"cli.{threshold} = 0\n"
+                      "layout = cli._layout\n"
+                      "cli._layout = lambda sim_cfg, lams, traced: layout(\n"
+                      f"    dataclasses.replace(sim_cfg, runs={runs}, "
+                      f"horizon={horizon}), {lams}, traced)\n"
                       "os.sched_getaffinity = lambda pid: {0, 1}\n"
                       "sys.exit(cli.main(sys.argv[1:]))\n")
             done = self._python("-", "run", str(cfg), "--out-dir", str(stdin),
@@ -983,15 +989,13 @@ class TestFormatter:
     the in-process sweep."""
 
     @staticmethod
-    def _formatter(monkeypatch, force=False):
-        # every traced sweep formats aside, on two cores; force: even one
-        # the trace budget would keep in-process. Returns the names of the
-        # functions given to the pool, and for each block the count of
-        # earlier blocks the formatter had not yet written
-        monkeypatch.setattr(cli, "_FORMAT_MIN_STEPS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        if force:
-            monkeypatch.setattr(cli, "_formats_aside", lambda *args: True)
+    def _formatter(monkeypatch):
+        # every traced sweep formats aside, even one whose blocks the trace
+        # budget lets none wait. Returns the names of the functions given to
+        # the pool, and for each block the count of earlier blocks the
+        # formatter had not yet written
+        monkeypatch.setattr(cli, "_layout", lambda sim_cfg, lams, traced: (
+            1, traced))
         submitted, waiting, blocks = [], [], []
         real = cli._worker_pool
 
@@ -1021,8 +1025,7 @@ class TestFormatter:
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
         if budget is not None:
             monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", budget)
-        submitted, waiting = self._formatter(monkeypatch,
-                                             force=budget is not None)
+        submitted, waiting = self._formatter(monkeypatch)
         out = tmp_path / "aside"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
         chunks = runs // 2 if budget else 1
@@ -1071,27 +1074,27 @@ class TestFormatter:
         assert list(out.iterdir()) == []
 
     def test_selection_rule(self, bench_model, monkeypatch):
-        def aside(lams, runs, horizon, cores=2, processes=1, traced=True):
+        # the formatter is _layout's choice only for a traced sweep on two
+        # cores or more whose blocks can wait for it, and only where it wins
+        def layout(lams, runs, horizon, cores=2, traced=True):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid: set(range(cores)))
             sim_cfg = SimConfig(model=bench_model, timeout=50, horizon=horizon,
                                 runs=runs, seed=1, burn_in=0)
-            parts = [f"{i}.part" for i in range(lams * runs)] if traced else []
-            return cli._formats_aside(
-                sim_cfg, lams, cli._split(range(runs), processes, parts))
+            return cli._layout(sim_cfg, lams, traced)
 
-        assert aside(3, 8, 20000)                   # trace_narrow
-        assert not aside(3, 8, 20000, cores=1)
-        assert not aside(3, 8, 20000, traced=False)
-        assert not aside(3, 8, 20000, processes=2)  # a split sweep
-        assert not aside(13, 100, 2000)             # CI's wide traced sweep
-        assert not aside(13, 100, 20000)            # no block could wait
-        # the widest grid at which one block can wait: 3 x 31 runs
-        assert aside(3, 31, 20000)
-        assert not aside(3, 32, 20000)
-        # tier-1's traced sweeps are short
-        assert not aside(3, 4, 2500)
-        assert not aside(13, 2, 2000)
+        assert layout(3, 8, 20000) == (1, True)     # trace_narrow
+        assert layout(3, 8, 20000, cores=1) == (1, False)
+        assert layout(3, 8, 20000, traced=False) == (1, False)
+        # it starts a block late: at 3 x 8 runs it loses at 10000 steps and
+        # wins at 15000
+        assert layout(3, 8, 10000) == (1, False)
+        assert layout(3, 8, 15000) == (1, True)
+        # where formatting outweighs simulating, halving it beats moving it
+        assert layout(3, 31, 20000) == (2, False)
+        assert layout(13, 100, 20000) == (2, False)  # no block could wait
+        monkeypatch.setattr(cli, "_in_flight", lambda *args: 0)
+        assert layout(3, 8, 20000) == (1, False)
 
     def test_blocks_in_flight_fit_the_budget(self, bench_model):
         # trace_narrow's 24 runs: 2048 steps of 8 * (2n + m + 2) + 1 = 57
@@ -1101,6 +1104,34 @@ class TestFormatter:
         block = 3 * 8 * 2048 * 57
         assert cli._in_flight(sim_cfg, 3, 8) == 5
         assert 11 * block <= simulation.TRACE_BUDGET_BYTES < 13 * block
+
+
+class TestLayout:
+    """One cost estimate picks each sweep's layout (cli._layout)."""
+
+    @pytest.mark.parametrize("lams,runs,horizon,traced,layout", [
+        (13, 1000, 2000, False, (2, False)),  # the bundled sweep
+        (13, 64, 20000, False, (2, False)),   # CI's --runs 64 --horizon 20000
+        (13, 100, 2000, True, (2, False)),    # CI's wide traced sweep
+        (3, 8, 20000, True, (1, True)),       # trace_narrow
+        (3, 8, 10000, True, (1, False)),
+        (3, 4, 2500, True, (1, False)),       # tier-1's traced sweeps
+        (13, 2, 2000, True, (1, False)),
+    ])
+    def test_decision_table(self, bench_model, monkeypatch, lams, runs,
+                            horizon, traced, layout):
+        sim_cfg = SimConfig(model=bench_model, timeout=50, horizon=horizon,
+                            runs=runs, seed=1, burn_in=0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert cli._layout(sim_cfg, lams, traced) == layout
+        # one core, or a __main__ that spawn cannot start again
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cli._layout(sim_cfg, lams, traced) == (1, False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        stdin = types.ModuleType("__main__")
+        stdin.__file__ = "<stdin>"
+        monkeypatch.setitem(sys.modules, "__main__", stdin)
+        assert cli._layout(sim_cfg, lams, traced) == (1, False)
 
 
 class TestChunkedTraces:

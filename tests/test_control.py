@@ -25,6 +25,7 @@ from etlqg import (
     kf_steady_state,
     riccati_backward,
 )
+from etlqg.analysis import condition_step
 
 from conftest import (
     BENCH_J_LAM1,
@@ -274,6 +275,26 @@ class TestFiniteHorizonCost:
         assert abs(mean - J) / stderr <= 5.0
         if start == "P_inf":
             assert J == pytest.approx(self.STEADY_START[N, lam], rel=1e-12)
+
+    # the totals of a pass that runs the filter and the conditioning step at
+    # every step: stopping them once the filter and the table repeat bit for
+    # bit moves no bit. At N = 30 < k0 + T the table never settles, so the
+    # stop never fires.
+    @pytest.mark.parametrize("start,lam,T,N,total,stops", [
+        ("X0", 1.0, 50, 300, 16527.566541479962, True),
+        ("10I", 0.01, 200, 600, 106312.66419612289, True),
+        ("10I", 100.0, 50, 30, 1846.122919327033, False),
+        ("X0", 100.0, 20, 2000, 106493.38844785214, True),
+    ])
+    def test_settled_table_keeps_the_bits(self, bench_model, monkeypatch,
+                                          start, lam, T, N, total, stops):
+        model = (bench_model if start == "X0" else
+                 dataclasses.replace(bench_model, X0=10.0 * np.eye(2)))
+        calls = []
+        monkeypatch.setattr("etlqg.control.condition_step", lambda *args: (
+            calls.append(args) or condition_step(*args)))
+        assert finite_horizon_cost(model, lam, T, N) == total
+        assert (len(calls) < N) == stops
 
     def test_time_average_approaches_stationary_cost(
         self, bench_model, bench_filter, bench_control

@@ -182,13 +182,12 @@ def _layout(sim_cfg: SimConfig, lams: int, traced: bool) -> tuple[int, bool]:
 
     def seconds(width: int) -> tuple[float, float]:
         # simulating width runs in _simulate_slice's chunks; formatting them
-        parts = [""] * (lams * width * traced)  # their trace files, unnamed
-        chunks = len(_chunks(sim_cfg, lams, range(width), parts))
+        chunks = _chunk_count(sim_cfg, lams, width, traced)
         return (sim_cfg.horizon * (chunks * _STEP_S + lams * width * _RUN_S),
-                sim_cfg.horizon * len(parts) * _ROW_S)
+                sim_cfg.horizon * lams * width * traced * _ROW_S)
 
     sim, fmt = seconds(runs)
-    split = len(_split(range(runs), cores, []))
+    split = _pieces(runs, cores)
     layouts = [(sim + fmt, (1, False)),
                (_SPAWN_S + sum(seconds(-(-runs // split))), (split, False))]
     if traced and cores > 1 and _in_flight(sim_cfg, lams, runs) > 0:
@@ -198,29 +197,29 @@ def _layout(sim_cfg: SimConfig, lams: int, traced: bool) -> tuple[int, bool]:
     return min(layouts)[1]
 
 
-def _split(runs: range, k: int, parts: list[str]) -> list[tuple[range, list]]:
-    """Cut runs into at most k contiguous ranges, in order and as even as
-    possible, each paired with its runs' share of parts.
+def _pieces(width: int, k: int) -> int:
+    """Ranges _split cuts width runs into when asked for k: each keeps 2+ runs
+    (1 of 1), as numpy rounds a one-row matmul on another kernel than the
+    grid's; then the joined ranges equal the uncut grid bitwise."""
+    return max(1, min(k, width // 2))
 
-    parts are the .part trace files of runs, lambda-major (empty when
-    untraced), and so are each range's. numpy rounds a one-row matmul on
-    another kernel than the full grid's, so every range keeps at least 2
-    runs (1 if runs has 1); then the joined ranges equal the uncut grid
-    bitwise.
-    """
-    width = len(runs)
-    k = max(1, min(k, width // 2))
+
+def _split(runs: range, k: int, parts: list[str]) -> list[tuple[range, list]]:
+    """Cut runs into _pieces(len(runs), k) contiguous ranges, in order and as
+    even as possible, each paired with its runs' share of parts, the .part
+    trace files of runs (empty when untraced), lambda-major in both."""
+    width, k = len(runs), _pieces(len(runs), k)
     cuts = [i * width // k for i in range(k + 1)]
     return [(runs[a:b], [part for g in range(len(parts) // width)
                          for part in parts[g * width + a:g * width + b]])
             for a, b in zip(cuts, cuts[1:])]
 
 
-def _chunks(sim_cfg: SimConfig, lams: int, runs: range, parts: list[str]):
-    """runs and parts in the chunks _simulate_slice runs in turn (_split): one
+def _chunk_count(sim_cfg: SimConfig, lams: int, width: int, traced: bool):
+    """Chunks _simulate_slice runs width runs in, in turn (_split): one
     untraced, else enough that each one's TraceBlock fits the trace budget."""
     fit = max(2, trace_chunk_runs(sim_cfg, lams))
-    return _split(runs, -(-len(runs) // fit) if parts else 1, parts)
+    return _pieces(width, -(-width // fit) if traced else 1)
 
 
 def _join(jobs, lams):
@@ -269,10 +268,10 @@ def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, lams, runs: range,
     sweep gives each process, in-process or in a spawned worker.
 
     parts are the .part trace files of the slice's runs, lambda-major (empty
-    when untraced). A traced slice runs in _chunks. Each block is formatted
-    one run at a time once simulated and each run's text appended to its
-    file, so a process holds one block and one run's text. With
-    formatter, a pool of one worker, the worker formats and appends each
+    when untraced). A traced slice runs in _chunk_count chunks. Each block
+    is formatted one run at a time once simulated and each run's text
+    appended to its file, so a process holds one block and one run's text.
+    With formatter, a pool of one worker, the worker formats and appends each
     block while this process simulates the next; at most _in_flight blocks
     wait for it, and all are written when this returns. One worker takes
     the blocks in order, so each file gets its rows in order.
@@ -293,7 +292,8 @@ def _simulate_slice(sim_cfg: SimConfig, filt, ctrl, lams, runs: range,
         return run_closed_loop(sim_cfg, filt, ctrl, lams, chunk,
                                on_block=on_block if chunk_parts else None)
 
-    chunks = _chunks(sim_cfg, len(lams), runs, parts)
+    chunks = _split(runs, _chunk_count(sim_cfg, len(lams), len(runs),
+                                       bool(parts)), parts)
     results = _join([functools.partial(simulate, *c) for c in chunks], lams)
     while pending:
         pending.popleft().result()

@@ -1104,6 +1104,9 @@ class TestFormatter:
         block = 3 * 8 * 2048 * 57
         assert cli._in_flight(sim_cfg, 3, 8) == 5
         assert 11 * block <= simulation.TRACE_BUDGET_BYTES < 13 * block
+        # the widest grid at which one block can wait: 3 x 31 runs
+        assert cli._in_flight(sim_cfg, 3, 31) == 1
+        assert cli._in_flight(sim_cfg, 3, 32) == 0
 
 
 class TestLayout:

@@ -15,10 +15,9 @@ from .model import (SystemModel, ValidationCheck, ValidationReport,
 from .estimation import SteadyStateFilter, kf_steady_state
 from .analysis import (MarkovAnalysis, analysis_record, conditional_error_cov,
                        stationary_distribution, transition_matrix)
-from .control import (ControlSynthesis, CostBreakdown, TradeoffPoint,
-                      control_steady_state, cost_tradeoff_curve,
-                      finite_horizon_cost, infinite_horizon_cost,
-                      riccati_backward)
+from .control import (ControlSynthesis, CostBreakdown, control_steady_state,
+                      cost_tradeoff_curve, finite_horizon_cost,
+                      infinite_horizon_cost, riccati_backward)
 from .simulation import SimConfig, aggregate_runs, run_closed_loop
 from .config import (ExperimentConfig, config_to_dict, default_config_path,
                      load_config)
@@ -33,7 +32,7 @@ __all__ = [
     "SteadyStateFilter", "kf_steady_state",
     "MarkovAnalysis", "analysis_record", "conditional_error_cov",
     "stationary_distribution", "transition_matrix",
-    "ControlSynthesis", "CostBreakdown", "TradeoffPoint",
+    "ControlSynthesis", "CostBreakdown",
     "control_steady_state", "cost_tradeoff_curve", "finite_horizon_cost",
     "infinite_horizon_cost", "riccati_backward",
     "SimConfig", "aggregate_runs", "run_closed_loop",

@@ -19,6 +19,8 @@ Processes: a sweep takes the layout of least estimated time (_layout): in
 this process, split across spawned workers, one per core, or, traced, in this
 process beside one spawned formatter, which formats and appends each block
 of traces while this process simulates the next. No layout moves a byte.
+A traced slice runs in chunks whose TraceBlock fits TRACE_BUDGET_BYTES
+(trace_chunk_runs). A spawned worker exits with this process.
 
 Exit codes: 0 success, 1 invalid config or unwritable output, 2 model
 validation failure, 3 numerical non-convergence or divergence.
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, simulation
 from .config import (ExperimentConfig, config_from_dict, config_to_dict,
                      default_config_path, load_config)
 from .control import control_steady_state, cost_tradeoff_curve
@@ -49,8 +51,7 @@ from .errors import (ConfigError, DivergenceError, EtlqgError, ModelError,
 from .estimation import kf_steady_state
 from .analysis import analysis_record
 from .model import validate_model
-from .simulation import (_TRACE_BLOCK_STEPS, SimConfig, TraceBlock,
-                         aggregate_runs, run_closed_loop, trace_chunk_runs)
+from .simulation import SimConfig, TraceBlock, aggregate_runs, run_closed_loop
 
 TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
                    "analytic_cost,empirical_cost,cost_stderr")
@@ -59,6 +60,7 @@ TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
 # 13000); a trace row's formatting, 0.63-0.80 us; a spawn round trip, 0.23 s
 # (a worker's first job began 0.15-0.21 s after its submit, +0.02 s to exit).
 _STEP_S, _RUN_S, _ROW_S, _SPAWN_S = 22e-6, 90e-9, 0.71e-6, 0.23
+TRACE_BUDGET_BYTES = 32 * 2**20  # bytes of one TraceBlock (trace_chunk_runs)
 # The names of the artifacts a sweep may write, but for manifest.json; a
 # lambda is named by the repr of a positive float
 _LAM = r"\d+(\.\d+)?(e[+-]\d+)?"
@@ -166,11 +168,19 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def trace_chunk_runs(sim_cfg: SimConfig, lams: int) -> int:
+    """Runs whose TraceBlock at lams lambdas fits TRACE_BUDGET_BYTES (0 if
+    none): per run-step and lambda, 8 * (2n + m + 2) bytes and sigma's bool."""
+    n, m, _ = sim_cfg.model.dims
+    steps = min(sim_cfg.horizon, simulation.TRACE_BLOCK_STEPS)
+    return TRACE_BUDGET_BYTES // (lams * steps * (8 * (2 * n + m + 2) + 1))
+
+
 def _in_flight(sim_cfg: SimConfig, lams: int, runs: int) -> int:
     """Trace blocks of runs runs at lams lambdas that may wait for the
     formatter while this process simulates the next block. Each waiting
     block is counted twice, as its arrays and as the pickled copy the pool
-    sends; with the next block they fit simulation.TRACE_BUDGET_BYTES."""
+    sends; with the next block they fit TRACE_BUDGET_BYTES."""
     return max(0, (trace_chunk_runs(sim_cfg, lams) // runs - 1) // 2)
 
 
@@ -192,7 +202,7 @@ def _layout(sim_cfg: SimConfig, lams: int, traced: bool) -> tuple[int, bool]:
                (_SPAWN_S + sum(seconds(-(-runs // split))), (split, False))]
     if traced and cores > 1 and _in_flight(sim_cfg, lams, runs) > 0:
         # the formatter is spawned once the first block is simulated
-        first = sim * min(1.0, _TRACE_BLOCK_STEPS / sim_cfg.horizon)
+        first = sim * min(1.0, simulation.TRACE_BLOCK_STEPS / sim_cfg.horizon)
         layouts.append((max(sim, first + _SPAWN_S + fmt), (1, True)))
     return min(layouts)[1]
 
@@ -242,6 +252,17 @@ def _join(jobs, lams):
     return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*results))
 
 
+def _exit_with_parent():
+    """Each spawned worker's initializer: a daemon thread ends the worker
+    once its parent has exited, which a worker busy with a slice never sees."""
+    import multiprocessing
+    import threading
+
+    parent = multiprocessing.parent_process()  # join() waits for its exit
+    threading.Thread(target=lambda: parent.join() or os._exit(1),
+                     daemon=True).start()
+
+
 def _worker_pool(workers: int):
     """Spawned workers: one per slice of a split sweep but this process's,
     or the one formatter of an unsplit traced sweep."""
@@ -251,7 +272,8 @@ def _worker_pool(workers: int):
 
     # spawn, not fork: this process holds BLAS threads
     return ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("spawn"))
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_exit_with_parent)
 
 
 def _append_block(block: TraceBlock, parts: list[str]):
@@ -339,7 +361,7 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
     ctrl = control_steady_state(model)
     points = cost_tradeoff_curve(model, cfg.lambda_grid, cfg.timeout,
                                  ss=filt, cs=ctrl)
-    lams = [pt.lam for pt in points]
+    lams = [ma.lam for ma, _ in points]
     simulate = with_simulation and cfg.runs > 0
     traces = [f"trace_lam{lam!r}_run{r:04d}.csv" for lam in lams
               for r in range(cfg.runs)] if simulate and cfg.record_trace else []
@@ -347,10 +369,10 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
     # manifest.json last, so a present manifest means the set is in place
     texts = {}
     if "json" in cfg.formats:
-        for point in points:
-            record = analysis_record(point.markov)
-            record["cost"] = dataclasses.asdict(point.breakdown)
-            texts[f"analysis_{point.lam!r}.json"] = json.dumps(
+        for ma, bd in points:
+            record = analysis_record(ma)
+            record["cost"] = dataclasses.asdict(bd)
+            texts[f"analysis_{ma.lam!r}.json"] = json.dumps(
                 record, indent=2) + "\n"
     if "csv" in cfg.formats:
         texts["tradeoff.csv"] = None  # filled in once simulated
@@ -393,16 +415,16 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
                 rates = costs = [None] * len(points)
 
             csv_lines = [TRADEOFF_HEADER]
-            for point, run_rates, run_costs in zip(points, rates, costs):
+            for (ma, bd), run_rates, run_costs in zip(points, rates, costs):
                 emp_rate = rate_se = emp_cost = cost_se = None
                 if run_rates is not None:
                     emp_rate, rate_se = aggregate_runs(run_rates)
                     emp_cost, cost_se = aggregate_runs(run_costs)
                 csv_lines.append(",".join(_fmt(cell) for cell in (
-                    point.lam, point.rate, emp_rate, rate_se, point.cost,
-                    emp_cost, cost_se)))
-                line = (f"lambda={point.lam:g} rate={point.rate:.6f} "
-                        f"cost={point.cost:.6f}")
+                    ma.lam, ma.rate, emp_rate, rate_se, bd.total, emp_cost,
+                    cost_se)))
+                line = (f"lambda={ma.lam:g} rate={ma.rate:.6f} "
+                        f"cost={bd.total:.6f}")
                 if emp_rate is not None:
                     line += f" emp_rate={emp_rate:.6f} emp_cost={emp_cost:.6f}"
                 print(line)

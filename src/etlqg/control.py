@@ -47,15 +47,6 @@ class CostBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
-    lam: float
-    rate: float
-    cost: float
-    breakdown: CostBreakdown
-    markov: MarkovAnalysis
-
-
 def _gain_step(S_next: np.ndarray, model: SystemModel):
     """Gain L, S and the cost matrix M = sym(L'(B'S_next B + R)L) of a step."""
     G = model.B.T @ S_next @ model.B + model.R
@@ -149,11 +140,12 @@ def finite_horizon_cost(model: SystemModel, lam: float, timeout: int,
 
 def cost_tradeoff_curve(model: SystemModel, lambdas, timeout: int,
                         ss: SteadyStateFilter | None = None,
-                        cs: ControlSynthesis | None = None) -> list[TradeoffPoint]:
+                        cs: ControlSynthesis | None = None) -> list[tuple]:
     """Full analytic pipeline over a lambda grid, sorted ascending.
 
     The filter and control fixed points and the conditioning pass are shared
-    across the grid; each lambda gets its own chain analysis and cost.
+    across the grid; each lambda gets its own chain analysis and cost, the
+    pair (MarkovAnalysis, CostBreakdown).
     """
     lams = sorted(scheduler_lambdas(lambdas, timeout))
     if ss is None:
@@ -164,7 +156,5 @@ def cost_tradeoff_curve(model: SystemModel, lambdas, timeout: int,
     for row in zip(lams, *conditional_error_cov(ss, model.A, lams, timeout,
                                                 cs.M_inf)):
         ma = transition_matrix(*row)
-        breakdown = infinite_horizon_cost(cs, ss, ma, model)
-        points.append(TradeoffPoint(lam=ma.lam, rate=ma.rate, cost=breakdown.total,
-                                    breakdown=breakdown, markov=ma))
+        points.append((ma, infinite_horizon_cost(cs, ss, ma, model)))
     return points

@@ -17,9 +17,9 @@ plant recurrences, writing x, u and sigma into time-major block buffers,
 (steps, lambdas, runs, .); the divergence guard, the transmission count and
 the stage cost are reduced once per block, the cost in step order from the
 running sum, so it has the bits of a per-step sum. Only given an on_block
-hook, the loop runs in blocks of _TRACE_BLOCK_STEPS steps and also records
-tau and e_filt per step: each block's buffers are a TraceBlock, the columns
-of a trace CSV, handed to on_block.
+hook, the loop runs in blocks of TRACE_BLOCK_STEPS steps (the CLI sizes its
+trace chunks by it) and also records tau and e_filt per step: each block's
+buffers are a TraceBlock, the columns of a trace CSV, handed to on_block.
 
 RNG layout: run r's seed is SeedSequence(seed, spawn_key=(r,)), the r-th
 child that SeedSequence(seed).spawn would give; each run spawns four
@@ -53,10 +53,7 @@ _CHUNK_STEPS = 256
 # Bytes of x, u and sigma per untraced block (1-2 MiB ran fastest, 4 MiB L2)
 _BLOCK_BYTES = 2 * 2**20
 # Steps per TraceBlock handed to run_closed_loop's on_block.
-_TRACE_BLOCK_STEPS = 2048
-# Bytes of one TraceBlock, which the CLI cuts a traced sweep's runs to fit
-# (see trace_chunk_runs).
-TRACE_BUDGET_BYTES = 32 * 2**20
+TRACE_BLOCK_STEPS = 2048
 
 
 @dataclass(frozen=True)
@@ -121,15 +118,6 @@ def _spawn_run_streams(seed: int, runs: range):
     return quads
 
 
-def trace_chunk_runs(cfg: SimConfig, lams: int) -> int:
-    """Runs whose TraceBlock at lams lambdas fits TRACE_BUDGET_BYTES (0 if
-    not one run's does): per run-step and lambda a block holds
-    8 * (2n + m + 2) bytes and the bool its sigma is cast from."""
-    n, m, _ = cfg.model.dims
-    steps = min(cfg.horizon, _TRACE_BLOCK_STEPS)
-    return TRACE_BUDGET_BYTES // (lams * steps * (8 * (2 * n + m + 2) + 1))
-
-
 def _quad(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     """x'Mx over the last axis, sum_i sum_j (x_i M_ij) x_j in (i, j) order:
     the bits of np.einsum("...i,ij,...j->...", x, M, x), except that numpy
@@ -152,7 +140,7 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
     equals the one-lambda grid [lams[g]] bitwise. Returns (rates, costs), two
     (len(lams), len(runs)) arrays: each run's empirical transmission rate
     and average stage cost over the post-burn-in window. With on_block, each TraceBlock of
-    _TRACE_BLOCK_STEPS steps (fewer in the last) goes to on_block(block)
+    TRACE_BLOCK_STEPS steps (fewer in the last) goes to on_block(block)
     once simulated.
 
     A DivergenceError names the first step whose largest |x| passes
@@ -193,7 +181,7 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
     cost_sum = np.zeros((group, runs))
 
     record = on_block is not None
-    rows = (_TRACE_BLOCK_STEPS if record
+    rows = (TRACE_BLOCK_STEPS if record
             else max(1, _BLOCK_BYTES // (8 * (n + m + 1) * group * runs)))
 
     chunk_end = 0

@@ -85,13 +85,12 @@ def test_criterion_3_monte_carlo_agreement_grid():
                     runs=1000, seed=31415, burn_in=200)
     rates, costs = run_closed_loop(cfg, filt, ctrl, lams)
     worst_rate = worst_cost = 0.0
-    for point, run_rates, run_costs in zip(points, rates, costs):
+    for (ma, bd), run_rates, run_costs in zip(points, rates, costs):
         emp_rate, _ = aggregate_runs(run_rates)
-        worst_rate = max(worst_rate, abs(emp_rate - point.rate) / point.rate)
-        if point.lam >= 0.1:
+        worst_rate = max(worst_rate, abs(emp_rate - ma.rate) / ma.rate)
+        if ma.lam >= 0.1:
             emp_cost, _ = aggregate_runs(run_costs)
-            worst_cost = max(worst_cost,
-                             abs(emp_cost - point.cost) / point.cost)
+            worst_cost = max(worst_cost, abs(emp_cost - bd.total) / bd.total)
     ok = worst_rate <= 0.01 and worst_cost <= 0.02
     line = _report("3 (Monte Carlo agreement)", ok,
                    f"worst rate dev={worst_rate:.4%} (<=1%) "

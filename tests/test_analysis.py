@@ -6,6 +6,7 @@ error covariance recursion.  Hand-computed scalar values come from the
 all-ones model where every quantity collapses to golden-ratio algebra.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -440,6 +441,16 @@ class TestLambdaGrid:
         with pytest.raises(NumericalError, match=r"lambda=1e\+308"):
             conditional_error_cov(bench_filter, bench_model.A,
                                   [1.0, 1e308, 2.0], timeout, np.eye(2))
+
+    def test_overflowing_sigma_named(self, bench_filter):
+        # at lam = 1e-300, sigma(1) is Pi_eta / 3 = 3.3e299 I and A sigma A^T
+        # overflows at age 1; at lam = 1 sigma stays below 1 / (2 lam) I. So
+        # the error names the second lambda of the grid alone
+        filt = dataclasses.replace(bench_filter, Pi_eta=1e300 * np.eye(2))
+        with pytest.raises(NumericalError, match=re.escape(
+                "lambda=1e-300: sigma is not finite")):
+            conditional_error_cov(filt, 1e5 * np.eye(2), [1.0, 1e-300], 50,
+                                  np.eye(2))
 
     @pytest.mark.parametrize("lam", [float(np.nextafter(LAMBDA_MAX, np.inf)), 1e14,
                                      1e100])

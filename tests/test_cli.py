@@ -4,16 +4,19 @@ Each test drives `main` with a config written into tmp_path and inspects
 exit codes, stdout/stderr and the artifact files.
 """
 
+import contextlib
 import dataclasses
 import errno
 import functools
 import json
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
+import time
 import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -123,9 +126,10 @@ class TestRunCommand:
             sim_cfg, filt, ctrl, cfg.lambda_grid)
         rows = read_rows(out)
         assert len(rows) == len(points) == 2
-        for row, point, run_rates, run_costs in zip(rows, points, rates, costs):
-            want = [point.lam, point.rate, *aggregate_runs(run_rates),
-                    point.cost, *aggregate_runs(run_costs)]
+        for row, (ma, bd), run_rates, run_costs in zip(rows, points, rates,
+                                                       costs):
+            want = [ma.lam, ma.rate, *aggregate_runs(run_rates),
+                    bd.total, *aggregate_runs(run_costs)]
             assert [float(cell) for cell in row] == want
 
     def test_analysis_record_contents(self, tmp_path):
@@ -618,6 +622,84 @@ class TestConfigErrors:
         assert (cfg.model.dims, cfg.timeout, len(cfg.lambda_grid)) == (
             (64, 64, 64), 3000, 13)
 
+    # (block, field, value) edits of base_config, _DROP removing the field;
+    # then the exit code and the message, which names the field: 1 for a
+    # config error, 2 for a model that cannot be built
+    _DROP = object()
+    _LOG_GRID = ("scheduler", "lambda_grid")
+
+    @pytest.mark.parametrize("block, field, value, code, message", [
+        (None, "model", [[1.0]], 1, "model: expected a mapping, got list"),
+        (None, "output", "csv", 1, "output: expected a mapping, got str"),
+        ("model", "A", [["a", 1.0], [0.0, 0.9]], 1, "model.A: not numeric ("),
+        ("model", "X0", _DROP, 1, "model.X0: required matrix missing"),
+        ("simulation", "runs", 2.5, 1,
+         "simulation.runs: expected an integer, got 2.5"),
+        (*_LOG_GRID, {"min": 0.1, "max": 1.0}, 1,
+         "scheduler.lambda_grid.count: required for log-spaced grid"),
+        (*_LOG_GRID, {"min": 0.1, "max": 1.0, "count": 0}, 1,
+         "scheduler.lambda_grid.count: expected a positive integer"),
+        (*_LOG_GRID, {"min": 0.0, "max": 1.0, "count": 3}, 1,
+         "scheduler.lambda_grid: min must be positive and finite"),
+        (*_LOG_GRID, {"min": 0.1, "max": 1.0, "count": 1}, 1,
+         "scheduler.lambda_grid: count=1 requires min == max"),
+        (*_LOG_GRID, {"min": 1.0, "max": 1.0, "count": 3}, 1,
+         "scheduler.lambda_grid: max must exceed min"),
+        (*_LOG_GRID, 0.5, 1, "scheduler.lambda_grid: expected a list or a "
+                             "{min,max,count} mapping"),
+        (*_LOG_GRID, [], 1, "scheduler.lambda_grid: must be nonempty"),
+        (*_LOG_GRID, [0.0, 1.0], 1,
+         "scheduler.lambda_grid: entries must be positive and finite"),
+        ("scheduler", "timeout", _DROP, 1,
+         "scheduler.timeout: required field missing"),
+        (*_LOG_GRID, _DROP, 1, "scheduler.lambda_grid: required field missing"),
+        ("simulation", "burn_in", 120, 1,
+         "simulation.burn_in: must be < horizon, got 120 >= 120"),
+        ("simulation", "record_trace", "yes", 1,
+         "simulation.record_trace: expected a boolean"),
+        ("output", "emit_plot_data", 1, 1,
+         "output.emit_plot_data: expected a boolean"),
+        ("output", "formats", [], 1, "output.formats: expected a nonempty list"),
+        ("output", "formats", ["csv", ""], 1,
+         "output.formats: unknown format ''"),
+        ("output", "formats", ["xml"], 1,
+         "output.formats: unknown format 'xml'"),
+        ("model", "A", [1.2, 1.0], 2, "A must be a 2-D matrix, got ndim=1"),
+        ("model", "A", [[1.2, 1.0, 0.0], [0.0, 0.9, 0.0]], 2,
+         "A must be square, got (2, 3)"),
+        ("model", "C", [[1.0, 0.0, 0.0]], 2,
+         "C must have 2 columns to match A, got (1, 3)"),
+        ("model", "W", [[1.0]], 2, "W must be 2x2, got (1, 1)"),
+        ("model", "X0", [[1.0, 0.0, 0.0]] * 3, 2, "X0 must be 2x2, got (3, 3)"),
+        ("model", "x0_mean", [0.0, 0.0, 0.0], 2,
+         "x0_mean must have length 2, got (3,)"),
+        ("model", "x0_mean", [0.0, float("inf")], 2,
+         "x0_mean contains non-finite entries"),
+    ])
+    def test_error_table(self, tmp_path, capsys, block, field, value, code,
+                         message):
+        doc = base_config(tmp_path / "out")
+        fields = doc if block is None else doc[block]
+        if value is self._DROP:
+            del fields[field]
+        else:
+            fields[field] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", str(cfg)]) == code
+        out, err = capsys.readouterr()
+        prefix = "invalid config: " if code == 1 else "error: "
+        assert err.startswith(prefix + message), err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_single_point_log_grid(self, tmp_path):
+        # count 1 is the one grid {min, max, count} whose min equals its max
+        doc = base_config(tmp_path / "out", scheduler={
+            "timeout": 6, "lambda_grid": {"min": 0.5, "max": 0.5, "count": 1}})
+        assert config_from_dict(doc).lambda_grid == (0.5,)
+        assert main(["analyze-only", str(write_config(tmp_path, doc))]) == 0
+        assert [row[0] for row in read_rows(tmp_path / "out")] == ["0.5"]
+
     @pytest.mark.parametrize("text", ["model: [1, 2\n", '{"model": [1, 2}'])
     def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "config.yaml"
@@ -710,7 +792,7 @@ class TestSplitSweep:
         # budget 1: this process's slice of 3 runs is one chunk, the least
         # its 2-run floor allows
         if budget is not None:
-            monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", budget)
+            monkeypatch.setattr(cli, "TRACE_BUDGET_BYTES", budget)
         cfg = self._config(tmp_path, runs)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
         pools = self._split(monkeypatch)
@@ -851,6 +933,61 @@ class TestSplitSweep:
                 18 if traced else 0)
             assert got == self._artifacts(serial)
 
+    @staticmethod
+    def _session(sid):
+        """{pid: command line} of the live processes of session sid; a
+        zombie has exited."""
+        live = {}
+        for pid in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    # the fields after the command name: state, ppid,
+                    # pgrp, session, ...
+                    fields = fh.read().rsplit(")", 1)[1].split()
+                with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                    cmd = fh.read().replace(b"\0", b" ").decode()
+            except OSError:  # exited meanwhile
+                continue
+            if int(fields[3]) == sid and fields[0] != "Z":
+                live[int(pid)] = cmd
+        return live
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the session's processes from /proc")
+    def test_workers_exit_with_a_killed_parent(self, tmp_path):
+        # a split sweep of minutes, in a session of its own: once its
+        # spawned worker runs, the parent is SIGKILLed, and the worker and
+        # spawn's resource tracker must exit within 10 s
+        script = ("import os, sys\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "from etlqg.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(etlqg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script, "run", "--runs", "64", "--horizon",
+             "3000000", "--out-dir", str(tmp_path / "out")],
+            env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 120
+            while not any("--multiprocessing-fork" in cmd for cmd in
+                          self._session(parent.pid).values()):
+                assert parent.poll() is None, "the sweep ended unkilled"
+                assert time.monotonic() < deadline, "no worker started"
+                time.sleep(0.05)
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while self._session(parent.pid):
+                assert time.monotonic() < deadline, self._session(parent.pid)
+                time.sleep(0.1)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(parent.pid, signal.SIGKILL)
+            parent.wait(timeout=10)
+
     def test_merged_divergence_report_follows_the_unsplit_rule(self):
         # earliest step, then largest |x|, then first lambda, then first run
         reports = [(9, 1, 9e12, 0.5), (7, 3, 2e12, 0.5), (7, 4, 3e12, 2.0),
@@ -874,7 +1011,7 @@ class TestStreamedTraces:
     def _streamed(monkeypatch, rows=None):
         # every sweep would split, across two processes; count the blocks
         if rows is not None:
-            monkeypatch.setattr(simulation, "_TRACE_BLOCK_STEPS", rows)
+            monkeypatch.setattr(simulation, "TRACE_BLOCK_STEPS", rows)
         blocks = []
         real = cli._append_block
 
@@ -1024,7 +1161,7 @@ class TestFormatter:
         cfg = TestSplitSweep._config(tmp_path, runs, horizon=2500)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
         if budget is not None:
-            monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", budget)
+            monkeypatch.setattr(cli, "TRACE_BUDGET_BYTES", budget)
         submitted, waiting = self._formatter(monkeypatch)
         out = tmp_path / "aside"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 0
@@ -1065,7 +1202,7 @@ class TestFormatter:
         want = capsys.readouterr().err
         assert "diverged" in want
         if appended:
-            monkeypatch.setattr(simulation, "_TRACE_BLOCK_STEPS", 16)
+            monkeypatch.setattr(simulation, "TRACE_BLOCK_STEPS", 16)
         submitted, _ = self._formatter(monkeypatch)
         out = tmp_path / "aside"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 3
@@ -1093,6 +1230,11 @@ class TestFormatter:
         # where formatting outweighs simulating, halving it beats moving it
         assert layout(3, 31, 20000) == (2, False)
         assert layout(13, 100, 20000) == (2, False)  # no block could wait
+        # the first block is as long as the engine's: at 256 steps it is
+        # simulated early enough that the formatter wins at 10000 steps
+        with monkeypatch.context() as patched:
+            patched.setattr(simulation, "TRACE_BLOCK_STEPS", 256)
+            assert layout(3, 8, 10000) == (1, True)
         monkeypatch.setattr(cli, "_in_flight", lambda *args: 0)
         assert layout(3, 8, 20000) == (1, False)
 
@@ -1103,7 +1245,7 @@ class TestFormatter:
                             runs=8, seed=1, burn_in=0)
         block = 3 * 8 * 2048 * 57
         assert cli._in_flight(sim_cfg, 3, 8) == 5
-        assert 11 * block <= simulation.TRACE_BUDGET_BYTES < 13 * block
+        assert 11 * block <= cli.TRACE_BUDGET_BYTES < 13 * block
         # the widest grid at which one block can wait: 3 x 31 runs
         assert cli._in_flight(sim_cfg, 3, 31) == 1
         assert cli._in_flight(sim_cfg, 3, 32) == 0
@@ -1139,7 +1281,7 @@ class TestLayout:
 
 class TestChunkedTraces:
     """A traced slice runs in chunks of runs whose trace blocks fit
-    simulation.TRACE_BUDGET_BYTES, and writes the bytes of one chunk."""
+    cli.TRACE_BUDGET_BYTES, and writes the bytes of one chunk."""
 
     @staticmethod
     def _chunked(monkeypatch):
@@ -1180,7 +1322,7 @@ class TestChunkedTraces:
                                                 horizon=300)
         assert code == 0
         budget = max(1, int(fit * self._run_bytes(3, 300)))
-        monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", budget)
+        monkeypatch.setattr(cli, "TRACE_BUDGET_BYTES", budget)
         calls = self._chunked(monkeypatch)
         code, out = TestStreamedTraces._sweep(tmp_path, "chunked", runs=runs,
                                               horizon=300)
@@ -1205,7 +1347,7 @@ class TestChunkedTraces:
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "whole")]) == 3
         want = capsys.readouterr().err
         assert re.search(r"lambda 0\.5, run [23]\)", want)
-        monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", 1)
+        monkeypatch.setattr(cli, "TRACE_BUDGET_BYTES", 1)
         calls = self._chunked(monkeypatch)
         out = tmp_path / "chunked"
         assert main(["run", str(cfg), "--out-dir", str(out)]) == 3
@@ -1302,7 +1444,7 @@ class TestRerun:
         # chunks of 2 runs; seed 2 stays inside this guard, and seed 1 first
         # crosses it at lambda 10.0 in run 2, in the second chunk, after the
         # first chunk's traces are written
-        monkeypatch.setattr(simulation, "TRACE_BUDGET_BYTES", 1)
+        monkeypatch.setattr(cli, "TRACE_BUDGET_BYTES", 1)
         monkeypatch.setattr(simulation, "DIVERGENCE_LIMIT", 14.66)
         out = tmp_path / "out"
         doc = config_to_dict(load_config(default_config_path()))

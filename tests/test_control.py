@@ -312,30 +312,29 @@ class TestCostTradeoffCurve:
     def test_singleton_grid(self, bench_model):
         points = cost_tradeoff_curve(bench_model, [1e6], BENCH_TIMEOUT)
         assert len(points) == 1
-        pt = points[0]
-        assert pt.lam == 1e6
-        assert pt.rate >= 0.999
-        assert 53.18 <= pt.cost <= 53.28
+        ma, bd = points[0]
+        assert ma.lam == 1e6
+        assert ma.rate >= 0.999
+        assert 53.18 <= bd.total <= 53.28
 
     def test_monotone_tradeoff(self, bench_model):
         lams = np.logspace(-2, 2, 13)
         points = cost_tradeoff_curve(bench_model, lams, BENCH_TIMEOUT)
-        rates = [p.rate for p in points]
-        costs = [p.cost for p in points]
+        rates = [ma.rate for ma, _ in points]
+        costs = [bd.total for _, bd in points]
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
     def test_points_sorted_regardless_of_input_order(self, bench_model):
         points = cost_tradeoff_curve(bench_model, [10.0, 0.1, 1.0], BENCH_TIMEOUT)
-        assert [p.lam for p in points] == [0.1, 1.0, 10.0]
+        assert [ma.lam for ma, _ in points] == [0.1, 1.0, 10.0]
 
     def test_point_internal_consistency(self, bench_model):
-        (pt,) = cost_tradeoff_curve(bench_model, [0.7], BENCH_TIMEOUT)
-        assert pt.cost == pt.breakdown.total
-        assert pt.rate == pt.markov.rate
-        assert pt.markov.lam == 0.7
-        assert pt.markov.sigma_trace.shape == (BENCH_TIMEOUT + 1,)
-        assert pt.markov.trigger_by_age.shape == (BENCH_TIMEOUT + 1,)
+        ((ma, bd),) = cost_tradeoff_curve(bench_model, [0.7], BENCH_TIMEOUT)
+        assert ma.lam == 0.7
+        assert ma.sigma_trace.shape == (BENCH_TIMEOUT + 1,)
+        assert ma.trigger_by_age.shape == (BENCH_TIMEOUT + 1,)
+        assert bd.total == bd.base + bd.filter_term + bd.trigger_term
 
     def test_precomputed_solves_give_identical_results(
         self, bench_model, bench_filter, bench_control
@@ -344,9 +343,9 @@ class TestCostTradeoffCurve:
         shared = cost_tradeoff_curve(
             bench_model, [0.5, 5.0], BENCH_TIMEOUT, ss=bench_filter, cs=bench_control
         )
-        for a, b in zip(fresh, shared):
-            assert a.rate == b.rate
-            assert a.cost == b.cost
+        for (ma, bd), (ma_shared, bd_shared) in zip(fresh, shared):
+            assert ma.rate == ma_shared.rate
+            assert bd == bd_shared
 
     def test_empty_grid_rejected(self, bench_model):
         with pytest.raises(ModelError, match="^lams must be a nonempty grid"):
@@ -362,12 +361,13 @@ class TestCostTradeoffCurve:
             filt, ctrl = kf_steady_state(model), control_steady_state(model)
             curve = cost_tradeoff_curve(model, np.logspace(-6, 6, 13),
                                         BENCH_TIMEOUT, ss=filt, cs=ctrl)
-            for pt in curve:
-                one, = cost_tradeoff_curve(model, [pt.lam], BENCH_TIMEOUT,
-                                           ss=filt, cs=ctrl)
-                assert (one.lam, one.rate, one.cost) == (pt.lam, pt.rate, pt.cost)
-                assert one.breakdown == pt.breakdown
-                assert one.markov.pi.tobytes() == pt.markov.pi.tobytes()
+            for ma, bd in curve:
+                (one, one_bd), = cost_tradeoff_curve(model, [ma.lam],
+                                                     BENCH_TIMEOUT, ss=filt,
+                                                     cs=ctrl)
+                assert (one.lam, one.rate) == (ma.lam, ma.rate)
+                assert one_bd == bd
+                assert one.pi.tobytes() == ma.pi.tobytes()
 
 
 def test_golden_infinite_horizon_cost_closed_form():

@@ -1,6 +1,7 @@
 """Model container, validation report, and rank-condition tests."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,15 @@ class TestRankChecks:
         assert controllability_rank(A, B) == 1
         # observability is the transposed problem
         assert observability_rank(A.T, B.T) == 1
+
+    @pytest.mark.parametrize("A, B", [(np.eye(2), np.ones((3, 1))),
+                                      (np.ones((2, 3)), np.ones((2, 1)))])
+    def test_incompatible_shapes_named(self, A, B):
+        # a SystemModel is always compatible, so no command reaches this
+        with pytest.raises(ModelError, match=re.escape(
+                f"incompatible shapes for controllability test: {A.shape}, "
+                f"{B.shape}")):
+            controllability_rank(A, B)
 
 
 class TestPsdSqrt:

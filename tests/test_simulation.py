@@ -211,8 +211,9 @@ class TestTraceInvariants:
 
 
 def _against_analysis(cfg, filt, ctrl, lam):
-    """The analytic point at lam, then the (mean, stderr) of the simulated
-    rates and of the costs: a row of the CLI sweep."""
+    """The analytic (MarkovAnalysis, CostBreakdown) at lam, then the
+    (mean, stderr) of the simulated rates and of the costs: a row of the CLI
+    sweep."""
     point, = cost_tradeoff_curve(cfg.model, [lam], cfg.timeout, ss=filt,
                                  cs=ctrl)
     (rates,), (costs,) = run_closed_loop(cfg, filt, ctrl, [lam])
@@ -223,10 +224,10 @@ class TestAgainstAnalysis:
     def test_unit_sensitivity_agreement(self, bench_model, bench_filter,
                                         bench_control):
         cfg = _cfg(bench_model, runs=64, horizon=2000, seed=2024)
-        point, (rate, rate_se), (cost, cost_se) = _against_analysis(
+        (ma, bd), (rate, rate_se), (cost, cost_se) = _against_analysis(
             cfg, bench_filter, bench_control, 1.0)
-        assert abs(rate - point.rate) < 4 * rate_se
-        assert abs(cost - point.cost) < 5 * cost_se
+        assert abs(rate - ma.rate) < 4 * rate_se
+        assert abs(cost - bd.total) < 5 * cost_se
 
     def test_low_sensitivity_rate_sits_above_timeout_floor(
         self, bench_model, bench_filter, bench_control
@@ -238,19 +239,19 @@ class TestAgainstAnalysis:
         pure-timeout floor; the simulator must reproduce the analytic value.
         """
         cfg = _cfg(bench_model, runs=64, horizon=2000, seed=2025)
-        point, (rate, rate_se), _ = _against_analysis(cfg, bench_filter,
-                                                      bench_control, 1e-6)
+        (ma, _), (rate, rate_se), _ = _against_analysis(cfg, bench_filter,
+                                                        bench_control, 1e-6)
         floor = 1.0 / (BENCH_TIMEOUT + 1)
-        assert point.rate > 1.9 * floor
-        assert 0.035 < point.rate < 0.042
-        assert abs(rate - point.rate) < 4 * rate_se
+        assert ma.rate > 1.9 * floor
+        assert 0.035 < ma.rate < 0.042
+        assert abs(rate - ma.rate) < 4 * rate_se
 
     def test_extreme_sensitivity_sends_almost_always(self, bench_model,
                                                      bench_filter, bench_control):
         cfg = _cfg(bench_model, runs=8, horizon=2000)
-        point, (rate, _), _ = _against_analysis(cfg, bench_filter,
-                                                bench_control, 1e6)
-        assert point.rate >= 0.999
+        (ma, _), (rate, _), _ = _against_analysis(cfg, bench_filter,
+                                                  bench_control, 1e6)
+        assert ma.rate >= 0.999
         assert rate >= 0.99
 
     def test_pure_timeout_cadence_is_exact(self, golden_model, golden_filter,
@@ -626,7 +627,7 @@ class TestOracle:
     def test_streamed_blocks(self, bench_model, bench_filter, bench_control,
                              monkeypatch, runs, group, block):
         # 2100 steps: a partial chunk of 256 and a partial block of 2048
-        monkeypatch.setattr(sim, "_TRACE_BLOCK_STEPS", block)
+        monkeypatch.setattr(sim, "TRACE_BLOCK_STEPS", block)
         cfg = _cfg(bench_model, runs=runs, horizon=2100, burn_in=20)
         lams = self.LAMS[group]
         blocks = []
@@ -701,7 +702,7 @@ class TestBlockGuard:
         assert not np.isfinite(costs).any()
         assert sim._BLOCK_BYTES // (8 * 4 * 2) >= cfg.horizon
         if block is not None:
-            monkeypatch.setattr(sim, "_TRACE_BLOCK_STEPS", block)
+            monkeypatch.setattr(sim, "TRACE_BLOCK_STEPS", block)
         blocks = []
         with pytest.raises(DivergenceError) as exc:
             sim.run_closed_loop(

@@ -61,11 +61,11 @@ TRADEOFF_HEADER = ("lambda,analytic_rate,empirical_rate,rate_stderr,"
 # (a worker's first job began 0.15-0.21 s after its submit, +0.02 s to exit).
 _STEP_S, _RUN_S, _ROW_S, _SPAWN_S = 22e-6, 90e-9, 0.71e-6, 0.23
 TRACE_BUDGET_BYTES = 32 * 2**20  # bytes of one TraceBlock (trace_chunk_runs)
-# The names of the artifacts a sweep may write, but for manifest.json; a
-# lambda is named by the repr of a positive float
-_LAM = r"\d+(\.\d+)?(e[+-]\d+)?"
-_ARTIFACT = re.compile(rf"tradeoff\.csv|plot\.gp|analysis_{_LAM}\.json"
-                       rf"|trace_lam{_LAM}_run\d{{4,}}\.csv")
+# Names of a sweep's artifacts, and of the .part files a killed sweep leaves
+_LAM = r"\d+(\.\d+)?(e[+-]\d+)?"  # a lambda: the repr of a positive float
+_ARTIFACT = re.compile(
+    rf"(tradeoff\.csv|plot\.gp|manifest\.json|analysis_{_LAM}\.json|trace_lam"
+    rf"{_LAM}_run\d{{4,}}\.csv)(\.\w+\.part)?")
 
 
 def _fmt(value) -> str:
@@ -169,11 +169,11 @@ def _cores() -> int:
 
 
 def trace_chunk_runs(sim_cfg: SimConfig, lams: int) -> int:
-    """Runs whose TraceBlock at lams lambdas fits TRACE_BUDGET_BYTES (0 if
-    none): per run-step and lambda, 8 * (2n + m + 2) bytes and sigma's bool."""
-    n, m, _ = sim_cfg.model.dims
+    """Runs whose block record at lams lambdas, simulation.step_bytes per
+    run-step and lambda, fits TRACE_BUDGET_BYTES (0 if none)."""
     steps = min(sim_cfg.horizon, simulation.TRACE_BLOCK_STEPS)
-    return TRACE_BUDGET_BYTES // (lams * steps * (8 * (2 * n + m + 2) + 1))
+    return TRACE_BUDGET_BYTES // (
+        lams * steps * simulation.step_bytes(sim_cfg.model))
 
 
 def _in_flight(sim_cfg: SimConfig, lams: int, runs: int) -> int:
@@ -440,7 +440,7 @@ def _run_sweep(cfg: ExperimentConfig, with_simulation: bool) -> int:
         failed = re.sub(r"\.\w+\.part$", "", str(exc.filename))
         raise ConfigError(f"output.directory: cannot write {failed}: "
                           f"{exc.strerror}") from exc
-    # then no artifact of an earlier sweep into out_dir is left
+    # then no artifact or .part file of an earlier sweep into out_dir is left
     kept = set(names)
     for path in out_dir.iterdir():
         if (path.name not in kept and _ARTIFACT.fullmatch(path.name)

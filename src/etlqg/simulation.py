@@ -13,13 +13,13 @@ only through the hold probability exp(-lambda * |e|^2). The estimator (the
 prediction error, its correction eta and the filtered error) depends on
 neither lambda nor the trigger, so it is carried once per run, (runs, n),
 and broadcast like the draws. A step runs only the estimator, trigger and
-plant recurrences, writing x, u and sigma into time-major block buffers,
-(steps, lambdas, runs, .); the divergence guard, the transmission count and
-the stage cost are reduced once per block, the cost in step order from the
-running sum, so it has the bits of a per-step sum. Only given an on_block
-hook, the loop runs in blocks of TRACE_BLOCK_STEPS steps (the CLI sizes its
-trace chunks by it) and also records tau and e_filt per step: each block's
-buffers are a TraceBlock, the columns of a trace CSV, handed to on_block.
+plant recurrences, writing x, e_filt, tau, u and sigma once, traced or not,
+into its block's time-major record, (steps, lambdas, runs, .), whose row 0 of
+x, e_filt and tau is carried over from the last block. The divergence guard,
+the transmission count and the stage cost are reduced once per block, the
+cost in step order from the running sum, so it has the bits of a per-step
+sum. Untraced blocks reuse one record of about _BLOCK_BYTES; on_block gets
+each fresh record of TRACE_BLOCK_STEPS steps as a TraceBlock of views.
 
 RNG layout: run r's seed is SeedSequence(seed, spawn_key=(r,)), the r-th
 child that SeedSequence(seed).spawn would give; each run spawns four
@@ -50,10 +50,16 @@ from .model import SystemModel, psd_sqrt, scheduler_lambdas
 DEFAULT_BURN_IN = 200
 DIVERGENCE_LIMIT = 1e12
 _CHUNK_STEPS = 256
-# Bytes of x, u and sigma per untraced block (1-2 MiB ran fastest, 4 MiB L2)
+# Bytes of an untraced block (1-2 MiB ran fastest, 4 MiB L2)
 _BLOCK_BYTES = 2 * 2**20
 # Steps per TraceBlock handed to run_closed_loop's on_block.
 TRACE_BLOCK_STEPS = 2048
+
+
+def step_bytes(model: SystemModel) -> int:
+    """A block's bytes per lambda-run-step: float64 x, e_filt (n each) and u
+    (m), int64 tau and a TraceBlock's sigma, and sigma's bool."""
+    return 8 * (2 * model.dims[0] + model.dims[1] + 2) + 1
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,8 @@ class TraceBlock:
 
     The columns of a trace CSV, time-major: the transmission indicator sigma
     and the counter tau (steps, lambdas, runs), the state x and the estimate
-    gap e_filt (steps, lambdas, runs, n), the input u
-    (steps, lambdas, runs, m).
+    gap e_filt (steps, lambdas, runs, n), the input u (steps, lambdas, runs,
+    m); x as each step finds it, the rest as it leaves them.
     """
 
     start: int
@@ -139,9 +145,9 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
     streams are shared by all lambdas (common random numbers), so row g
     equals the one-lambda grid [lams[g]] bitwise. Returns (rates, costs), two
     (len(lams), len(runs)) arrays: each run's empirical transmission rate
-    and average stage cost over the post-burn-in window. With on_block, each TraceBlock of
-    TRACE_BLOCK_STEPS steps (fewer in the last) goes to on_block(block)
-    once simulated.
+    and average stage cost over the post-burn-in window. With on_block, each
+    block of TRACE_BLOCK_STEPS steps (fewer in the last) goes to on_block
+    once simulated, as a TraceBlock of views of its fresh record.
 
     A DivergenceError names the first step whose largest |x| passes
     DIVERGENCE_LIMIT, and the run by its index in range(cfg.runs); the
@@ -156,17 +162,14 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
     model = cfg.model
     n, m, p = model.dims
     At, Bt, Ct = model.A.T, model.B.T, model.C.T
-    Kt = filt.K_inf.T
-    Lt = ctrl.L_inf.T
+    Kt, Lt = filt.K_inf.T, ctrl.L_inf.T
     timeout = cfg.timeout
     lams = scheduler_lambdas(lams, timeout)
     neg_lam = -np.array(lams)[:, None]
     group, runs, horizon = len(lams), len(run_ids), cfg.horizon
     burn_in = cfg.burn_in
 
-    w_factor = psd_sqrt(model.W)
-    v_factor = psd_sqrt(model.V)
-    x0_factor = psd_sqrt(model.X0)
+    w_factor, v_factor, x0_factor = map(psd_sqrt, (model.W, model.V, model.X0))
     streams = _spawn_run_streams(cfg.seed, run_ids)
 
     x = np.empty((runs, n))               # broadcast over lambda in xb[0]
@@ -174,31 +177,28 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
         x[r] = model.x0_mean + x0_factor @ init_gen.standard_normal(n)
     # the estimator depends on neither lambda nor the trigger: one per run
     xt_pred = x - model.x0_mean           # sensor prediction error, prior mean
-    e_filt = np.zeros((group, runs, n))   # estimate gap after step -1
-    tau = np.zeros((group, runs), dtype=np.int64)
 
     sigma_count = np.zeros((group, runs), dtype=np.int64)
     cost_sum = np.zeros((group, runs))
 
-    record = on_block is not None
-    rows = (TRACE_BLOCK_STEPS if record
-            else max(1, _BLOCK_BYTES // (8 * (n + m + 1) * group * runs)))
+    rows = (TRACE_BLOCK_STEPS if on_block is not None else max(
+        1, _BLOCK_BYTES // (step_bytes(model) * group * runs)))
 
     chunk_end = 0
     # the loop runs on to the end of a diverging block, past overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, horizon, rows):
             steps = min(rows, horizon - first)
-            # x_first .. x_first+steps; untraced blocks reuse the buffers
-            if record or first == 0:
+            # step first + i reads x, e_filt and tau from row i, writes row
+            # i + 1; row 0 is the last block's last row (x_0, zeros at first)
+            last = (x, 0.0, 0) if first == 0 else (xb[-1], eb[-1], tb[-1])
+            if on_block is not None or first == 0:  # untraced, reused after
                 xb = np.empty((steps + 1, group, runs, n))
+                eb = np.empty((steps + 1, group, runs, n))
+                tb = np.empty((steps + 1, group, runs), dtype=np.int64)
                 ub = np.empty((steps, group, runs, m))
                 sb = np.empty((steps, group, runs), dtype=bool)
-            if record:
-                tr_tau = np.empty((steps, group, runs), dtype=np.int64)
-                tr_e = np.empty((steps, group, runs, n))
-            xb[0] = x
-            x = xb[0]
+            xb[0], eb[0], tb[0] = last
             for i, k in enumerate(range(first, first + steps)):
                 if k == chunk_end:
                     span = min(_CHUNK_STEPS, horizon - k)
@@ -217,21 +217,18 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
                 # (runs, .) estimator and draws broadcast over the
                 # (lambdas, runs, .) trigger and plant state
                 j = k - chunk_start
-                v = v_block[j]
-                w = w_block[j]
+                v, w = v_block[j], w_block[j]
                 eta = (xt_pred @ Ct + v) @ Kt
-                e_gap = e_filt @ At + eta
+                e_gap = np.add(eb[i] @ At, eta, out=eb[i + 1])
                 xt_filt = xt_pred - eta
                 hold = np.exp(neg_lam * np.einsum("...i,...i->...", e_gap, e_gap))
-                sigma = np.logical_or(zeta[j] > hold, tau == timeout, out=sb[i])
-                tau = np.where(sigma, 0, tau + 1)
-                e_filt = np.where(sigma[..., None], 0.0, e_gap)
+                sigma = np.logical_or(zeta[j] > hold, tb[i] == timeout, sb[i])
+                np.add(tb[i], 1, out=tb[i + 1])
+                np.copyto(tb[i + 1], 0, where=sigma)
+                np.copyto(e_gap, 0.0, where=sigma[..., None])  # now e_filt
                 # the controller's estimate is x - xt_filt - e_filt
-                u = np.negative((x - xt_filt - e_filt) @ Lt, out=ub[i])
-                if record:
-                    tr_tau[i] = tau
-                    tr_e[i] = e_filt
-                x = np.add(x @ At + u @ Bt, w, out=xb[i + 1])
+                u = np.negative((xb[i] - xt_filt - e_gap) @ Lt, out=ub[i])
+                np.add(xb[i] @ At + u @ Bt, w, out=xb[i + 1])
                 xt_pred = xt_filt @ At + w
 
             peak = np.abs(xb[1:steps + 1])
@@ -249,9 +246,9 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
             # in row order, as cumsum; but reduce sums a lone column pairwise
             cost_sum = (np.cumsum(terms, 0)[-1] if group * runs == 1
                         else np.add.reduce(terms, axis=0))
-            if record:
-                on_block(TraceBlock(first, sb.astype(np.int64), tr_tau,
-                                    xb[:-1], ub, tr_e))
+            if on_block is not None:
+                on_block(TraceBlock(first, sb.astype(np.int64), tb[1:],
+                                    xb[:-1], ub, eb[1:]))
 
     window = horizon - burn_in
     return sigma_count / window, cost_sum / window

@@ -1153,13 +1153,19 @@ class TestFormatter:
         monkeypatch.setattr(cli, "_worker_pool", counted)
         return submitted, waiting
 
-    @pytest.mark.parametrize("runs,budget", [(4, None), (6, 1)])
+    @pytest.mark.parametrize(
+        "runs,budget,serial_traced",
+        [(4, None, True), (6, 1, True), (4, None, False)],
+        ids=["4-None", "6-1", "4-None-untraced"])
     def test_outputs_byte_identical_to_in_process(self, tmp_path, monkeypatch,
-                                                  runs, budget):
+                                                  runs, budget, serial_traced):
         # 2500 steps: blocks of 2048 and 452 steps. Budget 1: chunks of 2
-        # runs, whose blocks each wait for the formatter to finish the last
-        cfg = TestSplitSweep._config(tmp_path, runs, horizon=2500)
+        # runs, whose blocks each wait for the formatter to finish the last.
+        # An untraced in-process sweep writes the traced one's other bytes
+        cfg = TestSplitSweep._config(tmp_path, runs, horizon=2500,
+                                     record_trace=serial_traced)
         assert main(["run", str(cfg), "--out-dir", str(tmp_path / "serial")]) == 0
+        cfg = TestSplitSweep._config(tmp_path, runs, horizon=2500)
         if budget is not None:
             monkeypatch.setattr(cli, "TRACE_BUDGET_BYTES", budget)
         submitted, waiting = self._formatter(monkeypatch)
@@ -1171,6 +1177,10 @@ class TestFormatter:
         assert max(waiting) <= (1 if budget is None else 0)
         got = TestSplitSweep._artifacts(out)
         assert len([n for n in got if n.startswith("trace_")]) == 3 * runs
+        if not serial_traced:
+            got = {n: b for n, b in got.items() if not n.startswith("trace_")}
+            assert sorted(got) == ["analysis_0.5.json", "analysis_2.0.json",
+                                   "analysis_8.0.json", "tradeoff.csv"]
         assert got == TestSplitSweep._artifacts(tmp_path / "serial")
 
     def test_failed_append_in_the_formatter(self, tmp_path, monkeypatch,
@@ -1425,6 +1435,23 @@ class TestRerun:
         files = self._files(out)
         assert {name: files.get(name) for name in user} == user
         assert not any(name in files for name in stale)
+
+    def test_killed_sweeps_part_files_go(self, tmp_path):
+        # a killed sweep leaves '<artifact>.<random>.part' files; a rerun
+        # removes those, but no look-alike
+        assert self._run(tmp_path) == 0
+        out = tmp_path / "out"
+        stale = ["tradeoff.csv.k3x_9qz1.part", "manifest.json.a1b2c3d4.part",
+                 "analysis_1.0.json.q8w7e6r5.part", "plot.gp.zz_00aa1.part",
+                 "trace_lam0.1_run0002.csv.m4n5b6v7.part"]
+        user = ["notes.part", "tradeoff.csv.part", "manifest.json.part",
+                "tradeoff.csv.a.b.part", "notes.txt.k3x_9qz1.part",
+                "analysis_summary.json.k3x_9qz1.part"]
+        for name in stale + user:
+            (out / name).write_bytes(b"")
+        cfg = tmp_path / "config.yaml"
+        assert main(["analyze-only", str(cfg)]) == 0
+        assert sorted(p.name for p in out.glob("*.part")) == sorted(user)
 
     def test_failed_rerun_removes_nothing(self, tmp_path, monkeypatch, capsys):
         assert self._run(tmp_path) == 0

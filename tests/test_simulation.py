@@ -622,6 +622,22 @@ class TestOracle:
                                       record=i % 3 != 2)
             _assert_matches_oracle(got, want)
 
+    @pytest.mark.parametrize("runs", [2, 7])
+    @pytest.mark.parametrize("group", [1, 3, 13])
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_reused_untraced_blocks(self, bench_model, bench_filter,
+                                    bench_control, monkeypatch, runs, group,
+                                    block):
+        # untraced blocks of block steps reuse their buffers, each block's
+        # first row carried over from the last one's final row; at timeout
+        # 5 the counter's carry decides transmissions too
+        monkeypatch.setattr(sim, "_BLOCK_BYTES",
+                            block * sim.step_bytes(bench_model) * group * runs)
+        cfg = _cfg(bench_model, timeout=5, runs=runs, horizon=300, burn_in=20)
+        got, want = _run_both(cfg, bench_filter, bench_control,
+                              self.LAMS[group], record=False)
+        _assert_matches_oracle(got, want)
+
     @pytest.mark.parametrize("runs,group,block", [(1, 1, 2048), (2, 3, 2048),
                                                   (3, 13, 256), (7, 3, 333)])
     def test_streamed_blocks(self, bench_model, bench_filter, bench_control,
@@ -700,7 +716,8 @@ class TestBlockGuard:
             _, costs = sim.run_closed_loop(cfg, bench_filter, open_loop,
                                            [1.0])
         assert not np.isfinite(costs).any()
-        assert sim._BLOCK_BYTES // (8 * 4 * 2) >= cfg.horizon
+        assert (sim._BLOCK_BYTES // (sim.step_bytes(bench_model) * 2)
+                >= cfg.horizon)
         if block is not None:
             monkeypatch.setattr(sim, "TRACE_BLOCK_STEPS", block)
         blocks = []

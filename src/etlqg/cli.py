@@ -201,9 +201,8 @@ def _layout(sim_cfg: SimConfig, lams: int, traced: bool) -> tuple[int, bool]:
     layouts = [(sim + fmt, (1, False)),
                (_SPAWN_S + sum(seconds(-(-runs // split))), (split, False))]
     if traced and cores > 1 and _in_flight(sim_cfg, lams, runs) > 0:
-        # the formatter is spawned once the first block is simulated
-        first = sim * min(1.0, simulation.TRACE_BLOCK_STEPS / sim_cfg.horizon)
-        layouts.append((max(sim, first + _SPAWN_S + fmt), (1, True)))
+        # the formatter starts with its pool, before the first block
+        layouts.append((max(sim, _SPAWN_S + fmt), (1, True)))
     return min(layouts)[1]
 
 
@@ -271,9 +270,11 @@ def _worker_pool(workers: int):
     from concurrent.futures import ProcessPoolExecutor
 
     # spawn, not fork: this process holds BLAS threads
-    return ProcessPoolExecutor(max_workers=workers,
+    pool = ProcessPoolExecutor(max_workers=workers,
                                mp_context=multiprocessing.get_context("spawn"),
                                initializer=_exit_with_parent)
+    pool.submit(int)  # a pool spawns a worker only for a job: start one now
+    return pool
 
 
 def _append_block(block: TraceBlock, parts: list[str]):

@@ -105,10 +105,10 @@ def finite_horizon_cost(model: SystemModel, lam: float, timeout: int,
     gains L_k from `riccati_backward`, counter 0 at step 0. The cost is
     xbar0' S_0 xbar0 + tr(S_0 X0) plus, per step k, tr(S_{k+1} W), the filter
     term tr(P_{k|k} M_k) and the trigger term sum_a dist_k[a] tr(M_k sigma_ka).
-    P_{k|k} comes from X0 through `filter_step`, and the correction
-    covariance Pi_eta_k = sym(K_k C P_{k|k-1}) feeds `condition_step` per
-    step, batched over the ages, until both repeat bit for bit; its send
-    probabilities push the counter distribution through `chain_step`. The
+    `filter_step` walks from X0 and gives sym(P_{k|k}) and the correction
+    covariance Pi_eta_k, which feeds `condition_step` per step, batched over
+    the ages, until both repeat bit for bit; its send probabilities push
+    the counter distribution through `chain_step`. The
     steady-gain loop started from X0 != P_inf is not covered: its filter
     corrections are not white.
     """
@@ -123,9 +123,8 @@ def finite_horizon_cost(model: SystemModel, lam: float, timeout: int,
     P_pred, settled = model.X0, False
     for k in range(N):
         if not settled:
-            P_filt, P_next, K = filter_step(P_pred, model)
-            step = condition_step(sigmas[:, :-1], model.A,
-                                  symmetrize(K @ model.C @ P_pred), lams, k)
+            F, P_next, _, Pi_eta = filter_step(P_pred, model)
+            step = condition_step(sigmas[:, :-1], model.A, Pi_eta, lams, k)
             settled = all(map(np.array_equal, (P_next, *step),
                               (P_pred, p[:, :-1], sigmas[:, 1:])))
             p[:, :-1], sigmas[:, 1:] = step
@@ -133,7 +132,7 @@ def finite_horizon_cost(model: SystemModel, lam: float, timeout: int,
         dist = chain_step(dist, p[0])
         M = M_seq[k]
         total += float(np.trace(S_seq[k + 1] @ model.W))
-        total += float(np.trace(symmetrize(P_filt) @ M))
+        total += float(np.trace(F @ M))
         total += float(np.einsum("i,ijk,kj->", dist, sigmas[0], M))
     return total
 

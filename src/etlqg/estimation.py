@@ -22,7 +22,7 @@ ARE_MAX_ITER = 10**6
 # near 1e-4, and took about 45 s to reach ARE_MAX_ITER.
 ARE_STALL_WINDOW = 1000
 # Rounding noise, a few eps |X|_inf, can keep a step above ARE_TOL once |X|
-# is in the thousands: a stall below ARE_REL_TOL |X|_inf is at the float floor.
+# is in the thousands: a step below ARE_REL_TOL |X|_inf is at the float floor.
 ARE_REL_TOL = 1e-14
 INNOVATION_COND_LIMIT = 1e12
 
@@ -61,44 +61,42 @@ def kalman_gain(P_pred: np.ndarray, model: SystemModel) -> np.ndarray:
 
 
 def fixed_point(step, start: np.ndarray, label: str):
-    """Iterate X <- step(X) from start until |X_next - X|_inf < ARE_TOL.
+    """Iterate X <- step(X) from start to its first step at the float floor,
+    |X_next - X|_inf < max(ARE_TOL, ARE_REL_TOL |X_next|_inf); returns
+    (X_next, iterations).
 
-    Returns (X, iterations). Once ARE_STALL_WINDOW iterations in a row
-    bring no new minimum of |X_next - X|_inf, the iteration has stalled: it
-    hovers above ARE_TOL and would otherwise run to the cap ARE_MAX_ITER. A
-    stall whose least step was at the float floor, below ARE_REL_TOL times
-    the |X_next|_inf of that step, returns that step's X_next; any other
-    stall, or the cap, raises ConvergenceError(label, ...).
+    A stall, ARE_STALL_WINDOW iterations in a row with no new least step,
+    or the cap ARE_MAX_ITER raises ConvergenceError(label, ...).
     """
-    X = best_X = start
-    delta = best = np.inf
-    it = best_it = 0
+    X, best, best_it = start, np.inf, 0
     for it in range(1, ARE_MAX_ITER + 1):
         X_next = step(X)
         delta = float(np.max(np.abs(X_next - X)))
         X = X_next
-        if delta < ARE_TOL:
+        scale = np.max(np.abs(X))
+        if delta < max(ARE_TOL, ARE_REL_TOL * scale):
             return X, it
         if delta < best:
-            best, best_it, best_X = delta, it, X
+            best, best_it = delta, it
         elif it - best_it >= ARE_STALL_WINDOW:
             break
-    if best < ARE_REL_TOL * np.max(np.abs(best_X)):
-        return best_X, best_it
-    raise ConvergenceError(label, delta, it,
-                           float(delta / np.max(np.abs(X))))
+    raise ConvergenceError(label, delta, it, float(delta / scale))
 
 
 def filter_step(P_pred: np.ndarray, model: SystemModel):
-    """One covariance step of the filter: (P_filt, P_next, K).
+    """One covariance step of the filter: (F, P_next, K, Pi_eta).
 
-    K is the Kalman gain at P_pred; P_filt = (I - K C) P_pred is the updated
-    covariance, not symmetrized; P_next = sym(A P_filt A^T + W) is the next
-    predicted covariance.
+    K is the Kalman gain at P_pred and P_filt = (I - K C) P_pred the
+    updated covariance; F = sym(P_filt), P_next = sym(A P_filt A^T + W) the
+    next predicted covariance, and Pi_eta = sym(K C P_pred) the covariance
+    of the correction K(C xtilde + v).
     """
     K = kalman_gain(P_pred, model)
-    P_filt = (np.eye(model.A.shape[0]) - K @ model.C) @ P_pred
-    return P_filt, symmetrize(model.A @ P_filt @ model.A.T + model.W), K
+    KC = K @ model.C
+    P_filt = (np.eye(model.A.shape[0]) - KC) @ P_pred
+    return (symmetrize(P_filt),
+            symmetrize(model.A @ P_filt @ model.A.T + model.W), K,
+            symmetrize(KC @ P_pred))
 
 
 def kf_steady_state(model: SystemModel) -> SteadyStateFilter:
@@ -110,7 +108,7 @@ def kf_steady_state(model: SystemModel) -> SteadyStateFilter:
     """
     P, it = fixed_point(lambda P: filter_step(P, model)[1], model.X0.copy(),
                         "steady-state filter iteration")
-    P_filt, P_next, K = filter_step(P, model)
-    return SteadyStateFilter(P_inf=P, K_inf=K, F_inf=symmetrize(P_filt),
-                             Pi_eta=symmetrize(K @ model.C @ P), iterations=it,
+    F, P_next, K, Pi_eta = filter_step(P, model)
+    return SteadyStateFilter(P_inf=P, K_inf=K, F_inf=F, Pi_eta=Pi_eta,
+                             iterations=it,
                              residual=float(np.max(np.abs(P_next - P))))

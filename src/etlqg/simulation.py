@@ -242,10 +242,8 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
             lo = max(burn_in - first, 0)  # the first row after burn-in
             sigma_count += sb[lo:steps].sum(axis=0)
             stage = _quad(xb[lo:steps], model.Q) + _quad(ub[lo:steps], model.R)
-            terms = np.concatenate([cost_sum[None], stage])
-            # in row order, as cumsum; but reduce sums a lone column pairwise
-            cost_sum = (np.cumsum(terms, 0)[-1] if group * runs == 1
-                        else np.add.reduce(terms, axis=0))
+            for row in stage:  # in step order, whatever the grid's width
+                cost_sum += row
             if on_block is not None:
                 on_block(TraceBlock(first, sb.astype(np.int64), tb[1:],
                                     xb[:-1], ub, eb[1:]))

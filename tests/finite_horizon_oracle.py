@@ -38,7 +38,7 @@ def simulated_finite_horizon_cost(model, lam: float, timeout: int, N: int,
     cost = np.zeros(runs)
     P_pred = model.X0
     for k in range(N):
-        _, P_pred, K = filter_step(P_pred, model)
+        _, P_pred, K, _ = filter_step(P_pred, model)
         v = v_factor @ rng.standard_normal((p, runs))
         w = w_factor @ rng.standard_normal((n, runs))
         zeta = rng.random(runs)

@@ -9,6 +9,7 @@ import dataclasses
 import errno
 import functools
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -1220,6 +1221,13 @@ class TestFormatter:
         assert (len(submitted) >= 2) if appended else submitted == []
         assert list(out.iterdir()) == []
 
+    def test_worker_starts_with_its_pool(self):
+        # a spawn pool starts a worker only for a job; the formatter's is
+        # started before the first block, whose simulation its start-up
+        # then overlaps
+        with cli._worker_pool(1):
+            assert multiprocessing.active_children()
+
     def test_selection_rule(self, bench_model, monkeypatch):
         # the formatter is _layout's choice only for a traced sweep on two
         # cores or more whose blocks can wait for it, and only where it wins
@@ -1233,18 +1241,13 @@ class TestFormatter:
         assert layout(3, 8, 20000) == (1, True)     # trace_narrow
         assert layout(3, 8, 20000, cores=1) == (1, False)
         assert layout(3, 8, 20000, traced=False) == (1, False)
-        # it starts a block late: at 3 x 8 runs it loses at 10000 steps and
-        # wins at 15000
-        assert layout(3, 8, 10000) == (1, False)
-        assert layout(3, 8, 15000) == (1, True)
+        # it starts with its pool, and wins once the simulation outlasts its
+        # start-up: at 3 x 8 runs it loses at 9000 steps and wins at 10000
+        assert layout(3, 8, 9000) == (1, False)
+        assert layout(3, 8, 10000) == (1, True)
         # where formatting outweighs simulating, halving it beats moving it
         assert layout(3, 31, 20000) == (2, False)
         assert layout(13, 100, 20000) == (2, False)  # no block could wait
-        # the first block is as long as the engine's: at 256 steps it is
-        # simulated early enough that the formatter wins at 10000 steps
-        with monkeypatch.context() as patched:
-            patched.setattr(simulation, "TRACE_BLOCK_STEPS", 256)
-            assert layout(3, 8, 10000) == (1, True)
         monkeypatch.setattr(cli, "_in_flight", lambda *args: 0)
         assert layout(3, 8, 20000) == (1, False)
 
@@ -1269,7 +1272,7 @@ class TestLayout:
         (13, 64, 20000, False, (2, False)),   # CI's --runs 64 --horizon 20000
         (13, 100, 2000, True, (2, False)),    # CI's wide traced sweep
         (3, 8, 20000, True, (1, True)),       # trace_narrow
-        (3, 8, 10000, True, (1, False)),
+        (3, 8, 10000, True, (1, True)),
         (3, 4, 2500, True, (1, False)),       # tier-1's traced sweeps
         (13, 2, 2000, True, (1, False)),
     ])

@@ -6,9 +6,9 @@ import scipy.linalg
 
 from etlqg import (ConvergenceError, NumericalError, SystemModel, control,
                    control_steady_state, estimation, kf_steady_state)
-from etlqg.estimation import (ARE_MAX_ITER, ARE_STALL_WINDOW, ARE_TOL,
-                              filter_step, fixed_point, kalman_gain)
-from etlqg.model import psd_sqrt, symmetrize
+from etlqg.estimation import (ARE_MAX_ITER, ARE_REL_TOL, ARE_STALL_WINDOW,
+                              ARE_TOL, filter_step, fixed_point, kalman_gain)
+from etlqg.model import psd_sqrt
 
 from conftest import (BENCH_F_INF, BENCH_K_INF, BENCH_P_INF, BENCH_PI_ETA,
                       GOLDEN_F, GOLDEN_GAIN, PHI, random_valid_model)
@@ -16,21 +16,21 @@ from conftest import (BENCH_F_INF, BENCH_K_INF, BENCH_P_INF, BENCH_PI_ETA,
 
 class TestFilterStep:
     def test_golden_covariance_step(self, golden_model):
-        P_filt, P_next, K = filter_step(np.array([[PHI]]), golden_model)
-        assert P_filt[0, 0] == pytest.approx(GOLDEN_F, abs=1e-12)
+        F, P_next, K, _ = filter_step(np.array([[PHI]]), golden_model)
+        assert F[0, 0] == pytest.approx(GOLDEN_F, abs=1e-12)
         assert P_next[0, 0] == pytest.approx(PHI, abs=1e-12)
         assert K[0, 0] == pytest.approx(GOLDEN_GAIN, abs=1e-12)
 
     def test_filtered_covariance_psd_along_walk(self, bench_model):
-        # P_filt is (I - K C) P_pred; the Joseph form is PSD by construction
+        # F is sym((I - K C) P_pred); the Joseph form is PSD by construction
         C, V = bench_model.C, bench_model.V
         P_pred = bench_model.X0
         for _ in range(50):
-            P_filt, P_next, K = filter_step(P_pred, bench_model)
+            F, P_next, K, _ = filter_step(P_pred, bench_model)
             I_KC = np.eye(2) - K @ C
             joseph = I_KC @ P_pred @ I_KC.T + K @ V @ K.T
-            assert np.max(np.abs(P_filt - joseph)) <= 1e-10
-            assert np.linalg.eigvalsh(symmetrize(P_filt))[0] >= -1e-10
+            assert np.max(np.abs(F - joseph)) <= 1e-10
+            assert np.linalg.eigvalsh(F)[0] >= -1e-10
             P_pred = P_next
 
 
@@ -90,14 +90,15 @@ class TestSteadyState:
 
 
 def fixed_point_to_the_cap(step, start, label):
-    """fixed_point without its stall window: it stops at ARE_TOL or the cap."""
+    """fixed_point without its stall window: it stops at the float floor,
+    max(ARE_TOL, ARE_REL_TOL |X_next|_inf), or the cap."""
     X = start
     delta = np.inf
     for it in range(1, ARE_MAX_ITER + 1):
         X_next = step(X)
         delta = float(np.max(np.abs(X_next - X)))
         X = X_next
-        if delta < ARE_TOL:
+        if delta < max(ARE_TOL, ARE_REL_TOL * np.max(np.abs(X))):
             return X, it
     raise ConvergenceError(label, delta, ARE_MAX_ITER,
                            delta / np.max(np.abs(X)))
@@ -148,7 +149,8 @@ class TestStalledFixedPoint:
 
 class TestFloatFloorStop:
     """With |X| in the thousands, a step's rounding noise stays above
-    ARE_TOL; such a stall has still reached the fixed point."""
+    ARE_TOL; such a solve is no stall, but stops at its first step below
+    ARE_REL_TOL |X|_inf, at the fixed point."""
 
     @staticmethod
     def _draw(index):
@@ -167,6 +169,23 @@ class TestFloatFloorStop:
             X = control_steady_state(m).S_inf
             ref = scipy.linalg.solve_discrete_are(m.A, m.B, m.Q, m.R)
         assert np.max(np.abs(X - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_stops_at_its_first_float_floor_step(self, monkeypatch):
+        # draw 174's control solve: each iteration is one _gain_step call,
+        # and control_steady_state makes one more at the fixed point
+        m = self._draw(174)
+        calls = []
+        real = control._gain_step
+
+        def counted(S_next, model):
+            calls.append(S_next)
+            return real(S_next, model)
+
+        monkeypatch.setattr(control, "_gain_step", counted)
+        cs = control_steady_state(m)
+        assert len(calls) == cs.iterations + 1 < ARE_STALL_WINDOW
+        last = np.max(np.abs(calls[-1] - calls[-2]))
+        assert ARE_TOL <= last < ARE_REL_TOL * np.max(np.abs(cs.S_inf))
 
     def test_stall_above_the_floor_names_its_relative_step(self):
         with pytest.raises(ConvergenceError) as err:

@@ -16,8 +16,7 @@ from .estimation import SteadyStateFilter, kf_steady_state
 from .analysis import (MarkovAnalysis, analysis_record, conditional_error_cov,
                        stationary_distribution, transition_matrix)
 from .control import (ControlSynthesis, CostBreakdown, control_steady_state,
-                      cost_tradeoff_curve, finite_horizon_cost,
-                      infinite_horizon_cost, riccati_backward)
+                      cost_tradeoff_curve, infinite_horizon_cost)
 from .simulation import SimConfig, aggregate_runs, run_closed_loop
 from .config import (ExperimentConfig, config_to_dict, default_config_path,
                      load_config)
@@ -33,8 +32,7 @@ __all__ = [
     "MarkovAnalysis", "analysis_record", "conditional_error_cov",
     "stationary_distribution", "transition_matrix",
     "ControlSynthesis", "CostBreakdown",
-    "control_steady_state", "cost_tradeoff_curve", "finite_horizon_cost",
-    "infinite_horizon_cost", "riccati_backward",
+    "control_steady_state", "cost_tradeoff_curve", "infinite_horizon_cost",
     "SimConfig", "aggregate_runs", "run_closed_loop",
     "ExperimentConfig", "config_to_dict", "default_config_path", "load_config",
     "__version__",

@@ -34,7 +34,7 @@ class MarkovAnalysis:
     """Timeout-counter chain at one lambda, the one per-lambda result.
 
     p_i0[i]: probability of transmitting next step at counter value i, for
-    i = 0..T with p_i0[T] = 1; it is the whole chain (see `chain_step`).
+    i = 0..T with p_i0[T] = 1; it is the whole chain, as the module says.
     sigma_trace[i], trigger_by_age[i]: held-error tr sigma(i), tr(M sigma(i)).
     pi: stationary distribution. rate: long-run transmission rate (pi[0]).
     """
@@ -75,7 +75,7 @@ def _solve_grid(M: np.ndarray, B: np.ndarray, lams, age: int) -> np.ndarray:
 
 def checked_lambdas(lams, timeout) -> list[float]:
     """scheduler_lambdas(lams, timeout), each at most LAMBDA_MAX (else
-    NumericalError naming it): the lambda check of both conditioning passes."""
+    NumericalError naming it): the conditioning pass's lambda check."""
     lams = scheduler_lambdas(lams, timeout)
     for lam in lams:
         if lam > LAMBDA_MAX:
@@ -87,13 +87,13 @@ def checked_lambdas(lams, timeout) -> list[float]:
 
 def condition_step(sigma: np.ndarray, A: np.ndarray, Pi_eta: np.ndarray,
                    lams: list[float], age: int):
-    """The one conditioning step: held-error covariances sigma (G, ..., n, n),
-    row g at lams[g], to p = -expm1(-log det(I + 2 lam N) / 2) (G, ...) and
+    """The one conditioning step: held-error covariances sigma (G, n, n),
+    row g at lams[g], to p = -expm1(-log det(I + 2 lam N) / 2) (G,) and
     sigma' = (I + 2 lam N)^{-1} N, N = A sigma A^T + Pi_eta. One eigvalsh and
     one LU solve over the batch, so no row's bits depend on another's; a
     singular solve raises NumericalError naming its lambda and age (the
     caller's label for the step)."""
-    lam = np.reshape(lams, (-1,) + (1,) * (sigma.ndim - 3))
+    lam = np.asarray(lams, dtype=float)
     inner = symmetrize(A @ sigma @ A.T + Pi_eta)
     p = -np.expm1(-0.5 * _logdet_shifted(inner, lam))
     return p, symmetrize(_solve_grid(
@@ -156,12 +156,6 @@ def stationary_distribution(p_i0: np.ndarray) -> np.ndarray:
     [1, (1-p_00), (1-p_00)(1-p_10), ...], one per state, normalized."""
     weights = np.cumprod(np.concatenate(([1.0], 1.0 - p_i0[:-1])))
     return weights / weights.sum()
-
-
-def chain_step(dist: np.ndarray, p_i0: np.ndarray) -> np.ndarray:
-    """dist P for the counter chain, in O(T): (dist P)[0] = dist . p_i0 and
-    (dist P)[i+1] = dist[i] (1 - p_i0[i])."""
-    return np.concatenate(([dist @ p_i0], dist[:-1] * (1.0 - p_i0[:-1])))
 
 
 def analysis_record(ma: MarkovAnalysis) -> dict:

@@ -3,7 +3,9 @@ for `etlqg.analysis`, which holds the chain as its reset column p_i0 alone.
 
 The dense route builds the full (T+1)^2 transition matrix and solves its
 balance equations by LU; criterion 8 and tests/test_analysis.py check the
-survivor-product pi and `chain_step` against it.
+survivor-product pi against it, and the O(T) `chain_step` of
+tests/finite_horizon_oracle.py, which pushes the finite horizon's counter
+distribution.
 
 The stacked route assembles the covariance of the stacked cumulative
 correction sums and integrates the hold weight over it in one piece, so the

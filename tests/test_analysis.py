@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
 
@@ -23,13 +23,11 @@ from etlqg import (
     analysis_record,
     conditional_error_cov,
     control_steady_state,
-    finite_horizon_cost,
     kf_steady_state,
     stationary_distribution,
     transition_matrix,
 )
-import etlqg.control as control
-from etlqg.analysis import LAMBDA_MAX, _solve_grid, chain_step
+from etlqg.analysis import LAMBDA_MAX, _solve_grid, condition_step
 from etlqg.model import psd_sqrt
 
 from chain_oracle import (
@@ -47,6 +45,7 @@ from conftest import (
     chains,
     random_valid_model,
 )
+from finite_horizon_oracle import chain_step, finite_horizon_cost
 from sigma_table_oracle import sigma_table
 
 
@@ -617,6 +616,8 @@ class TestConditionStepProperties:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), log_lam=st.floats(-6.0, 6.0),
            timeout=st.integers(1, 12), N=st.integers(1, 12))
+    # the filter and the table repeat after 8 steps, so the pass stops early
+    @example(seed=478, log_lam=0.0, timeout=1, N=9)
     def test_tables_bounded(self, seed, log_lam, timeout, N):
         model = random_valid_model(np.random.default_rng(seed))
         lam = 10.0 ** log_lam
@@ -625,16 +626,16 @@ class TestConditionStepProperties:
         self.assert_bounded(p_i0, sigmas, lam)
 
         steps = []
-        condition_step = control.condition_step
 
         def recorded(*args):
             steps.append(condition_step(*args))
             return steps[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(control, "condition_step", recorded)
+            mp.setattr("finite_horizon_oracle.condition_step", recorded)
             finite_horizon_cost(model, lam, timeout, N)
-        assert len(steps) == N
+        # the pass stops stepping once the filter and the table repeat
+        assert 1 <= len(steps) <= N
         for p, sigmas in steps:
             self.assert_bounded(p, sigmas, lam)
 

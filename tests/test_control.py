@@ -20,10 +20,8 @@ from etlqg import (
     SystemModel,
     control_steady_state,
     cost_tradeoff_curve,
-    finite_horizon_cost,
     infinite_horizon_cost,
     kf_steady_state,
-    riccati_backward,
 )
 from etlqg.analysis import condition_step
 
@@ -42,7 +40,11 @@ from conftest import (
     make_golden_model,
     random_valid_model,
 )
-from finite_horizon_oracle import simulated_finite_horizon_cost
+from finite_horizon_oracle import (
+    finite_horizon_cost,
+    riccati_backward,
+    simulated_finite_horizon_cost,
+)
 from sigma_table_oracle import sigma_table
 
 
@@ -291,8 +293,9 @@ class TestFiniteHorizonCost:
         model = (bench_model if start == "X0" else
                  dataclasses.replace(bench_model, X0=10.0 * np.eye(2)))
         calls = []
-        monkeypatch.setattr("etlqg.control.condition_step", lambda *args: (
-            calls.append(args) or condition_step(*args)))
+        monkeypatch.setattr(
+            "finite_horizon_oracle.condition_step",
+            lambda *args: calls.append(args) or condition_step(*args))
         assert finite_horizon_cost(model, lam, T, N) == total
         assert (len(calls) < N) == stops
 

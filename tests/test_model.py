@@ -9,11 +9,12 @@ import pytest
 from etlqg import (DefinitenessError, ModelError, SimConfig, SystemModel,
                    ValidationCheck, conditional_error_cov, control_steady_state,
                    controllability_rank, cost_tradeoff_curve,
-                   finite_horizon_cost, kf_steady_state, observability_rank,
-                   run_closed_loop, validate_model)
+                   kf_steady_state, observability_rank, run_closed_loop,
+                   validate_model)
 from etlqg.model import psd_sqrt, scheduler_lambdas, symmetrize
 
 from conftest import make_benchmark_model, make_golden_model, random_valid_model
+from finite_horizon_oracle import finite_horizon_cost
 
 
 def _bench_kwargs():

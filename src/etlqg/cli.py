@@ -22,8 +22,8 @@ of traces while this process simulates the next. No layout moves a byte.
 A traced slice runs in chunks whose TraceBlock fits TRACE_BUDGET_BYTES
 (trace_chunk_runs). A spawned worker exits with this process.
 
-Exit codes: 0 success, 1 invalid config or unwritable output, 2 model
-validation failure, 3 numerical non-convergence or divergence.
+Exit codes: 0 success, 1 invalid config or flag, or unwritable output, 2
+model validation failure, 3 numerical non-convergence or divergence.
 """
 
 from __future__ import annotations
@@ -460,14 +460,16 @@ def validate_and_report(cfg: ExperimentConfig, verbose: bool = False) -> None:
         raise ValidationFailure(report)
 
 
-def _cmd_validate(cfg: ExperimentConfig) -> int:
-    validate_and_report(cfg, verbose=True)
-    print("model valid")
-    return 0
+class _Parser(argparse.ArgumentParser):
+    """Its and its subparsers' usage errors exit 1: 2 is a model's failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="etlqg",
         description="Event-triggered LQG trade-off experiments: analytic "
                     "rate/cost formulas cross-validated by seeded Monte Carlo.")
@@ -498,14 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config_path = args.config if args.config else default_config_path()
-        cfg = load_config(config_path)
-        cfg = _apply_overrides(cfg, args)
-        if args.command == "run":
-            return _run_sweep(cfg, with_simulation=True)
-        if args.command == "analyze-only":
-            return _run_sweep(cfg, with_simulation=False)
-        return _cmd_validate(cfg)
+        path = args.config or default_config_path()
+        cfg = _apply_overrides(load_config(path), args)
+        if args.command == "validate":
+            validate_and_report(cfg, verbose=True)
+            print("model valid")
+            return 0
+        return _run_sweep(cfg, with_simulation=args.command == "run")
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,8 @@ x, e_filt and tau is carried over from the last block. The divergence guard,
 the transmission count and the stage cost are reduced once per block, the
 cost in step order from the running sum, so it has the bits of a per-step
 sum. Untraced blocks reuse one record of about _BLOCK_BYTES; on_block gets
-each fresh record of TRACE_BLOCK_STEPS steps as a TraceBlock of views.
+each fresh record of TRACE_BLOCK_STEPS steps as a TraceBlock of its own
+arrays, uncopied (sigma stays bool), so step_bytes is a TraceBlock's size.
 
 RNG layout: run r's seed is SeedSequence(seed, spawn_key=(r,)), the r-th
 child that SeedSequence(seed).spawn would give; each run spawns four
@@ -31,9 +32,9 @@ at least 2 runs, as numpy rounds a one-row matmul on another kernel. Each
 run's four streams are shared by every lambda of a grid: their draws are
 made once, for the runs, and broadcast over the lambda axis, so a run at a
 given lambda sees the same numbers in any grid and a grid equals separate
-single-lambda runs bitwise. Draws are pregenerated in fixed-size step chunks
-per stream, which leaves every stream's order identical to stepwise
-consumption.
+single-lambda runs bitwise. Draws come in whole _CHUNK_STEPS-step chunks per
+stream, in stepwise order, the last too: a run's numbers never depend on
+its horizon.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ TRACE_BLOCK_STEPS = 2048
 
 def step_bytes(model: SystemModel) -> int:
     """A block's bytes per lambda-run-step: float64 x, e_filt (n each) and u
-    (m), int64 tau and a TraceBlock's sigma, and sigma's bool."""
-    return 8 * (2 * model.dims[0] + model.dims[1] + 2) + 1
+    (m), int64 tau and bool sigma; a TraceBlock's too, being the block's."""
+    return 8 * (2 * model.dims[0] + model.dims[1] + 1) + 1
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,9 @@ class TraceBlock:
     """Steps start .. start + len(sigma) - 1 of every run and lambda of a grid.
 
     The columns of a trace CSV, time-major: the transmission indicator sigma
-    and the counter tau (steps, lambdas, runs), the state x and the estimate
-    gap e_filt (steps, lambdas, runs, n), the input u (steps, lambdas, runs,
-    m); x as each step finds it, the rest as it leaves them.
+    (bool) and the counter tau (steps, lambdas, runs), the state x and the
+    estimate gap e_filt (steps, lambdas, runs, n), the input u (steps,
+    lambdas, runs, m); x as each step finds it, the rest as it leaves them.
     """
 
     start: int
@@ -184,7 +185,6 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
     rows = (TRACE_BLOCK_STEPS if on_block is not None else max(
         1, _BLOCK_BYTES // (step_bytes(model) * group * runs)))
 
-    chunk_end = 0
     # the loop runs on to the end of a diverging block, past overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, horizon, rows):
@@ -200,23 +200,21 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
                 sb = np.empty((steps, group, runs), dtype=bool)
             xb[0], eb[0], tb[0] = last
             for i, k in enumerate(range(first, first + steps)):
-                if k == chunk_end:
-                    span = min(_CHUNK_STEPS, horizon - k)
-                    w_z = np.empty((runs, span, n))
-                    v_z = np.empty((runs, span, p))
-                    zeta = np.empty((span, runs))
+                j = k % _CHUNK_STEPS
+                if j == 0:  # a whole chunk, even past the horizon
+                    w_z = np.empty((runs, _CHUNK_STEPS, n))
+                    v_z = np.empty((runs, _CHUNK_STEPS, p))
+                    zeta = np.empty((_CHUNK_STEPS, runs))
                     for r, (w_gen, v_gen, _, trig_gen) in enumerate(streams):
-                        w_z[r] = w_gen.standard_normal((span, n))
-                        v_z[r] = v_gen.standard_normal((span, p))
-                        zeta[:, r] = trig_gen.random(span)
-                    # per-run matmuls, then time-major: (span, runs, .)
+                        w_z[r] = w_gen.standard_normal((_CHUNK_STEPS, n))
+                        v_z[r] = v_gen.standard_normal((_CHUNK_STEPS, p))
+                        zeta[:, r] = trig_gen.random(_CHUNK_STEPS)
+                    # per-run matmuls, then time-major: (chunk, runs, .)
                     w_block = (w_z @ w_factor.T).transpose(1, 0, 2).copy()
                     v_block = (v_z @ v_factor.T).transpose(1, 0, 2).copy()
-                    chunk_start, chunk_end = k, k + span
 
                 # (runs, .) estimator and draws broadcast over the
                 # (lambdas, runs, .) trigger and plant state
-                j = k - chunk_start
                 v, w = v_block[j], w_block[j]
                 eta = (xt_pred @ Ct + v) @ Kt
                 e_gap = np.add(eb[i] @ At, eta, out=eb[i + 1])
@@ -245,8 +243,7 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
             for row in stage:  # in step order, whatever the grid's width
                 cost_sum += row
             if on_block is not None:
-                on_block(TraceBlock(first, sb.astype(np.int64), tb[1:],
-                                    xb[:-1], ub, eb[1:]))
+                on_block(TraceBlock(first, sb, tb[1:], xb[:-1], ub, eb[1:]))
 
     window = horizon - burn_in
     return sigma_count / window, cost_sum / window

@@ -4,12 +4,13 @@ axis: a named oracle for `etlqg.simulation.run_closed_loop`.
 This is the engine's old body, kept verbatim apart from its name, the
 imports below, its trace record (OracleTrace, which the engine no longer
 has, kept when its own `record` argument is set), the timeout
-(`cfg.timeout`), its covariance factors (psd_sqrt, as the engine's), the
-chunk size and the divergence guard, which it reads from the engine module
-at call time so that a monkeypatched `_CHUNK_STEPS` or `DIVERGENCE_LIMIT`
-reaches both, and its stage-cost line, which calls the engine's
-`simulation._quad` (in step order, so the cost keeps the bits of a per-step
-einsum). It carries every state as (group, runs, n), records traces
+(`cfg.timeout`), its covariance factors (psd_sqrt, as the engine's), its
+bool sigma record, its last draw chunk, drawn whole past the horizon as the
+engine's is, the chunk size and the divergence guard, which it reads from
+the engine module at call time so that a monkeypatched `_CHUNK_STEPS` or
+`DIVERGENCE_LIMIT` reaches both, and its stage-cost line, which calls the
+engine's `simulation._quad` (in step order, so the cost keeps the bits of a
+per-step einsum). It carries every state as (group, runs, n), records traces
 run-major and forms y, xhat_s and xhat_c inside the loop. The engine must
 reproduce its rates, costs and the five trace fields it records (sigma,
 tau, x, u, e_filt) bit for bit; see tests/test_simulation.py::TestOracle.
@@ -101,7 +102,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
         tr_xs = np.empty((group, runs, horizon, n))
         tr_xc = np.empty((group, runs, horizon, n))
         tr_u = np.empty((group, runs, horizon, m))
-        tr_sig = np.empty((group, runs, horizon), dtype=np.int64)
+        tr_sig = np.empty((group, runs, horizon), dtype=bool)
         tr_tau = np.empty((group, runs, horizon), dtype=np.int64)
         tr_e = np.empty((group, runs, horizon, n))
 
@@ -112,7 +113,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
     with errctx:
         k = 0
         while k < horizon:
-            span = min(simulation._CHUNK_STEPS, horizon - k)
+            span = simulation._CHUNK_STEPS
             w_z = np.empty((runs, span, n))
             v_z = np.empty((runs, span, p))
             zeta = np.empty((runs, span))
@@ -124,7 +125,7 @@ def reference_closed_loop_grid(cfg: SimConfig, filt: SteadyStateFilter,
             v_block = v_z @ v_factor.T
 
             # (runs, .) draws broadcast over the (group, runs, .) state
-            for j in range(span):
+            for j in range(min(span, horizon - k)):
                 v = v_block[:, j]
                 w = w_block[:, j]
                 eta = (xt_pred @ C.T + v) @ K.T

@@ -44,7 +44,7 @@ from etlqg.cli import TRADEOFF_HEADER, _trace_csv, main
 from etlqg.config import config_from_dict, config_to_dict
 from etlqg.simulation import TraceBlock
 
-from conftest import traced_grid
+from conftest import make_benchmark_model, traced_grid
 
 
 def base_config(out_dir, **overrides):
@@ -456,6 +456,30 @@ class TestValidateCommand:
 
 
 class TestConfigErrors:
+    def test_bad_flag_value_exits_1(self, tmp_path):
+        # argparse's own code is 2, which the CLI keeps for model failures
+        done = TestSplitSweep._python("-m", "etlqg.cli", "run", "--runs",
+                                      "abc", "--out-dir", str(tmp_path / "o"))
+        assert done.returncode == 1, done.stderr
+        assert "argument --runs" in done.stderr
+        assert done.stdout == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["run", "--no-such-flag"], 1, "unrecognized arguments"),
+        (["analyze-only", "--seed", "1"], 1, "unrecognized arguments"),
+        ([], 1, "required: command"),
+        (["--help"], 0, None), (["run", "--help"], 0, None)])
+    def test_usage_exit_codes(self, capsys, argv, code, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        err = capsys.readouterr().err
+        if message is None:
+            assert err == ""
+        else:
+            assert err.startswith("usage: etlqg") and message in err
+
     def test_unknown_model_field(self, tmp_path, capsys):
         doc = base_config(tmp_path / "out")
         doc["model"]["Z"] = [[1.0]]
@@ -1252,16 +1276,16 @@ class TestFormatter:
         assert layout(3, 8, 20000) == (1, False)
 
     def test_blocks_in_flight_fit_the_budget(self, bench_model):
-        # trace_narrow's 24 runs: 2048 steps of 8 * (2n + m + 2) + 1 = 57
-        # bytes each; five wait, each twice, beside the next one
+        # trace_narrow's 24 runs: 2048 steps of step_bytes each, 49 at the
+        # bundled n = 2, m = 1; six wait, each twice, beside the next one
         sim_cfg = SimConfig(model=bench_model, timeout=50, horizon=20000,
                             runs=8, seed=1, burn_in=0)
-        block = 3 * 8 * 2048 * 57
-        assert cli._in_flight(sim_cfg, 3, 8) == 5
-        assert 11 * block <= cli.TRACE_BUDGET_BYTES < 13 * block
-        # the widest grid at which one block can wait: 3 x 31 runs
-        assert cli._in_flight(sim_cfg, 3, 31) == 1
-        assert cli._in_flight(sim_cfg, 3, 32) == 0
+        block = 3 * 8 * 2048 * simulation.step_bytes(bench_model)
+        assert cli._in_flight(sim_cfg, 3, 8) == 6
+        assert 13 * block <= cli.TRACE_BUDGET_BYTES < 15 * block
+        # the widest grid at which one block can wait: 3 x 37 runs
+        assert cli._in_flight(sim_cfg, 3, 37) == 1
+        assert cli._in_flight(sim_cfg, 3, 38) == 0
 
 
 class TestLayout:
@@ -1319,10 +1343,8 @@ class TestChunkedTraces:
 
     @staticmethod
     def _run_bytes(lams, horizon):
-        # a TraceBlock per run: int64 sigma and tau, n = 2 states, m = 1
-        # input and n = 2 estimate gaps of float64, and the bool buffer
-        # sigma is cast from
-        return lams * horizon * (8 * (2 + 2 + 1 + 2) + 1)
+        # a TraceBlock per run, at the bundled model's dimensions
+        return lams * horizon * simulation.step_bytes(make_benchmark_model())
 
     @pytest.mark.parametrize("runs,fit,chunks", [
         (10, 3.5, [2, 3, 2, 3]),  # one lambda's 10 runs outgrow the budget

@@ -38,6 +38,17 @@ def _cfg(model, timeout=BENCH_TIMEOUT, **kw):
     return SimConfig(model=model, timeout=timeout, **defaults)
 
 
+def _two_output_models(count):
+    """The first count draws of random_valid_model(default_rng(3), n_max=4)
+    with p >= 2 outputs, whose measurement draws go through a p x p factor."""
+    rng, models = np.random.default_rng(3), []
+    while len(models) < count:
+        model = random_valid_model(rng, n_max=4)
+        if model.dims[2] >= 2:
+            models.append(model)
+    return models
+
+
 class TestSimConfig:
     @pytest.mark.parametrize(
         "overrides",
@@ -78,20 +89,38 @@ class TestDeterminism:
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(c1, c2)
 
-    def test_chunk_size_does_not_change_the_stream(self, bench_model, bench_filter,
-                                                   bench_control, monkeypatch):
+    def test_chunk_size_does_not_change_the_stream(self, bench_model,
+                                                   monkeypatch):
         # per-run generators are consumed in fixed order, so the block size
-        # used for pregeneration must be invisible in the results
-        cfg = _cfg(bench_model, runs=2, horizon=50, burn_in=0)
-        _, _, (traces_default,) = traced_grid(cfg, bench_filter,
-                                              bench_control, [1.0])
-        monkeypatch.setattr(sim, "_CHUNK_STEPS", 7)
-        _, _, (traces_small,) = traced_grid(cfg, bench_filter, bench_control,
-                                            [1.0])
-        for a, b in zip(traces_default, traces_small):
-            np.testing.assert_array_equal(a.x, b.x)
-            np.testing.assert_array_equal(a.sigma, b.sigma)
-            np.testing.assert_array_equal(a.u, b.u)
+        # used for pregeneration must be invisible in the results; chunks
+        # are whole, so the last one of 7 steps never shrinks to the one
+        # row on which numpy rounds the p >= 2 measurement noise otherwise
+        for model in [bench_model] + _two_output_models(17):
+            filt, ctrl = kf_steady_state(model), control_steady_state(model)
+            cfg = _cfg(model, runs=2, horizon=50, burn_in=0)
+            traces = []
+            for chunk in (sim._CHUNK_STEPS, 7):
+                with monkeypatch.context() as mp:
+                    mp.setattr(sim, "_CHUNK_STEPS", chunk)
+                    traces.append(traced_grid(cfg, filt, ctrl, [1.0])[2][0])
+            for a, b in zip(*traces):
+                for name in SHARED_FIELDS:
+                    _assert_same_bits(getattr(a, name), getattr(b, name))
+
+    def test_horizon_does_not_change_the_stream(self):
+        # a run's numbers depend on its seed, index and step alone: the last
+        # draw chunk is whole at 257 steps too, not one step, whose one-row
+        # matmul numpy rounds otherwise for p >= 2 measurement noise
+        for model in _two_output_models(17):
+            filt, ctrl = kf_steady_state(model), control_steady_state(model)
+            short, full = (traced_grid(SimConfig(
+                model=model, timeout=10, horizon=horizon, runs=8, seed=0,
+                burn_in=0), filt, ctrl, GRID)[2] for horizon in (257, 300))
+            for row_short, row_full in zip(short, full):
+                for a, b in zip(row_short, row_full):
+                    for name in SHARED_FIELDS:
+                        _assert_same_bits(getattr(a, name),
+                                          getattr(b, name)[:257])
 
     def test_different_seeds_differ(self, bench_model, bench_filter, bench_control):
         cfg_a = _cfg(bench_model, runs=2, horizon=400, seed=7)
@@ -208,6 +237,23 @@ class TestTraceInvariants:
         np.testing.assert_array_equal(got[0][0], rates)
         np.testing.assert_array_equal(got[1][0], costs)
         assert [block.sigma.shape for block in blocks] == [(300, 1, 2)]
+
+    @pytest.mark.parametrize("outputs", [1, 2])
+    def test_blocks_are_step_bytes(self, bench_model, monkeypatch, outputs):
+        # a TraceBlock is its record's own arrays, sigma its bool: no copy,
+        # so a block holds step_bytes per lambda-run-step and no more
+        model = bench_model if outputs == 1 else _two_output_models(1)[0]
+        filt, ctrl = kf_steady_state(model), control_steady_state(model)
+        monkeypatch.setattr(sim, "TRACE_BLOCK_STEPS", 64)
+        cfg = _cfg(model, runs=3, horizon=150, burn_in=0)
+        blocks = []
+        run_closed_loop(cfg, filt, ctrl, GRID, on_block=blocks.append)
+        assert [len(block.sigma) for block in blocks] == [64, 64, 22]
+        for block in blocks:
+            nbytes = sum(getattr(block, name).nbytes for name in SHARED_FIELDS)
+            assert block.sigma.dtype == bool
+            assert nbytes == (sim.step_bytes(model) * len(block.sigma)
+                              * len(GRID) * cfg.runs)
 
 
 def _against_analysis(cfg, filt, ctrl, lam):

@@ -15,12 +15,14 @@ neither lambda nor the trigger, so it is carried once per run, (runs, n),
 and broadcast like the draws. A step runs only the estimator, trigger and
 plant recurrences, writing x, e_filt, tau, u and sigma once, traced or not,
 into its block's time-major record, (steps, lambdas, runs, .), whose row 0 of
-x, e_filt and tau is carried over from the last block. The divergence guard,
-the transmission count and the stage cost are reduced once per block, the
-cost in step order from the running sum, so it has the bits of a per-step
-sum. Untraced blocks reuse one record of about _BLOCK_BYTES; on_block gets
-each fresh record of TRACE_BLOCK_STEPS steps as a TraceBlock of its own
-arrays, uncopied (sigma stays bool), so step_bytes is a TraceBlock's size.
+x, e_filt and tau is a copy of the last block's last row. The divergence
+guard (each step's max and -min of x), the transmission count and the stage
+cost are reduced once per block, the cost in step order from the running
+sum, so it has the bits of a per-step sum. Untraced blocks reuse one record
+of about _BLOCK_BYTES; on_block gets each fresh record of TRACE_BLOCK_STEPS
+steps as a TraceBlock of its own arrays, uncopied (sigma stays bool), and the
+loop drops it before the next. So a call holds one record and one draw chunk
+(see step_bytes); the reductions' scratch lives while they run.
 
 RNG layout: run r's seed is SeedSequence(seed, spawn_key=(r,)), the r-th
 child that SeedSequence(seed).spawn would give; each run spawns four
@@ -40,6 +42,7 @@ its horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -59,7 +62,8 @@ TRACE_BLOCK_STEPS = 2048
 
 def step_bytes(model: SystemModel) -> int:
     """A block's bytes per lambda-run-step: float64 x, e_filt (n each) and u
-    (m), int64 tau and bool sigma; a TraceBlock's too, being the block's."""
+    (m), int64 tau and bool sigma; a TraceBlock's too, being the block's.
+    A call also holds one chunk of _CHUNK_STEPS x (n + p + 1) draws per run."""
     return 8 * (2 * model.dims[0] + model.dims[1] + 1) + 1
 
 
@@ -184,34 +188,33 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
 
     rows = (TRACE_BLOCK_STEPS if on_block is not None else max(
         1, _BLOCK_BYTES // (step_bytes(model) * group * runs)))
-
+    # one draw chunk, time-major (chunk, runs, .), each run's column refilled
+    w_block = np.empty((_CHUNK_STEPS, runs, n))
+    v_block = np.empty((_CHUNK_STEPS, runs, p))
+    zeta = np.empty((_CHUNK_STEPS, runs))
+    last = x, 0.0, 0  # row 0 of the first block: x_0 and zeros
     # the loop runs on to the end of a diverging block, past overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, horizon, rows):
             steps = min(rows, horizon - first)
-            # step first + i reads x, e_filt and tau from row i, writes row
-            # i + 1; row 0 is the last block's last row (x_0, zeros at first)
-            last = (x, 0.0, 0) if first == 0 else (xb[-1], eb[-1], tb[-1])
             if on_block is not None or first == 0:  # untraced, reused after
                 xb = np.empty((steps + 1, group, runs, n))
                 eb = np.empty((steps + 1, group, runs, n))
                 tb = np.empty((steps + 1, group, runs), dtype=np.int64)
                 ub = np.empty((steps, group, runs, m))
                 sb = np.empty((steps, group, runs), dtype=bool)
+            # step first + i reads x, e_filt and tau from row i, writes row
+            # i + 1; row 0 is a copy of the last block's last row
             xb[0], eb[0], tb[0] = last
             for i, k in enumerate(range(first, first + steps)):
                 j = k % _CHUNK_STEPS
                 if j == 0:  # a whole chunk, even past the horizon
-                    w_z = np.empty((runs, _CHUNK_STEPS, n))
-                    v_z = np.empty((runs, _CHUNK_STEPS, p))
-                    zeta = np.empty((_CHUNK_STEPS, runs))
                     for r, (w_gen, v_gen, _, trig_gen) in enumerate(streams):
-                        w_z[r] = w_gen.standard_normal((_CHUNK_STEPS, n))
-                        v_z[r] = v_gen.standard_normal((_CHUNK_STEPS, p))
+                        w_block[:, r] = w_gen.standard_normal(
+                            (_CHUNK_STEPS, n)) @ w_factor.T
+                        v_block[:, r] = v_gen.standard_normal(
+                            (_CHUNK_STEPS, p)) @ v_factor.T
                         zeta[:, r] = trig_gen.random(_CHUNK_STEPS)
-                    # per-run matmuls, then time-major: (chunk, runs, .)
-                    w_block = (w_z @ w_factor.T).transpose(1, 0, 2).copy()
-                    v_block = (v_z @ v_factor.T).transpose(1, 0, 2).copy()
 
                 # (runs, .) estimator and draws broadcast over the
                 # (lambdas, runs, .) trigger and plant state
@@ -229,21 +232,23 @@ def run_closed_loop(cfg: SimConfig, filt: SteadyStateFilter,
                 np.add(xb[i] @ At + u @ Bt, w, out=xb[i + 1])
                 xt_pred = xt_filt @ At + w
 
-            peak = np.abs(xb[1:steps + 1])
-            worst = peak.reshape(steps, -1).max(axis=1)
+            worst = np.maximum(xb[1:steps + 1].max(axis=(1, 2, 3)),
+                               -xb[1:steps + 1].min(axis=(1, 2, 3)))
             crossed = np.flatnonzero(worst > DIVERGENCE_LIMIT)
             if crossed.size:
                 i = crossed[0]
-                g, r, _ = np.unravel_index(peak[i].argmax(), peak[i].shape)
+                peak = np.abs(xb[i + 1])  # of the crossing row alone
+                g, r, _ = np.unravel_index(peak.argmax(), peak.shape)
                 raise DivergenceError(step=int(first + i + 1), run=run_ids[r],
                                       value=float(worst[i]), lam=lams[g])
             lo = max(burn_in - first, 0)  # the first row after burn-in
             sigma_count += sb[lo:steps].sum(axis=0)
-            stage = _quad(xb[lo:steps], model.Q) + _quad(ub[lo:steps], model.R)
-            for row in stage:  # in step order, whatever the grid's width
-                cost_sum += row
-            if on_block is not None:
+            cost_sum = reduce(np.add, _quad(xb[lo:steps], model.Q)  # step order
+                              + _quad(ub[lo:steps], model.R), cost_sum)
+            last = [a[steps].copy() for a in (xb, eb, tb)]
+            if on_block is not None:  # then its record dies, views and all
                 on_block(TraceBlock(first, sb, tb[1:], xb[:-1], ub, eb[1:]))
+                del xb, eb, tb, ub, sb, e_gap, u, sigma
 
     window = horizon - burn_in
     return sigma_count / window, cost_sum / window

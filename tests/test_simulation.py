@@ -8,6 +8,7 @@ statistics with the closed-form analysis layer.
 import dataclasses
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -782,3 +783,80 @@ class TestBlockGuard:
             assert [b.start for b in blocks] == list(
                 range(0, crossing // block * block, block))
             assert all(b.start + len(b.sigma) <= crossing for b in blocks)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("open_loop,guard,seed", [(True, 1e6, 0),
+                                                      (False, 15.0, 11)])
+    def test_negative_crossing(self, bench_model, bench_filter, bench_control,
+                               monkeypatch, traced, open_loop, guard, seed):
+        # at the crossing step every entry of x lies below the guard and
+        # one lies below -guard: the guard sees the crossing through -min
+        # alone, and reports that negative entry
+        ctrl = (TestDivergenceGuard()._open_loop(bench_model) if open_loop
+                else bench_control)
+        lams = [4.0, 0.01]
+        cfg = SimConfig(model=bench_model, timeout=BENCH_TIMEOUT,
+                        horizon=2000, runs=3, seed=seed, burn_in=0)
+        monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", guard)
+        with pytest.raises(DivergenceError) as exc:
+            sim.run_closed_loop(cfg, bench_filter, ctrl, lams,
+                                on_block=(lambda block: None) if traced
+                                else None)
+        with pytest.raises(DivergenceError) as want:
+            reference_closed_loop_grid(cfg, bench_filter, ctrl, lams)
+        err = exc.value
+        assert vars(err) == vars(want.value)
+        monkeypatch.setattr(sim, "DIVERGENCE_LIMIT", np.inf)
+        _, _, traces = traced_grid(
+            dataclasses.replace(cfg, horizon=err.step + 1), bench_filter,
+            ctrl, lams)
+        x = np.array([[run.x[err.step] for run in row] for row in traces])
+        assert x.max() <= guard < -x.min()
+        reported = x[lams.index(err.lam), err.run]
+        entry = reported[np.abs(reported).argmax()]
+        assert entry < 0
+        assert -entry == err.value
+
+
+class TestFootprint:
+    """A call holds one block record, one draw chunk per run and, while it
+    reduces a block, that block's scratch: no array of a finished block
+    lives on into the next, and the guard copies no record."""
+
+    @staticmethod
+    def _peaks(fn):
+        """Peak bytes allocated above those live when fn starts: at each
+        call of the report fn gets, and over fn."""
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            peaks = []
+            fn(lambda *_: peaks.append(tracemalloc.get_traced_memory()[1]
+                                       - live))
+            return peaks + [tracemalloc.get_traced_memory()[1] - live]
+        finally:
+            tracemalloc.stop()
+
+    def test_traced_peak(self, bench_model, bench_filter, bench_control):
+        # the wide CI config's chunk shape, 13 lambdas x 25 runs, over two
+        # blocks: the first alone, then with the next, which a block kept
+        # alive past its reductions (1.5 records or more) would add to
+        block = sim.TRACE_BLOCK_STEPS
+        cfg = _cfg(bench_model, runs=25, horizon=2 * block)
+        record = sim.step_bytes(bench_model) * 13 * 25 * block
+        first, _, whole = self._peaks(lambda report: sim.run_closed_loop(
+            cfg, bench_filter, bench_control, TestOracle.LAMS[13],
+            on_block=report))
+        assert first <= 1.45 * record
+        assert whole <= 1.45 * record
+
+    def test_untraced_bytes_per_run(self, bench_model, bench_filter,
+                                    bench_control):
+        # per run: a draw chunk of 256 x (n + p + 1) floats, 8 KiB here,
+        # four Generators and the estimator state
+        def peak(runs):
+            cfg = _cfg(bench_model, runs=runs, horizon=300)
+            return self._peaks(lambda _: sim.run_closed_loop(
+                cfg, bench_filter, bench_control, [1.0]))[-1]
+
+        assert (peak(2000) - peak(1000)) / 1000 <= 22.5 * 1024
